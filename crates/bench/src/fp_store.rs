@@ -62,7 +62,9 @@ use std::path::{Path, PathBuf};
 /// by the resolved [`CheckLevel`] so `cheap` and `full` streams — which
 /// hash different state and are never comparable — can never verify
 /// against each other.
-pub(crate) const FP_VERSION: u32 = 2;
+/// Version 3: the mesh's full fingerprint folds only packets whose flits
+/// have partially arrived, not every packet ever sent.
+pub(crate) const FP_VERSION: u32 = 3;
 
 /// What `CLIP_FP_BASELINE` asks of this run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -131,12 +131,32 @@ pub trait NocModel {
 const PORTS: usize = 5; // N, S, E, W, Local
 const LOCAL: usize = 4;
 const INJECTION_QUEUE: usize = 64;
+/// No input slot: an unowned output port.
+const NO_SLOT: u8 = u8::MAX;
+
+/// Statistics index of a priority: [prefetch, writeback, demand].
+#[inline]
+fn class_index(p: Priority) -> usize {
+    match p {
+        Priority::Prefetch => 0,
+        Priority::Writeback => 1,
+        Priority::Demand => 2,
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Flit {
     packet: u32,
-    is_tail: bool,
+    /// Global index of the input buffer this flit enters at the next
+    /// router (unused when `out_port` is [`LOCAL`]).
+    next: u32,
     ready_at: Cycle,
+    /// Output port at the router holding the flit, routed on entry.
+    out_port: u8,
+    /// Arbitration class (see [`MeshNoc::priority_class`]).
+    prio: u8,
+    vc: u8,
+    is_tail: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -147,31 +167,54 @@ struct PacketInfo {
     injected_at: Cycle,
 }
 
-#[derive(Debug, Clone, Default)]
-struct VcBuffer {
-    q: VecDeque<Flit>,
-}
-
 #[derive(Debug, Clone)]
 struct Router {
-    /// Input buffers indexed [port][vc].
-    inputs: Vec<Vec<VcBuffer>>,
-    /// Which (in_port, vc) currently owns each output port (wormhole lock).
-    out_owner: [Option<(usize, usize)>; PORTS],
-    /// Round-robin pointer per output port.
-    rr: [usize; PORTS],
-    /// Total flits buffered (skip idle routers cheaply).
-    buffered: usize,
+    /// Bit `slot` is set while input buffer `slot` holds a flit.
+    occupied: u64,
+    /// Which input slot currently owns each output port (wormhole lock),
+    /// or [`NO_SLOT`].
+    out_owner: [u8; PORTS],
+    /// Round-robin pointer (an input slot) per output port.
+    rr: [u8; PORTS],
+}
+
+/// One directed link, leaving a router through a mesh port.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Neighbor node at the far end (`usize::MAX` off the mesh edge).
+    to: usize,
+    /// Cycles until a flit sent now is ready at `to`: the wire, the
+    /// router pipeline and any NUMA crossing tax.
+    delay: Cycle,
 }
 
 /// Flit-level wormhole mesh with XY routing and VC credit flow control.
+///
+/// A router's input buffers are its *slots*, `port * virtual_channels +
+/// vc`, tracked in a 64-bit occupancy mask (hence
+/// [`NocConfig::MAX_VIRTUAL_CHANNELS`]). A flit is routed once, when it
+/// enters a router, and each busy router is arbitrated in one pass over
+/// its occupied slots.
 #[derive(Debug, Clone)]
 pub struct MeshNoc {
     cfg: NocConfig,
+    /// Input slots per router: `PORTS * virtual_channels`.
+    slots: usize,
+    /// Every router's input buffers, indexed `node * slots + slot`.
+    buffers: Vec<VecDeque<Flit>>,
     routers: Vec<Router>,
+    /// Directed links, indexed `node * 4 + port`.
+    links: Vec<Link>,
     packets: Vec<PacketInfo>,
     /// Per-node queues of packets waiting to inject.
     inject: Vec<VecDeque<(u32, usize)>>, // (packet, flits_remaining)
+    /// Flits held in router buffers, over all routers.
+    buffered: usize,
+    /// Packets waiting in injection queues, over all nodes.
+    injecting: usize,
+    /// Moves decided by one tick, `(node, slot, out_port)`; kept to reuse
+    /// the allocation.
+    moves: Vec<(usize, u8, u8)>,
     delivered_count: u64,
     total_latency: u64,
     flit_hops: u64,
@@ -184,8 +227,9 @@ pub struct MeshNoc {
     delivered_by_class: [u64; 3],
     /// Latency sums per priority class, same order.
     latency_by_class: [u64; 3],
-    /// Flits of partially arrived packets at destinations.
-    arriving: Vec<u32>, // per packet: flits received (indexed by packet id)
+    /// Partially arrived packets per destination node: (packet, flits
+    /// received so far).
+    arriving: Vec<Vec<(u32, u32)>>,
 }
 
 impl MeshNoc {
@@ -193,21 +237,66 @@ impl MeshNoc {
     ///
     /// # Panics
     ///
-    /// Panics if the mesh has no nodes.
+    /// Panics if the mesh has no nodes or more input buffers than a
+    /// `u32` indexes, if `virtual_channels` is not in
+    /// `1..=NocConfig::MAX_VIRTUAL_CHANNELS`, or if `vc_buffer_flits` is
+    /// zero.
     pub fn new(cfg: &NocConfig) -> Self {
-        let n = cfg.mesh_cols * cfg.mesh_rows;
+        let (cols, rows) = (cfg.mesh_cols, cfg.mesh_rows);
+        let n = cols * rows;
         assert!(n > 0, "mesh must have nodes");
+        assert!(
+            (1..=NocConfig::MAX_VIRTUAL_CHANNELS).contains(&cfg.virtual_channels),
+            "virtual channel count out of range"
+        );
+        assert!(cfg.vc_buffer_flits > 0, "vc buffers must hold a flit");
+        let slots = PORTS * cfg.virtual_channels;
+        assert!(
+            u32::try_from(n * slots).is_ok(),
+            "mesh too large for 32-bit buffer indices"
+        );
+        let half = cols / 2;
+        let mut links = Vec::with_capacity(n * 4);
+        for node in 0..n {
+            let (x, y) = (node % cols, node / cols);
+            for port in 0..4 {
+                let to = match port {
+                    0 if y > 0 => node - cols,
+                    1 if y + 1 < rows => node + cols,
+                    2 if x + 1 < cols => node + 1,
+                    3 if x > 0 => node - 1,
+                    _ => usize::MAX,
+                };
+                // Two-node NUMA asymmetry: a traversal crossing between
+                // the mesh's column halves (the socket boundary) pays the
+                // configured extra wire latency. Inert at the default 0.
+                let numa = if to != usize::MAX && (x < half) != (to % cols < half) {
+                    cfg.numa_penalty
+                } else {
+                    0
+                };
+                links.push(Link {
+                    to,
+                    delay: 1 + cfg.router_stages + numa,
+                });
+            }
+        }
         let router = Router {
-            inputs: vec![vec![VcBuffer::default(); cfg.virtual_channels]; PORTS],
-            out_owner: [None; PORTS],
+            occupied: 0,
+            out_owner: [NO_SLOT; PORTS],
             rr: [0; PORTS],
-            buffered: 0,
         };
         MeshNoc {
             cfg: *cfg,
+            slots,
+            buffers: vec![VecDeque::new(); n * slots],
             routers: vec![router; n],
+            links,
             packets: Vec::new(),
             inject: vec![VecDeque::new(); n],
+            buffered: 0,
+            injecting: 0,
+            moves: Vec::new(),
             delivered_count: 0,
             total_latency: 0,
             flit_hops: 0,
@@ -215,18 +304,13 @@ impl MeshNoc {
             flits_delivered: 0,
             delivered_by_class: [0; 3],
             latency_by_class: [0; 3],
-            arriving: Vec::new(),
+            arriving: vec![Vec::new(); n],
         }
     }
 
     #[inline]
     fn coords(&self, node: usize) -> (usize, usize) {
         (node % self.cfg.mesh_cols, node / self.cfg.mesh_cols)
-    }
-
-    #[inline]
-    fn node_at(&self, x: usize, y: usize) -> usize {
-        y * self.cfg.mesh_cols + x
     }
 
     /// XY route: returns the output port at `node` toward `dst`
@@ -244,18 +328,6 @@ impl MeshNoc {
             0
         } else {
             LOCAL
-        }
-    }
-
-    /// Neighbor node through `port`.
-    fn neighbor(&self, node: usize, port: usize) -> usize {
-        let (x, y) = self.coords(node);
-        match port {
-            0 => self.node_at(x, y - 1),
-            1 => self.node_at(x, y + 1),
-            2 => self.node_at(x + 1, y),
-            3 => self.node_at(x - 1, y),
-            _ => node,
         }
     }
 
@@ -277,23 +349,24 @@ impl MeshNoc {
 
     fn priority_class(&self, p: Priority) -> u8 {
         if self.cfg.prefetch_aware {
-            match p {
-                Priority::Demand => 2,
-                Priority::Writeback => 1,
-                Priority::Prefetch => 0,
-            }
+            class_index(p) as u8
         } else {
             1
         }
     }
 
-    /// True when a hop between two adjacent nodes crosses the two-node
-    /// NUMA boundary: the vertical cut between the left and right column
-    /// halves of the mesh (ThunderX2-style `NUMA_NODE 2`).
+    /// Routes `flit` for the router at `node` it is entering: sets its
+    /// output port and the input buffer it will take at the next router.
     #[inline]
-    fn crosses_numa_boundary(&self, a: usize, b: usize) -> bool {
-        let half = self.cfg.mesh_cols / 2;
-        (a % self.cfg.mesh_cols < half) != (b % self.cfg.mesh_cols < half)
+    fn enter(&self, node: usize, mut flit: Flit) -> Flit {
+        let port = self.route(node, self.packets[flit.packet as usize].dst);
+        flit.out_port = port as u8;
+        if port != LOCAL {
+            let to = self.links[node * 4 + port].to;
+            let slot = Self::reverse(port) * self.cfg.virtual_channels + usize::from(flit.vc);
+            flit.next = (to * self.slots + slot) as u32;
+        }
+        flit
     }
 }
 
@@ -321,175 +394,163 @@ impl NocModel for MeshNoc {
             priority,
             injected_at: now,
         });
-        self.arriving.push(0);
         self.inject[src].push_back((id, flits.max(1)));
+        self.injecting += 1;
         Ok(())
     }
 
     fn tick(&mut self, now: Cycle) -> Vec<Delivered> {
         let mut out = Vec::new();
-        let n = self.routers.len();
+        if self.buffered == 0 && self.injecting == 0 {
+            return out;
+        }
+        let depth = self.cfg.vc_buffer_flits;
+        let slots = self.slots;
 
         // 1. Injection: move flits from injection queues into the local
         //    input port as buffer space allows (one flit per cycle).
-        for node in 0..n {
-            if let Some(&(pid, remaining)) = self.inject[node].front() {
+        if self.injecting > 0 {
+            for node in 0..self.routers.len() {
+                let Some(&(pid, remaining)) = self.inject[node].front() else {
+                    continue;
+                };
                 let vc = self.vc_for(pid);
-                if self.routers[node].inputs[LOCAL][vc].q.len() < self.cfg.vc_buffer_flits {
-                    let is_tail = remaining == 1;
-                    self.routers[node].inputs[LOCAL][vc].q.push_back(Flit {
+                let slot = LOCAL * self.cfg.virtual_channels + vc;
+                if self.buffers[node * slots + slot].len() >= depth {
+                    continue;
+                }
+                let is_tail = remaining == 1;
+                let flit = self.enter(
+                    node,
+                    Flit {
                         packet: pid,
-                        is_tail,
+                        next: 0,
                         ready_at: now + self.cfg.router_stages,
-                    });
-                    self.routers[node].buffered += 1;
-                    self.flits_injected += 1;
-                    if is_tail {
-                        self.inject[node].pop_front();
-                    } else {
-                        self.inject[node]
-                            .front_mut()
-                            .expect("checked non-empty above")
-                            .1 -= 1;
-                    }
+                        out_port: 0,
+                        prio: self.priority_class(self.packets[pid as usize].priority),
+                        vc: vc as u8,
+                        is_tail,
+                    },
+                );
+                self.buffers[node * slots + slot].push_back(flit);
+                self.routers[node].occupied |= 1 << slot;
+                self.buffered += 1;
+                self.flits_injected += 1;
+                if is_tail {
+                    self.inject[node].pop_front();
+                    self.injecting -= 1;
+                } else {
+                    self.inject[node]
+                        .front_mut()
+                        .expect("checked non-empty above")
+                        .1 -= 1;
                 }
             }
         }
 
-        // 2. Switch + link traversal: per router, per output port, move one
-        //    ready flit. Collect moves first to keep the update atomic per
-        //    cycle (a flit moved this cycle cannot move again).
-        struct Move {
-            node: usize,
-            in_port: usize,
-            vc: usize,
-            out_port: usize,
-        }
-        let mut moves: Vec<Move> = Vec::new();
-        for node in 0..n {
-            if self.routers[node].buffered == 0 {
+        // 2. Switch allocation on pre-move occupancy: one pass per busy
+        //    router over its occupied input slots picks, per output port,
+        //    the ready head flit with downstream credit that wins on
+        //    priority class, then round-robin distance from the port's
+        //    pointer. A flit moved this cycle cannot move again.
+        let total = slots as u32;
+        let mut moves = std::mem::take(&mut self.moves);
+        for (node, r) in self.routers.iter().enumerate() {
+            if r.occupied == 0 {
                 continue;
             }
-            for out_port in 0..PORTS {
-                // Wormhole: if owned, only the owner may send.
-                let owner = self.routers[node].out_owner[out_port];
-                let candidates: Vec<(usize, usize)> = match owner {
-                    Some((ip, vc)) => vec![(ip, vc)],
-                    None => {
-                        let mut v = Vec::new();
-                        for ip in 0..PORTS {
-                            for vc in 0..self.cfg.virtual_channels {
-                                if !self.routers[node].inputs[ip][vc].q.is_empty() {
-                                    v.push((ip, vc));
-                                }
-                            }
-                        }
-                        v
-                    }
-                };
-                // Pick: among candidates whose head flit is ready, routed to
-                // this output, and with downstream credit: priority then RR.
-                let mut best: Option<((usize, usize), (u8, usize))> = None;
-                let rr = self.routers[node].rr[out_port];
-                for &(ip, vc) in &candidates {
-                    let Some(&head) = self.routers[node].inputs[ip][vc].q.front() else {
-                        continue;
-                    };
-                    if head.ready_at > now {
-                        continue;
-                    }
-                    let dst = self.packets[head.packet as usize].dst;
-                    if self.route(node, dst) != out_port {
-                        continue;
-                    }
-                    // Credit check for non-local outputs.
-                    if out_port != LOCAL {
-                        let nb = self.neighbor(node, out_port);
-                        let in_at_nb = Self::reverse(out_port);
-                        if self.routers[nb].inputs[in_at_nb][vc].q.len() >= self.cfg.vc_buffer_flits
-                        {
-                            continue;
-                        }
-                    }
-                    let prio = self.priority_class(self.packets[head.packet as usize].priority);
-                    // Round-robin tiebreak: distance from rr pointer.
-                    let slot = ip * self.cfg.virtual_channels + vc;
-                    let total = PORTS * self.cfg.virtual_channels;
-                    let rank = (slot + total - rr) % total;
-                    let key = (prio, total - rank);
-                    if best.is_none_or(|(_, bk)| key > bk) {
-                        best = Some(((ip, vc), key));
-                    }
+            let base = node * slots;
+            // (key, slot) per output port; key 0 means no candidate.
+            let mut best = [(0u32, 0u8); PORTS];
+            let mut mask = r.occupied;
+            while mask != 0 {
+                let slot = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let head = &self.buffers[base + slot][0];
+                if head.ready_at > now {
+                    continue;
                 }
-                if let Some(((ip, vc), _)) = best {
-                    moves.push(Move {
-                        node,
-                        in_port: ip,
-                        vc,
-                        out_port,
-                    });
+                let port = usize::from(head.out_port);
+                // Wormhole: an owned output port only takes its owner.
+                let owner = r.out_owner[port];
+                if owner != NO_SLOT && usize::from(owner) != slot {
+                    continue;
+                }
+                if port != LOCAL && self.buffers[head.next as usize].len() >= depth {
+                    continue;
+                }
+                let rank = slot as u32 + total - u32::from(r.rr[port]);
+                let rank = if rank >= total { rank - total } else { rank };
+                let key = (u32::from(head.prio) << 8) | (total - rank);
+                if key > best[port].0 {
+                    best[port] = (key, slot as u8);
+                }
+            }
+            for (port, &(key, slot)) in best.iter().enumerate() {
+                if key != 0 {
+                    moves.push((node, slot, port as u8));
                 }
             }
         }
 
         // 3. Apply moves.
-        for m in moves {
-            let flit = self.routers[m.node].inputs[m.in_port][m.vc]
-                .q
-                .pop_front()
-                .expect("selected flit present");
-            self.routers[m.node].buffered -= 1;
-            self.routers[m.node].rr[m.out_port] =
-                (m.in_port * self.cfg.virtual_channels + m.vc + 1)
-                    % (PORTS * self.cfg.virtual_channels);
+        for &(node, slot, port) in &moves {
+            let (slot, port) = (usize::from(slot), usize::from(port));
+            let buf = &mut self.buffers[node * slots + slot];
+            let flit = buf.pop_front().expect("selected flit present");
+            let r = &mut self.routers[node];
+            if buf.is_empty() {
+                r.occupied &= !(1 << slot);
+            }
+            self.buffered -= 1;
+            r.rr[port] = ((slot + 1) % slots) as u8;
             // Maintain the wormhole lock.
-            self.routers[m.node].out_owner[m.out_port] = if flit.is_tail {
-                None
-            } else {
-                Some((m.in_port, m.vc))
-            };
-            if m.out_port == LOCAL {
+            r.out_owner[port] = if flit.is_tail { NO_SLOT } else { slot as u8 };
+            if port == LOCAL {
                 // Arrived at destination.
-                let pid = flit.packet as usize;
-                self.arriving[flit.packet as usize] += 1;
                 self.flits_delivered += 1;
-                if flit.is_tail {
-                    let info = &self.packets[pid];
-                    self.delivered_count += 1;
-                    let lat = now.saturating_sub(info.injected_at);
-                    self.total_latency += lat;
-                    let class = match info.priority {
-                        Priority::Prefetch => 0,
-                        Priority::Writeback => 1,
-                        Priority::Demand => 2,
-                    };
-                    self.delivered_by_class[class] += 1;
-                    self.latency_by_class[class] += lat;
-                    out.push(Delivered {
-                        node: info.dst,
-                        payload: info.payload,
-                        done_cycle: now,
-                    });
+                let arriving = &mut self.arriving[node];
+                let partial = arriving.iter().position(|&(p, _)| p == flit.packet);
+                if !flit.is_tail {
+                    match partial {
+                        Some(i) => arriving[i].1 += 1,
+                        None => arriving.push((flit.packet, 1)),
+                    }
+                    continue;
                 }
+                if let Some(i) = partial {
+                    arriving.remove(i);
+                }
+                let info = &self.packets[flit.packet as usize];
+                self.delivered_count += 1;
+                let lat = now.saturating_sub(info.injected_at);
+                self.total_latency += lat;
+                let class = class_index(info.priority);
+                self.delivered_by_class[class] += 1;
+                self.latency_by_class[class] += lat;
+                out.push(Delivered {
+                    node: info.dst,
+                    payload: info.payload,
+                    done_cycle: now,
+                });
             } else {
                 self.flit_hops += 1;
-                let nb = self.neighbor(m.node, m.out_port);
-                let in_at_nb = Self::reverse(m.out_port);
-                // Two-node NUMA asymmetry: a traversal crossing between
-                // the mesh's column halves (the socket boundary) pays the
-                // configured extra wire latency. Inert at the default 0.
-                let numa = if self.crosses_numa_boundary(m.node, nb) {
-                    self.cfg.numa_penalty
-                } else {
-                    0
-                };
-                self.routers[nb].inputs[in_at_nb][m.vc].q.push_back(Flit {
-                    ready_at: now + 1 + self.cfg.router_stages + numa,
-                    ..flit
-                });
-                self.routers[nb].buffered += 1;
+                let link = self.links[node * 4 + port];
+                let next = flit.next as usize;
+                let flit = self.enter(
+                    link.to,
+                    Flit {
+                        ready_at: now + link.delay,
+                        ..flit
+                    },
+                );
+                self.buffers[next].push_back(flit);
+                self.routers[link.to].occupied |= 1 << (next - link.to * slots);
+                self.buffered += 1;
             }
         }
+        moves.clear();
+        self.moves = moves;
         out
     }
 
@@ -498,9 +559,7 @@ impl NocModel for MeshNoc {
     /// that modelling per-flit ready times here would be fragile); an
     /// empty fabric is fully idle — `tick` is then a pure no-op.
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let busy = self.inject.iter().any(|q| !q.is_empty())
-            || self.routers.iter().any(|r| r.buffered > 0);
-        if busy {
+        if self.buffered > 0 || self.injecting > 0 {
             Some(now)
         } else {
             None
@@ -524,7 +583,7 @@ impl NocModel for MeshNoc {
     }
 
     fn audit(&self, full: bool) -> Result<(), String> {
-        let buffered: u64 = self.routers.iter().map(|r| r.buffered as u64).sum();
+        let buffered = self.buffered as u64;
         if self.flits_injected != self.flits_delivered + buffered {
             return Err(format!(
                 "flit conservation broken: {} injected but {} delivered + {} buffered (lost {})",
@@ -542,77 +601,96 @@ impl NocModel for MeshNoc {
             ));
         }
         if full {
+            let vcs = self.cfg.virtual_channels;
+            let mut actual = 0usize;
             for (node, r) in self.routers.iter().enumerate() {
-                let mut actual = 0usize;
-                for (port, vcs) in r.inputs.iter().enumerate() {
-                    for (vc, buf) in vcs.iter().enumerate() {
-                        if buf.q.len() > self.cfg.vc_buffer_flits {
-                            return Err(format!(
-                                "credit overrun at router {node} port {port} vc {vc}: \
-                                 {} flits in a {}-flit buffer",
-                                buf.q.len(),
-                                self.cfg.vc_buffer_flits
-                            ));
-                        }
-                        actual += buf.q.len();
+                for slot in 0..self.slots {
+                    let (port, vc) = (slot / vcs, slot % vcs);
+                    let len = self.buffers[node * self.slots + slot].len();
+                    if len > self.cfg.vc_buffer_flits {
+                        return Err(format!(
+                            "credit overrun at router {node} port {port} vc {vc}: \
+                             {len} flits in a {}-flit buffer",
+                            self.cfg.vc_buffer_flits
+                        ));
                     }
+                    if (len > 0) != (r.occupied >> slot & 1 == 1) {
+                        return Err(format!(
+                            "router {node} occupancy mask drifted at port {port} vc {vc}: \
+                             {len} flits buffered"
+                        ));
+                    }
+                    actual += len;
                 }
-                if actual != r.buffered {
-                    return Err(format!(
-                        "router {node} occupancy counter drifted: cached {} vs actual {actual}",
-                        r.buffered
-                    ));
-                }
+            }
+            if actual != self.buffered {
+                return Err(format!(
+                    "buffered-flit counter drifted: cached {} vs actual {actual}",
+                    self.buffered
+                ));
+            }
+            let queued: usize = self.inject.iter().map(VecDeque::len).sum();
+            if queued != self.injecting {
+                return Err(format!(
+                    "injection counter drifted: cached {} vs actual {queued}",
+                    self.injecting
+                ));
             }
         }
         Ok(())
     }
 
     fn inject_drop_flit(&mut self, selector: u64) -> bool {
-        let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-        for (node, r) in self.routers.iter().enumerate() {
-            if r.buffered == 0 {
-                continue;
-            }
-            for (port, vcs) in r.inputs.iter().enumerate() {
-                for (vc, buf) in vcs.iter().enumerate() {
-                    if !buf.q.is_empty() {
-                        candidates.push((node, port, vc));
-                    }
-                }
-            }
-        }
-        if candidates.is_empty() {
+        let candidates: u64 = self
+            .routers
+            .iter()
+            .map(|r| u64::from(r.occupied.count_ones()))
+            .sum();
+        if candidates == 0 {
             return false;
         }
-        let (node, port, vc) = candidates[(selector % candidates.len() as u64) as usize];
-        self.routers[node].inputs[port][vc]
-            .q
-            .pop_front()
-            .expect("candidate buffer non-empty");
-        self.routers[node].buffered -= 1;
-        true
+        // The victim is the k-th non-empty buffer in (node, port, vc)
+        // order.
+        let mut k = selector % candidates;
+        for (node, r) in self.routers.iter_mut().enumerate() {
+            let here = u64::from(r.occupied.count_ones());
+            if k >= here {
+                k -= here;
+                continue;
+            }
+            let mut mask = r.occupied;
+            for _ in 0..k {
+                mask &= mask - 1;
+            }
+            let slot = mask.trailing_zeros() as usize;
+            let buf = &mut self.buffers[node * self.slots + slot];
+            buf.pop_front().expect("candidate buffer non-empty");
+            if buf.is_empty() {
+                r.occupied &= !(1 << slot);
+            }
+            self.buffered -= 1;
+            return true;
+        }
+        unreachable!("the victim index is below the candidate count")
     }
 
     fn fingerprint(&self, h: &mut Fnv64, full: bool) {
         h.write_u64(self.flits_injected)
             .write_u64(self.flits_delivered)
             .write_u64(self.delivered_count)
-            .write_usize(self.inject.iter().map(|q| q.len()).sum());
+            .write_usize(self.injecting);
         if !full {
             return;
         }
         for (node, r) in self.routers.iter().enumerate() {
-            if r.buffered == 0 {
+            if r.occupied == 0 {
                 continue;
             }
-            h.write_usize(node).write_usize(r.buffered);
-            for vcs in &r.inputs {
-                for buf in vcs {
-                    for f in &buf.q {
-                        h.write_u64(u64::from(f.packet));
-                    }
-                }
+            let bufs = &self.buffers[node * self.slots..(node + 1) * self.slots];
+            h.write_usize(node)
+                .write_usize(bufs.iter().map(VecDeque::len).sum());
+            for f in bufs.iter().flatten() {
+                h.write_u64(u64::from(f.packet));
             }
         }
         for (node, q) in self.inject.iter().enumerate() {
@@ -622,10 +700,8 @@ impl NocModel for MeshNoc {
                     .write_usize(rem);
             }
         }
-        for (packet, &got) in self.arriving.iter().enumerate() {
-            if got > 0 {
-                h.write_usize(packet).write_u64(u64::from(got));
-            }
+        for &(packet, got) in self.arriving.iter().flatten() {
+            h.write_u64(u64::from(packet)).write_u64(u64::from(got));
         }
     }
 }
@@ -637,11 +713,7 @@ impl MeshNoc {
     /// include CLIP-critical prefetches) should see lower latency than
     /// plain prefetch packets under contention.
     pub fn avg_latency_for(&self, priority: Priority) -> Option<f64> {
-        let class = match priority {
-            Priority::Prefetch => 0,
-            Priority::Writeback => 1,
-            Priority::Demand => 2,
-        };
+        let class = class_index(priority);
         if self.delivered_by_class[class] == 0 {
             None
         } else {
@@ -651,12 +723,7 @@ impl MeshNoc {
 
     /// Packets delivered in a priority class.
     pub fn delivered_for(&self, priority: Priority) -> u64 {
-        let class = match priority {
-            Priority::Prefetch => 0,
-            Priority::Writeback => 1,
-            Priority::Demand => 2,
-        };
-        self.delivered_by_class[class]
+        self.delivered_by_class[class_index(priority)]
     }
 }
 
@@ -668,7 +735,9 @@ const ANALYTIC_MAX_BACKLOG: Cycle = 4096;
 
 /// Link-schedule analytic mesh: same XY routes and per-link serialization,
 /// contention approximated by per-link busy windows with priority-ordered
-/// injection. Roughly 20x faster than [`MeshNoc`]; used for wide sweeps.
+/// injection; used for wide sweeps. In perfbench's traced passes on a
+/// 2-vCPU Xeon VM it cost about 14 ns per flit-hop on `dense-16c`, against
+/// about 117 ns for [`MeshNoc`] on `dense-64c-mesh`.
 #[derive(Debug, Clone)]
 pub struct AnalyticNoc {
     cfg: NocConfig,

@@ -305,6 +305,13 @@ pub struct NocConfig {
     pub d2d_flit_cycles: u64,
 }
 
+impl NocConfig {
+    /// Most virtual channels per input port the flit-level mesh supports:
+    /// a router tracks its 5 ports × VCs input buffers in one 64-bit
+    /// occupancy mask.
+    pub const MAX_VIRTUAL_CHANNELS: usize = 12;
+}
+
 impl Default for NocConfig {
     fn default() -> Self {
         NocConfig {
@@ -390,7 +397,7 @@ impl SimConfig {
     }
 
     /// Validates internal consistency (power-of-two sets, mesh covers
-    /// cores, non-zero widths).
+    /// cores, legal NoC buffering, non-zero widths).
     ///
     /// # Errors
     ///
@@ -419,6 +426,21 @@ impl SimConfig {
         }
         if self.dram.channels == 0 || !self.dram.channels.is_power_of_two() {
             return Err(ConfigError::new("dram channels must be a power of two"));
+        }
+        if self.noc.virtual_channels == 0 {
+            return Err(ConfigError::new("noc virtual channels must be non-zero"));
+        }
+        if self.noc.virtual_channels > NocConfig::MAX_VIRTUAL_CHANNELS {
+            return Err(ConfigError::new(format!(
+                "noc virtual channels {} exceed the mesh's limit of {}",
+                self.noc.virtual_channels,
+                NocConfig::MAX_VIRTUAL_CHANNELS
+            )));
+        }
+        if self.noc.vc_buffer_flits == 0 {
+            return Err(ConfigError::new(
+                "noc vc buffers must hold at least one flit",
+            ));
         }
         if self.noc.chiplet_cluster == 0 {
             return Err(ConfigError::new("chiplet cluster size must be non-zero"));
@@ -657,6 +679,29 @@ mod tests {
         let mut b = SimConfig::builder();
         b.config.cores = 0;
         assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_virtual_channels() {
+        let mut c = SimConfig::baseline_64core();
+        c.noc.virtual_channels = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_virtual_channels_above_the_mesh_limit() {
+        let mut c = SimConfig::baseline_64core();
+        c.noc.virtual_channels = NocConfig::MAX_VIRTUAL_CHANNELS;
+        c.validate().expect("the limit itself is legal");
+        c.noc.virtual_channels = NocConfig::MAX_VIRTUAL_CHANNELS + 1;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_vc_buffer_depth() {
+        let mut c = SimConfig::baseline_64core();
+        c.noc.vc_buffer_flits = 0;
+        assert!(c.validate().is_err());
     }
 
     #[test]
