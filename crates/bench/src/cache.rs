@@ -165,13 +165,13 @@ pub(crate) fn store_in(dir: &Path, key: &str, mix_name: &str, result: &SimResult
 /// [`store_util::prune_quarantine`]) and in-flight `.tmp.<pid>` files
 /// are never counted or touched. Best effort: an unreadable directory
 /// skips the pass; a concurrently-vanished entry is simply not
-/// re-deleted.
-pub(crate) fn gc_in(dir: &Path, cap: u64) {
+/// re-deleted. Returns how many entries this pass deleted.
+pub(crate) fn gc_in(dir: &Path, cap: u64) -> u64 {
     if cap == 0 {
-        return;
+        return 0;
     }
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
+        return 0;
     };
     let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
     let mut total: u64 = 0;
@@ -191,20 +191,23 @@ pub(crate) fn gc_in(dir: &Path, cap: u64) {
         files.push((mtime, p, meta.len()));
     }
     if total <= cap {
-        return;
+        return 0;
     }
     files.sort();
+    let mut evicted = 0;
     for (_, p, len) in files {
         if total <= cap {
             break;
         }
         if std::fs::remove_file(&p).is_ok() {
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         }
         // Count the entry as gone either way: a failed remove is almost
         // always "another process evicted it first".
         total = total.saturating_sub(len);
     }
+    evicted
 }
 
 #[cfg(test)]
@@ -361,9 +364,9 @@ mod tests {
         )
         .expect("seed tmp");
 
-        let before = stats().evictions;
-        gc_in(&dir, 4_500);
-        assert_eq!(stats().evictions - before, 6, "six entries evicted");
+        // The pass's own count: the process-global `stats().evictions`
+        // also moves with any other test evicting concurrently.
+        assert_eq!(gc_in(&dir, 4_500), 6, "six entries evicted");
         for i in 0..6 {
             assert!(
                 !dir.join(format!("entry-{i:02}.json")).exists(),
@@ -390,7 +393,7 @@ mod tests {
             std::fs::write(dir.join(format!("entry-{i:02}.json")), vec![b'x'; 1000])
                 .expect("seed entry");
         }
-        gc_in(&dir, 0);
+        assert_eq!(gc_in(&dir, 0), 0, "a zero cap evicts nothing");
         for i in 0..5 {
             assert!(dir.join(format!("entry-{i:02}.json")).exists());
         }

@@ -198,6 +198,11 @@ impl Core {
         self.rob.len()
     }
 
+    /// Instructions pushed into the ROB so far.
+    pub fn dispatched(&self) -> u64 {
+        self.dispatched
+    }
+
     /// Demand loads currently in flight (load-queue occupancy).
     pub fn loads_in_flight(&self) -> usize {
         self.outstanding_loads
@@ -529,22 +534,37 @@ impl Core {
         })
     }
 
+    /// [`Core::next_activity_with_port`] behind a port that would accept
+    /// any access: a pending load or store counts as work now. This is
+    /// the answer for a driver whose port cannot say when it frees up.
+    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        self.next_activity_with_port(now, |_| true)
+    }
+
     /// Quiescence hook (see `clip_types::engine::Tick::next_activity`):
     /// the earliest cycle `>= now` at which ticking this core does
     /// anything beyond the bulk-accountable stall counters that
     /// [`Core::skip_stalled`] settles, or `None` when only an external
-    /// load completion can wake it.
+    /// event — a load completion, or the port freeing up — can wake it.
+    ///
+    /// `port_accepts(addr)` is the memory port's side-effect-free answer
+    /// to "would an access to `addr` be accepted now?": the same test the
+    /// port runs before refusing an issue, so asking changes nothing.
     ///
     /// The retire side is gated by the ROB head: `Done` (or a due
     /// `DoneAt`) retires now, a future `DoneAt(t)` wakes at `t`, and
     /// `InFlight` waits on the memory hierarchy. The dispatch side is
     /// active now unless fetch is redirecting (`fetch_stall_until`), the
-    /// ROB is full, or the pending instruction is a load blocked purely
-    /// by core-local state (a full load queue, or a serialized pointer
-    /// chase waiting on the previous link) — a load or store blocked by
-    /// *port* back-pressure keeps the core active, since only the memory
-    /// side knows when the port frees up.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    /// ROB is full, or the pending instruction would be refused again: a
+    /// load behind a full load queue or a serialized pointer chase
+    /// waiting on the previous link, or a load or store the port would
+    /// refuse. Only the memory side can make a refused access acceptable,
+    /// so the driver must re-ask whenever the port's state changes.
+    pub fn next_activity_with_port(
+        &self,
+        now: Cycle,
+        port_accepts: impl Fn(Addr) -> bool,
+    ) -> Option<Cycle> {
         let retire_side = match self.rob.front() {
             None => {
                 // Retiring into an empty ROB clears the stall flag; only
@@ -561,23 +581,25 @@ impl Core {
                 EntryState::InFlight(_) => None,
             },
         };
+        if retire_side == Some(now) {
+            // Nothing is earlier than now: spare the port its question.
+            return retire_side;
+        }
         let dispatch_side = if now < self.fetch_stall_until {
             Some(self.fetch_stall_until)
         } else if self.rob.len() >= self.cfg.rob_entries {
             None
         } else {
-            match &self.pending {
-                Some(i) => match i.kind {
-                    InstrKind::Load { serialized, .. }
-                        if self.outstanding_loads >= self.cfg.load_queue
-                            || (serialized && self.serialized_inflight) =>
-                    {
-                        None
-                    }
-                    _ => Some(now),
-                },
-                None => Some(now),
-            }
+            let refused = match self.pending.map(|i| i.kind) {
+                Some(InstrKind::Load { addr, serialized }) => {
+                    self.outstanding_loads >= self.cfg.load_queue
+                        || (serialized && self.serialized_inflight)
+                        || !port_accepts(addr)
+                }
+                Some(InstrKind::Store { addr }) => !port_accepts(addr),
+                _ => false,
+            };
+            (!refused).then_some(now)
         };
         match (retire_side, dispatch_side) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -586,17 +608,18 @@ impl Core {
     }
 
     /// Bulk accounting for a skipped span of `n` cycles starting at
-    /// `first`, during which [`Core::next_activity`] reported nothing to
-    /// do: the per-cycle counters a stalled tick would have bumped —
-    /// `cycles` always, `head_stall_cycles` (and `_beyond_l1` for an
-    /// in-flight load head) while the head blocks retirement, and
-    /// `dispatch_blocked_mem` while a pure-blocked pending load re-polls
-    /// the load queue. After this, core state is bit-identical to having
-    /// ticked every cycle of the span.
+    /// `first`, during which [`Core::next_activity_with_port`] reported
+    /// nothing to do: the per-cycle counters a stalled tick would have
+    /// bumped — `cycles` always, `head_stall_cycles` (and `_beyond_l1`
+    /// for an in-flight load head) while the head blocks retirement, and
+    /// `dispatch_blocked_mem` while a refused pending load or store
+    /// retries. After this, core state is bit-identical to having ticked
+    /// every cycle of the span against a port that kept refusing.
     ///
     /// The caller guarantees the whole span is quiescent: no cycle in
-    /// `first..first + n` reaches the activity cycle `next_activity`
-    /// reported, and no load completion arrives inside the span.
+    /// `first..first + n` reaches the reported activity cycle, no load
+    /// completion arrives inside the span, and the port's answer for the
+    /// pending access does not change inside it.
     pub fn skip_stalled(&mut self, first: Cycle, n: u64) {
         self.stats.cycles += n;
         if n == 0 {
@@ -620,17 +643,12 @@ impl Core {
                 }
             }
         }
-        // Dispatch re-polls a pure-blocked pending load every cycle (the
-        // rob-full and fetch-redirect returns happen before any counter).
+        // Dispatch retries a refused pending access every cycle (only
+        // loads and stores are ever left pending; the rob-full and
+        // fetch-redirect returns happen before any counter).
         if first >= self.fetch_stall_until
             && self.rob.len() < self.cfg.rob_entries
-            && matches!(
-                self.pending,
-                Some(Instr {
-                    kind: InstrKind::Load { .. },
-                    ..
-                })
-            )
+            && self.pending.is_some()
         {
             self.stats.dispatch_blocked_mem += n;
         }
@@ -883,6 +901,110 @@ mod tests {
         assert_eq!(stepped.stats(), skipped.stats());
         assert_eq!(fp(&stepped), fp(&skipped));
         assert!(stepped.retired() > 0, "the chase resumed");
+    }
+
+    /// A pending access of either kind at a fresh address per call.
+    fn access(is_store: bool, n: u64) -> Instr {
+        let addr = Addr::new(0x8000 + 64 * n);
+        Instr {
+            ip: Ip::new(0x300 + n),
+            kind: if is_store {
+                InstrKind::Store { addr }
+            } else {
+                InstrKind::Load {
+                    addr,
+                    serialized: false,
+                }
+            },
+        }
+    }
+
+    #[test]
+    fn port_refusal_is_quiet_until_the_port_would_accept() {
+        for is_store in [false, true] {
+            let mut core = Core::new(&CoreConfig::default());
+            let mut port = TestPort::new();
+            port.accept = false;
+            let mut n = 0;
+            let mut fetch = || {
+                n += 1;
+                access(is_store, n)
+            };
+            core.tick(0, &mut fetch, &mut port);
+            assert_eq!(core.rob_occupancy(), 0, "the refused access stays pending");
+            assert_eq!(
+                core.next_activity_with_port(1, |_| port.accept),
+                None,
+                "store={is_store}: a refused access sleeps while the port refuses"
+            );
+            assert_eq!(
+                core.next_activity(1),
+                Some(1),
+                "store={is_store}: without a port answer, back-pressure is work"
+            );
+            port.accept = true;
+            assert_eq!(
+                core.next_activity_with_port(1, |_| port.accept),
+                Some(1),
+                "store={is_store}: the core wakes once the port would accept"
+            );
+            core.tick(1, &mut fetch, &mut port);
+            assert!(core.dispatched() > 0, "store={is_store}: the access issued");
+        }
+    }
+
+    #[test]
+    fn skip_stalled_matches_refused_ticks_for_loads_and_stores() {
+        // One core per access kind, cloned after it enters the refused
+        // state behind an in-flight load head: one copy ticks through the
+        // refusals, the other settles them in bulk. Stats (every counter,
+        // `dispatch_blocked_mem` included) and fingerprints must agree,
+        // before and after the port frees up.
+        let cfg = CoreConfig {
+            issue_width: 1,
+            ..CoreConfig::default()
+        };
+        let fp = |c: &Core| {
+            let mut h = Fnv64::new();
+            c.fingerprint(&mut h);
+            h.finish()
+        };
+        for is_store in [false, true] {
+            let mut n = 0;
+            let mut fetch = || {
+                n += 1;
+                if n == 1 {
+                    load(0x400, 0x1000)
+                } else {
+                    access(is_store, n)
+                }
+            };
+            let mut port = TestPort::new();
+            let mut stepped = Core::new(&cfg);
+            stepped.tick(0, &mut fetch, &mut port);
+            port.accept = false;
+            stepped.tick(1, &mut fetch, &mut port);
+            assert_eq!(stepped.next_activity_with_port(2, |_| false), None);
+            let mut skipped = stepped.clone();
+            for now in 2..52 {
+                stepped.tick(now, &mut fetch, &mut port);
+            }
+            skipped.skip_stalled(2, 50);
+            assert_eq!(stepped.stats(), skipped.stats(), "store={is_store}");
+            assert_eq!(fp(&stepped), fp(&skipped), "store={is_store}");
+            assert_eq!(stepped.stats().dispatch_blocked_mem, 51);
+            assert_eq!(stepped.stats().head_stall_cycles_beyond_l1, 51);
+            for c in [&mut stepped, &mut skipped] {
+                c.complete_load(ReqId(1), MemLevel::Dram, 52).unwrap();
+                let mut open = TestPort::new();
+                open.next = port.next;
+                let mut resume = || access(is_store, 99);
+                c.tick(52, &mut resume, &mut open);
+            }
+            assert_eq!(stepped.stats(), skipped.stats(), "store={is_store}");
+            assert_eq!(fp(&stepped), fp(&skipped), "store={is_store}");
+            assert_eq!(stepped.dispatched(), 2, "store={is_store}: access issued");
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! bit-identical across [`CheckLevel`]s.
 
 use crate::system::System;
+use crate::tile::TileTick;
 use clip_dram::DramModel;
 use clip_noc::NocModel;
-use clip_types::{CheckLevel, Cycle, SimError, SimErrorKind};
+use clip_types::{CheckLevel, Cycle, SimError, SimErrorKind, Tick};
 use std::time::{Duration, Instant};
 
 /// Default audit cadence in cycles.
@@ -213,6 +214,45 @@ impl System {
         )
     }
 
+    /// Step-mode contract check for one tile that declared itself asleep
+    /// at `now` (`wake` is its [`crate::tile::Tile::next_activity`]
+    /// answer): ticks it anyway, as the oracle must, and fails when the
+    /// tick moved anything beyond the stall counters the event wheel
+    /// settles with `skip_stalled`. Catches a late readiness answer at
+    /// the tile that gave it, not as a diverged result much later.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimErrorKind::IllegalState`] for component `tile{t}`,
+    /// naming the cycle, the declared wake cycle, and the first state
+    /// that moved.
+    pub(crate) fn tick_asleep_tile_audited(
+        &mut self,
+        t: usize,
+        now: Cycle,
+        wake: Option<Cycle>,
+    ) -> Result<(), SimError> {
+        let before = self.tiles[t].wake_probe();
+        TileTick { sys: self, t }.tick(now);
+        let after = self.tiles[t].wake_probe();
+        let Some(((what, was), (_, is))) = before.iter().zip(&after).find(|(b, a)| b.1 != a.1)
+        else {
+            return Ok(());
+        };
+        let declared = wake.map_or("none (external events only)".to_string(), |c| {
+            format!("cycle {c}")
+        });
+        Err(SimError::new(
+            now,
+            format!("tile{t}"),
+            SimErrorKind::IllegalState,
+            format!(
+                "tile ticked at cycle {now} before its declared wake ({declared}) \
+                 did work: {what} moved {was} -> {is}"
+            ),
+        ))
+    }
+
     /// Trips [`SimErrorKind::Timeout`] once the armed wall-clock budget is
     /// spent. Checked only at audit-cadence boundaries so the skip-ahead
     /// scheduler, the step oracle, and the parallel driver all observe the
@@ -251,4 +291,55 @@ fn component_error(now: Cycle, component: impl Into<String>, detail: String) -> 
         SimErrorKind::Conservation
     };
     SimError::new(now, component, kind, detail)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::tile::FORCE_L1_REFUSAL;
+    use crate::{run_mix_checked, set_step_override, RunOptions, Scheme, SimResult};
+    use clip_trace::Mix;
+    use clip_types::{CheckLevel, PrefetcherKind, SimConfig, SimError, SimErrorKind};
+
+    /// A short bandwidth-starved step-mode run under full checks, with
+    /// every tile's readiness answer optionally forced to "port refuses".
+    fn stepped_run(force_refusal: bool) -> Result<SimResult, SimError> {
+        let cfg = SimConfig::builder()
+            .cores(4)
+            .dram_channels(1)
+            .l1_prefetcher(PrefetcherKind::Berti)
+            .build()
+            .expect("valid config");
+        let spec = clip_trace::catalog::by_name("605.mcf_s-1554B").expect("known workload");
+        let opts = RunOptions {
+            warmup_instrs: 200,
+            sim_instrs: 1_000,
+            seed: 5,
+            check: Some(CheckLevel::Full),
+            ..RunOptions::default()
+        };
+        set_step_override(Some(true));
+        FORCE_L1_REFUSAL.with(|f| f.set(force_refusal));
+        let r = run_mix_checked(
+            &cfg,
+            &Scheme::with_clip(),
+            &Mix::homogeneous(&spec, 4),
+            &opts,
+        );
+        FORCE_L1_REFUSAL.with(|f| f.set(false));
+        set_step_override(None);
+        r
+    }
+
+    #[test]
+    fn step_mode_contract_check_catches_a_wrong_readiness_answer() {
+        stepped_run(false).expect("truthful readiness answers pass the check");
+        let e = stepped_run(true).expect_err("a tile that sleeps through an open port");
+        assert_eq!(e.kind, SimErrorKind::IllegalState, "{e}");
+        assert!(e.component.starts_with("tile"), "{e}");
+        assert!(
+            e.detail.contains(&format!("ticked at cycle {}", e.cycle))
+                && e.detail.contains("before its declared wake"),
+            "{e}"
+        );
+    }
 }

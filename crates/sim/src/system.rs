@@ -137,6 +137,7 @@ impl System {
                     pf_dequeued: 0,
                     pf_queued_eng: [0; clip_types::MAX_PF_ENGINES],
                     pf_dequeued_eng: [0; clip_types::MAX_PF_ENGINES],
+                    wake: None,
                 }
             })
             .collect();
@@ -212,8 +213,24 @@ impl System {
     /// Advances the whole system one cycle: spilled packets re-inject,
     /// the clocked NoC, DRAM and LLC components tick and their output
     /// channels drain into the uncore handlers, the event wheel fires,
-    /// and every tile ticks (prefetch issue + core).
-    pub fn tick(&mut self) {
+    /// and the tiles tick (prefetch issue + core).
+    ///
+    /// On the event wheel only the tiles whose [`Tile::next_activity`]
+    /// is due tick; every other tile is settled with
+    /// [`Core::skip_stalled`]. The answer holds until the tile's own
+    /// tick, a tile-facing event or a landed fault clears its cached copy
+    /// ([`Tile::wake`]); faults and events come before the tile loop, so
+    /// it is final for the cycle. With `step` every tile ticks every cycle
+    /// (the oracle); under `CLIP_CHECK=full` each tick of a tile that
+    /// declared itself asleep is audited against that promise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimErrorKind::IllegalState`] when the step-mode contract
+    /// check catches a tile doing work before its declared wake cycle.
+    ///
+    /// [`SimErrorKind::IllegalState`]: clip_types::SimErrorKind::IllegalState
+    pub(crate) fn tick(&mut self, step: bool) -> Result<(), SimError> {
         let now = self.engine.now();
 
         self.apply_faults(now);
@@ -238,8 +255,21 @@ impl System {
         }
 
         // Tiles: prefetch issue + core tick.
+        let audit = step && self.integrity.level.full();
         for t in 0..self.tiles.len() {
-            TileTick { sys: self, t }.tick(now);
+            if step && !audit {
+                TileTick { sys: self, t }.tick(now);
+                continue;
+            }
+            match self.tiles[t].cached_next_activity(now) {
+                Some(wake) if wake <= now => TileTick { sys: self, t }.tick(now),
+                wake if step => self.tick_asleep_tile_audited(t, now, wake)?,
+                _ => self.tiles[t]
+                    .core
+                    .as_mut()
+                    .expect("core present")
+                    .skip_stalled(now, 1),
+            }
         }
 
         // Periodic controllers.
@@ -259,6 +289,7 @@ impl System {
         }
 
         self.engine.clock.advance();
+        Ok(())
     }
 
     /// Dispatches one event-wheel entry. Tile-facing events (responses,
@@ -266,6 +297,16 @@ impl System {
     /// uncore events forward to the [`Engine`], which owns those paths.
     pub(crate) fn handle_event(&mut self, ev: Ev) {
         let now = self.engine.now();
+        let tile = match ev {
+            Ev::L1Respond { tile, .. } => Some(tile as usize),
+            Ev::L2Lookup { txn } | Ev::TileData { txn } => {
+                Some(self.engine.txns[txn as usize].tile as usize)
+            }
+            Ev::DramEnqueue { .. } | Ev::WbDram { .. } => None,
+        };
+        if let Some(t) = tile {
+            self.tiles[t].wake = None;
+        }
         match ev {
             Ev::L1Respond { tile, req, issue } => {
                 self.respond_core(tile as usize, req, MemLevel::L1, issue, now);
@@ -344,8 +385,8 @@ impl System {
                 return now;
             }
         }
-        for t in &self.tiles {
-            if let Some(c) = t.next_activity(now) {
+        for t in &mut self.tiles {
+            if let Some(c) = t.cached_next_activity(now) {
                 fold(c, &mut next);
                 if next == now {
                     return now;
@@ -416,6 +457,9 @@ impl System {
         };
         if landed {
             self.fault.as_mut().expect("checked present above").fired = Some(now);
+            for t in self.tiles.iter_mut() {
+                t.wake = None;
+            }
         }
     }
 
@@ -614,7 +658,7 @@ impl System {
             if !step && self.try_skip(max_cycles, false, debug_stall) {
                 continue;
             }
-            self.tick();
+            self.tick(step)?;
             self.integrity_tick(self.cycle())?;
             self.deadline_tick(self.cycle())?;
             if debug_stall && self.cycle().is_multiple_of(100_000) {
@@ -655,7 +699,7 @@ impl System {
             if !step && self.try_skip(max_cycles, true, false) {
                 continue;
             }
-            self.tick();
+            self.tick(step)?;
             self.integrity_tick(self.cycle())?;
             self.deadline_tick(self.cycle())?;
             if self.timeline_interval > 0

@@ -96,6 +96,11 @@ pub(crate) struct Tile {
     pub pf_queued_eng: [u64; clip_types::MAX_PF_ENGINES],
     /// Per-engine split of `pf_dequeued`.
     pub pf_dequeued_eng: [u64; clip_types::MAX_PF_ENGINES],
+    /// The event wheel's cached [`Tile::next_activity`] answer, `None`
+    /// until asked. Only the tile's own tick, a tile-facing event
+    /// ([`System::handle_event`]) or a landed fault can change the
+    /// answer, and each of those clears the cache.
+    pub wake: Option<Option<Cycle>>,
 }
 
 impl Tile {
@@ -203,15 +208,60 @@ impl Tile {
         Ok(())
     }
 
+    /// The L1D port's refusal test, side-effect free: an access to `line`
+    /// is refused when it misses the L1D while every L1 MSHR is taken by
+    /// other lines. The issue paths run this before touching any state,
+    /// so a refused access changes nothing, and only a data return on
+    /// this tile (completing an MSHR or filling the line) can flip it.
+    pub(crate) fn l1_accepts(&self, line: LineAddr) -> bool {
+        !self.l1_mshr.is_full() || self.l1_mshr.contains(line) || self.l1d.contains(line)
+    }
+
     /// The earliest cycle `>= now` at which ticking this tile does real
     /// work: a queued prefetch wants issuing, or the core's dispatch /
-    /// retire side has something to do (see [`Core::next_activity`]).
-    /// `None` means the tile only wakes on a load completion.
+    /// retire side has something to do behind this tile's L1 port (see
+    /// [`Core::next_activity_with_port`]). `None` means the tile only
+    /// wakes on a data return or load completion.
     pub(crate) fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        crate::engine::merge_activity(
-            self.pf_queue.activity(now),
-            self.core.as_ref().expect("core present").next_activity(now),
-        )
+        if !self.pf_queue.is_empty() {
+            return Some(now);
+        }
+        self.core
+            .as_ref()
+            .expect("core present")
+            .next_activity_with_port(now, |addr| {
+                self.l1_accepts(addr.line()) && !refusal_forced()
+            })
+    }
+
+    /// [`Tile::next_activity`] through the [`Tile::wake`] cache.
+    pub(crate) fn cached_next_activity(&mut self, now: Cycle) -> Option<Cycle> {
+        if let Some(wake) = self.wake {
+            return wake;
+        }
+        let wake = self.next_activity(now);
+        self.wake = Some(wake);
+        wake
+    }
+
+    /// The tile state a tick may only change when the tile was due:
+    /// everything but the stall counters [`Core::skip_stalled`] settles.
+    /// The step-mode contract check compares it across the tick of a
+    /// tile that declared itself asleep.
+    pub(crate) fn wake_probe(&self) -> [(&'static str, u64); 10] {
+        let core = self.core.as_ref().expect("core present");
+        [
+            ("retired", core.retired()),
+            ("dispatched", core.dispatched()),
+            ("rob occupancy", core.rob_occupancy() as u64),
+            ("load-queue occupancy", core.loads_in_flight() as u64),
+            ("pf_queued", self.pf_queued),
+            ("pf_dequeued", self.pf_dequeued),
+            ("pf_issued", self.pf_issued),
+            ("pf_candidates", self.pf_candidates),
+            ("l1 mshr occupancy", self.l1_mshr.len() as u64),
+            ("l2 mshr occupancy", self.l2_mshr.len() as u64),
+        ]
     }
 
     /// Folds the tile's architectural + queue state (core, both private
@@ -275,6 +325,25 @@ impl Tile {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: while set, every tile's readiness answer claims its L1
+    /// port refuses — a wrong answer the step-mode contract check must
+    /// catch. The issue paths themselves are unaffected.
+    pub(crate) static FORCE_L1_REFUSAL: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn refusal_forced() -> bool {
+    FORCE_L1_REFUSAL.with(|f| f.get())
+}
+
+#[cfg(not(test))]
+fn refusal_forced() -> bool {
+    false
+}
+
 /// True when a line's byte address lies inside the simulated address
 /// space: tile heaps sit at `(tile+1) << 42`, so every legitimate byte
 /// address is far below 2^54 even at the maximum core count.
@@ -293,6 +362,7 @@ impl Tick for TileTick<'_> {
     fn tick(&mut self, now: Cycle) {
         self.sys.issue_prefetches(self.t, now);
         self.sys.tick_core(self.t, now);
+        self.sys.tiles[self.t].wake = None;
     }
 }
 
@@ -322,11 +392,8 @@ impl System {
         let line = addr.line();
         // Back-pressure check first so retried issues do not perturb
         // statistics or prefetcher training.
-        {
-            let tile = &self.tiles[t];
-            if !tile.l1d.contains(line) && tile.l1_mshr.is_full() && !tile.l1_mshr.contains(line) {
-                return None;
-            }
+        if !self.tiles[t].l1_accepts(line) {
+            return None;
         }
         {
             let tile = &mut self.tiles[t];
@@ -358,11 +425,9 @@ impl System {
                 Some(req)
             }
             LookupOutcome::Miss => {
-                // Back-pressure check: merging is allowed even when full.
-                if self.tiles[t].l1_mshr.is_full() && !self.tiles[t].l1_mshr.contains(line) {
-                    return None;
-                }
                 let req = self.engine.fresh_req();
+                // A miss passed `l1_accepts`: a free MSHR or one to merge
+                // into (merging is allowed even when full).
                 let alloc = self.tiles[t]
                     .l1_mshr
                     .alloc(line, req, false, now)
@@ -392,11 +457,8 @@ impl System {
 
     fn tile_issue_store(&mut self, t: usize, ip: Ip, addr: Addr, now: Cycle) -> bool {
         let line = addr.line();
-        {
-            let tile = &self.tiles[t];
-            if !tile.l1d.contains(line) && tile.l1_mshr.is_full() && !tile.l1_mshr.contains(line) {
-                return false;
-            }
+        if !self.tiles[t].l1_accepts(line) {
+            return false;
         }
         self.tiles[t].l1_window_accesses += 1;
         let outcome = self.tiles[t].l1d.lookup(line, true, now);
@@ -411,9 +473,6 @@ impl System {
                 true
             }
             LookupOutcome::Miss => {
-                if self.tiles[t].l1_mshr.is_full() && !self.tiles[t].l1_mshr.contains(line) {
-                    return false;
-                }
                 let req = self.engine.fresh_req();
                 let alloc = self.tiles[t]
                     .l1_mshr

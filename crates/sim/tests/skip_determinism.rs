@@ -259,6 +259,74 @@ fn wheel_matches_step_on_chiplet_and_hbm_backends() {
     assert_batch_identical(&jobs, &opts(), "hbm dram");
 }
 
+/// Dense shapes, where most tiles sleep behind a full L1 MSHR file while
+/// the uncore stays busy: a 16-core heterogeneous mix on one DDR4 channel
+/// (Berti + CLIP, the paper's bandwidth-constrained point, on the
+/// analytic fabric like the `dense-16c` benchmark workload) and a short
+/// 8-core run on the flit-level mesh. The wheel ticks only the tiles
+/// that are due and settles the rest in bulk, every cycle; both must
+/// match stepping byte for byte, fingerprint streams included.
+#[test]
+fn wheel_matches_step_on_dense_shapes_with_sleeping_tiles() {
+    let dense = |cores: usize| {
+        SimConfig::builder()
+            .cores(cores)
+            .dram_channels(1)
+            .l1_prefetcher(PrefetcherKind::Berti)
+            .build()
+            .expect("valid config")
+    };
+    let jobs = [SweepJob {
+        cfg: dense(16),
+        scheme: Scheme::with_clip(),
+        mix: clip_trace::heterogeneous_mixes(1, 16, 3).remove(0),
+    }];
+    let o = RunOptions {
+        warmup_instrs: 200,
+        sim_instrs: 800,
+        noc: NocChoice::Analytic,
+        ..opts()
+    };
+    assert_batch_identical(&jobs, &o, "16 cores, one channel");
+
+    let jobs = [SweepJob {
+        cfg: dense(8),
+        scheme: Scheme::with_clip(),
+        mix: clip_trace::heterogeneous_mixes(1, 8, 4).remove(0),
+    }];
+    let o = RunOptions {
+        warmup_instrs: 100,
+        sim_instrs: 500,
+        noc: NocChoice::Mesh,
+        ..opts()
+    };
+    assert_batch_identical(&jobs, &o, "8 cores, mesh");
+}
+
+/// L2-attached prefetchers (SPP-PPF with CLIP gating at the L2, Bingo)
+/// train on the L2 lookup event and queue their candidates from there,
+/// so an L2 lookup must wake a sleeping tile; every row above attaches
+/// its prefetcher at the L1.
+#[test]
+fn wheel_matches_step_with_l2_prefetchers() {
+    for (name, pf, scheme) in [
+        ("spp-ppf+clip", PrefetcherKind::SppPpf, Scheme::with_clip()),
+        ("bingo", PrefetcherKind::Bingo, Scheme::plain()),
+    ] {
+        let jobs = [SweepJob {
+            cfg: SimConfig::builder()
+                .cores(4)
+                .dram_channels(1)
+                .l2_prefetcher(pf)
+                .build()
+                .expect("valid config"),
+            scheme,
+            mix: mix("603.bwaves_s-1740B"),
+        }];
+        assert_batch_identical(&jobs, &opts(), name);
+    }
+}
+
 /// Skipping a quiescent stretch advances the clock without advancing the
 /// progress signature — exactly what the watchdog calls a deadlock when
 /// work is in flight. The wheel must never let skipped-over idle time
