@@ -18,9 +18,10 @@ use clip_types::{
     SimConfig, Tick,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 pub(crate) const EVENT_RING: usize = 1 << 15;
+/// Cycles between retries of a request a full queue refused.
 pub(crate) const RETRY_DELAY: Cycle = 4;
 
 /// DRAM ReqId bit marking a Hermes probe.
@@ -242,6 +243,12 @@ impl<D: DramModel> Tick for ClockedDram<D> {
     }
 }
 
+/// The retry phase of `cycle`: which parked-transaction FIFO it admits.
+#[inline]
+fn phase(cycle: Cycle) -> usize {
+    (cycle % RETRY_DELAY) as usize
+}
+
 /// Minimum over two optional wake-up cycles (`None` = no wake-up).
 pub(crate) fn merge_activity(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     match (a, b) {
@@ -299,6 +306,8 @@ pub(crate) enum Ev {
     L2Lookup {
         txn: TxnId,
     },
+    /// A request reached its memory controller: its first read-queue
+    /// attempt (a refused one parks, see [`Engine::admit_dram_waiters`]).
     DramEnqueue {
         txn: TxnId,
     },
@@ -351,9 +360,16 @@ pub(crate) struct Engine {
     ring: Vec<Vec<Ev>>,
     /// Events currently on the ring (O(1) view for the watchdog).
     events_pending: usize,
-    /// Fire cycles of ring events, lazily pruned: the scheduler peeks the
-    /// minimum to bound a skip without scanning all `EVENT_RING` slots.
+    /// Fire cycles of ring events, pruned as each cycle's events are
+    /// taken: the scheduler peeks the minimum to bound a skip without
+    /// scanning all `EVENT_RING` slots.
     event_heap: BinaryHeap<Reverse<Cycle>>,
+    /// Transactions a full DRAM read queue refused, parked per channel
+    /// in one FIFO per retry phase (refusal cycle mod `RETRY_DELAY`); see
+    /// [`Engine::admit_dram_waiters`].
+    dram_wait: Vec<[VecDeque<TxnId>; RETRY_DELAY as usize]>,
+    /// Transactions across all `dram_wait` FIFOs.
+    dram_parked: usize,
     /// Per-node injection outboxes (FIFO behind a refused packet).
     outbox: Vec<Channel<OutMsg>>,
     next_req: u64,
@@ -385,6 +401,10 @@ impl Engine {
             ring: (0..EVENT_RING).map(|_| Vec::new()).collect(),
             events_pending: 0,
             event_heap: BinaryHeap::new(),
+            dram_wait: (0..params.channels)
+                .map(|_| std::array::from_fn(|_| VecDeque::new()))
+                .collect(),
+            dram_parked: 0,
             outbox: (0..params.nodes).map(|_| Channel::new()).collect(),
             next_req: 1,
             probe_map: HashMap::new(),
@@ -438,11 +458,16 @@ impl Engine {
         self.event_heap.push(Reverse(at));
     }
 
-    /// Takes this cycle's scheduled events off the wheel.
+    /// Takes this cycle's scheduled events off the wheel, together with
+    /// their heap entries: at every cycle boundary the heap holds exactly
+    /// one entry per pending event, whether or not a scheduler peeks it.
     pub(crate) fn take_events(&mut self) -> Vec<Ev> {
         let now = self.clock.now();
         let evs = std::mem::take(&mut self.ring[(now as usize) % EVENT_RING]);
         self.events_pending -= evs.len();
+        while self.event_heap.peek().is_some_and(|&Reverse(c)| c <= now) {
+            self.event_heap.pop();
+        }
         evs
     }
 
@@ -450,32 +475,56 @@ impl Engine {
         self.events_pending
     }
 
-    /// The earliest cycle `>= now` with a ring event due, pruning heap
-    /// entries for cycles that already fired.
-    pub(crate) fn next_event_cycle(&mut self, now: Cycle) -> Option<Cycle> {
-        while let Some(&Reverse(c)) = self.event_heap.peek() {
-            if c < now {
-                self.event_heap.pop();
-            } else {
-                return Some(c);
-            }
+    /// Transactions parked behind full DRAM read queues.
+    pub(crate) fn dram_parked(&self) -> usize {
+        self.dram_parked
+    }
+
+    /// The earliest cycle with a ring event due. Every event fires after
+    /// the cycle that scheduled it, a skip never passes a due event, and
+    /// [`Engine::take_events`] prunes each ticked cycle, so the answer is
+    /// never in the past.
+    pub(crate) fn next_event_cycle(&self) -> Option<Cycle> {
+        self.event_heap.peek().map(|&Reverse(c)| c)
+    }
+
+    /// The earliest cycle `>= now` at which a parked transaction gets
+    /// into its read queue: for each channel with room, the next cycle
+    /// of a non-empty phase. A full channel adds nothing, since only a
+    /// DRAM tick frees a slot and the DRAM's own answer wakes that cycle.
+    fn next_admission(&self, now: Cycle) -> Option<Cycle> {
+        if self.dram_parked == 0 {
+            return None;
         }
-        None
+        let mut next = None;
+        for (ch, fifos) in self.dram_wait.iter().enumerate() {
+            if !self.dram.mem.read_queue_has_room(ch) {
+                continue;
+            }
+            let due = (now..now + RETRY_DELAY).find(|&c| !fifos[phase(c)].is_empty());
+            next = merge_activity(next, due);
+        }
+        next
     }
 
     /// The earliest cycle `>= now` at which the uncore — NoC, DRAM, LLC,
-    /// spilled outbox packets, or a ring event — does real work, or
-    /// `None` when the whole uncore is idle until a tile stimulates it.
-    pub(crate) fn next_activity(&mut self, now: Cycle) -> Option<Cycle> {
+    /// spilled outbox packets, a ring event, or a parked transaction the
+    /// DRAM can now take — does real work, or `None` when the whole
+    /// uncore is idle until a tile stimulates it.
+    pub(crate) fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         // Cheapest sources first, bailing the moment one says "busy now":
         // this runs on every scheduler decision, and the LLC ring scan is
         // by far the priciest answer.
-        let mut next = self.next_event_cycle(now);
+        let mut next = self.next_event_cycle();
         if next == Some(now) {
             return next;
         }
         if self.outbox_backlog() > 0 {
             return Some(now);
+        }
+        next = merge_activity(next, self.next_admission(now));
+        if next == Some(now) {
+            return next;
         }
         next = merge_activity(next, self.dram.next_activity(now));
         if next == Some(now) {
@@ -587,9 +636,12 @@ impl Engine {
 
     /// O(1)-balance variant of [`Engine::fingerprint_txns`] for `cheap`
     /// check runs: live-transaction count and wheel/outbox occupancy.
+    /// A parked transaction counts as one pending event, the retry it
+    /// stands for, so the balance matches a wheel that polls refused
+    /// reads and baselines recorded from one still verify.
     pub(crate) fn fingerprint_txns_cheap(&self, h: &mut clip_types::Fnv64) {
         h.write_usize(self.live_txns())
-            .write_usize(self.events_pending)
+            .write_usize(self.events_pending + self.dram_parked)
             .write_usize(self.outbox_backlog());
     }
 
@@ -689,6 +741,10 @@ impl Engine {
         }
     }
 
+    /// A transaction's first attempt at its memory controller: a Hermes
+    /// probe that already fetched the line answers it, one still in
+    /// flight makes it wait for the probe, and otherwise it offers itself
+    /// to the read queue, parking in this cycle's phase FIFO if refused.
     pub(crate) fn dram_enqueue(&mut self, txn: TxnId, now: Cycle) {
         match self.txns[txn as usize].probe {
             ProbeState::Done => {
@@ -703,16 +759,54 @@ impl Engine {
             }
             _ => {}
         }
-        let tx = self.txns[txn as usize];
-        let channel = self.dram.mem.channel_for(tx.line);
+        let channel = self.dram.mem.channel_for(self.txns[txn as usize].line);
+        if !self.try_enqueue_read(channel, txn, now) {
+            self.dram_wait[channel][phase(now)].push_back(txn);
+            self.dram_parked += 1;
+        }
+    }
+
+    /// Offers `txn` to its channel's read queue at the priority it has
+    /// now; false when the queue is full.
+    fn try_enqueue_read(&mut self, channel: usize, txn: TxnId, now: Cycle) -> bool {
         let prio = self.txn_priority(txn);
-        if self
-            .dram
+        let line = self.txns[txn as usize].line;
+        self.dram
             .mem
-            .enqueue_read(channel, ReqId(txn as u64), tx.line, prio, now)
-            .is_err()
-        {
-            self.schedule(now + RETRY_DELAY, Ev::DramEnqueue { txn });
+            .enqueue_read(channel, ReqId(txn as u64), line, prio, now)
+            .is_ok()
+    }
+
+    /// Admits parked transactions whose retry falls on `now`: each
+    /// channel's FIFO for this phase, from the head, while the read
+    /// queue has room.
+    ///
+    /// This replays polling every `RETRY_DELAY` cycles exactly. A
+    /// transaction refused at cycle `c` would retry at `c + 4`, `c + 8`,
+    /// ..., and a fresh arrival is scheduled one cycle ahead, so in a
+    /// cycle's events every retry precedes every first attempt, in the
+    /// order the FIFO keeps; admitting before the event loop preserves
+    /// it. Only DRAM-enqueue events and the tile loop's Hermes probes
+    /// (which run after the event loop) take read-queue slots, and only
+    /// the DRAM tick (which runs before) frees one, so a refusal holds
+    /// until the next tick. A parked transaction's probe state is `None`
+    /// or `TxnWaiting` and stays so (a probe starts only when its
+    /// transaction is allocated, and a transaction is freed only after
+    /// its data returns), so admission skips a first attempt's probe
+    /// handling.
+    pub(crate) fn admit_dram_waiters(&mut self, now: Cycle) {
+        if self.dram_parked == 0 {
+            return;
+        }
+        let p = phase(now);
+        for ch in 0..self.dram_wait.len() {
+            while let Some(&txn) = self.dram_wait[ch][p].front() {
+                if !self.try_enqueue_read(ch, txn, now) {
+                    break;
+                }
+                self.dram_wait[ch][p].pop_front();
+                self.dram_parked -= 1;
+            }
         }
     }
 
@@ -796,5 +890,38 @@ impl Engine {
             Priority::Writeback,
             NocPayload::WbMc(line),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Stepping never asks the scheduler for the next event cycle, so
+    /// taking a cycle's events must drop their heap entries too, or the
+    /// heap keeps one entry per event ever scheduled.
+    #[test]
+    fn take_events_keeps_the_heap_in_step_with_the_ring() {
+        let cfg = SimConfig::builder()
+            .cores(2)
+            .dram_channels(1)
+            .build()
+            .expect("valid config");
+        let mut e = Engine::new(
+            NocImpl::build(NocChoice::Analytic, &cfg),
+            DramImpl::build(&cfg.dram),
+            ClockedLlc::new(&cfg),
+            EngineParams::from_config(&cfg),
+        );
+        for c in 0..5_000u64 {
+            for k in 0..c % 3 {
+                let line = LineAddr::new(c * 4 + k);
+                e.schedule(c + 1 + (c + k) % 9, Ev::WbDram { line });
+            }
+            e.take_events();
+            assert_eq!(e.event_heap.len(), e.pending_events(), "cycle {c}");
+            e.clock.advance();
+        }
+        assert!(e.pending_events() > 0, "events stay pending past the loop");
     }
 }

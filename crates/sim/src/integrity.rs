@@ -205,11 +205,12 @@ impl System {
         format!(
             "{} live txns \
              (l1_mshr={l1m} l2_mshr={l2m} llc_mshr={} outbox={} pf_queue={} \
-             dram_read_q={rq} pending_events={}); oldest:{stuck}",
+             dram_read_q={rq} dram_parked={} pending_events={}); oldest:{stuck}",
             live.len(),
             self.engine.llc.mshr_occupancy(),
             self.engine.outbox_backlog(),
             self.tiles.iter().map(|t| t.pf_queue.len()).sum::<usize>(),
+            self.engine.dram_parked(),
             self.engine.pending_events(),
         )
     }

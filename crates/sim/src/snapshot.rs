@@ -150,9 +150,10 @@ impl System {
         let rq: usize = (0..self.cfg.dram.channels)
             .map(|c| self.engine.dram.mem.read_queue_len(c))
             .sum();
+        let parked = self.engine.dram_parked();
         let ring = self.engine.pending_events();
         eprintln!(
-            "[stall] cyc={} retired={retired} l1m={l1m} l2m={l2m} llcm={llcm} outbox={outbox} pfq={pfq} txn={live} dram_rq={rq} ring_ev={ring}",
+            "[stall] cyc={} retired={retired} l1m={l1m} l2m={l2m} llcm={llcm} outbox={outbox} pfq={pfq} txn={live} dram_rq={rq} dram_parked={parked} ring_ev={ring}",
             self.engine.now()
         );
     }

@@ -212,8 +212,8 @@ impl System {
 
     /// Advances the whole system one cycle: spilled packets re-inject,
     /// the clocked NoC, DRAM and LLC components tick and their output
-    /// channels drain into the uncore handlers, the event wheel fires,
-    /// and the tiles tick (prefetch issue + core).
+    /// channels drain into the uncore handlers, parked DRAM reads retry,
+    /// the event wheel fires, and the tiles tick (prefetch issue + core).
     ///
     /// On the event wheel only the tiles whose [`Tile::next_activity`]
     /// is due tick; every other tile is settled with
@@ -247,6 +247,11 @@ impl System {
             .as_ref()
             .is_some_and(|f| f.spec.kind == FaultKind::LoseDelivery && now >= f.spec.at);
         self.engine.drain_uncore(now, lose_deliveries);
+
+        // Parked DRAM reads retrying this cycle go before the events: a
+        // retry precedes every first attempt of its cycle (see
+        // `Engine::admit_dram_waiters`).
+        self.engine.admit_dram_waiters(now);
 
         // Local scheduled events: tile-facing ones are handled here,
         // uncore ones forward straight back into the engine.
@@ -710,5 +715,175 @@ impl System {
         }
 
         Ok(self.assemble(snap, measure))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::System;
+    use crate::{
+        run_mix_checked, set_step_override, FaultKind, FaultSpec, NocChoice, RunOptions, Scheme,
+    };
+    use clip_trace::{catalog, Mix};
+    use clip_types::{CheckLevel, Cycle, DramKind, Fnv64, PrefetcherKind, SimConfig};
+
+    const SEED: u64 = 11;
+
+    /// A configuration whose DRAM read queues overflow, so transactions
+    /// park behind them.
+    struct AdmissionRow {
+        label: &'static str,
+        cfg: SimConfig,
+        scheme: Scheme,
+        mix: Mix,
+        noc: NocChoice,
+        fault: Option<FaultSpec>,
+    }
+
+    impl AdmissionRow {
+        fn opts(&self) -> RunOptions {
+            RunOptions {
+                warmup_instrs: 200,
+                sim_instrs: 800,
+                seed: SEED,
+                noc: self.noc,
+                check: Some(CheckLevel::Cheap),
+                check_cadence: 256,
+                fault: self.fault,
+                ..RunOptions::default()
+            }
+        }
+    }
+
+    fn admission_rows() -> Vec<AdmissionRow> {
+        let one_channel = |cores: usize, pf: PrefetcherKind| {
+            SimConfig::builder()
+                .cores(cores)
+                .dram_channels(1)
+                .l1_prefetcher(pf)
+                .build()
+                .expect("valid config")
+        };
+        let homogeneous = |name: &str, cores: usize| {
+            Mix::homogeneous(&catalog::by_name(name).expect("known"), cores)
+        };
+        let mut short_queue = SimConfig::builder()
+            .cores(4)
+            .dram_channels(2)
+            .l1_prefetcher(PrefetcherKind::Berti)
+            .build()
+            .expect("valid config");
+        short_queue.dram.read_queue = 4;
+        vec![
+            AdmissionRow {
+                label: "16c/1ch berti+clip analytic",
+                cfg: one_channel(16, PrefetcherKind::Berti),
+                scheme: Scheme::with_clip(),
+                mix: clip_trace::heterogeneous_mixes(1, 16, 3).remove(0),
+                noc: NocChoice::Analytic,
+                fault: None,
+            },
+            AdmissionRow {
+                label: "8c/1ch berti+hermes",
+                cfg: one_channel(8, PrefetcherKind::Berti),
+                scheme: Scheme::with_hermes(),
+                mix: homogeneous("605.mcf_s-472B", 8),
+                noc: NocChoice::Analytic,
+                fault: None,
+            },
+            AdmissionRow {
+                label: "8c/1ch hbm+refresh berti",
+                cfg: SimConfig::builder()
+                    .cores(8)
+                    .dram_backend(DramKind::Hbm)
+                    .dram_refresh(true)
+                    .dram_channels(1)
+                    .l1_prefetcher(PrefetcherKind::Berti)
+                    .build()
+                    .expect("valid config"),
+                scheme: Scheme::plain(),
+                mix: homogeneous("619.lbm_s-4268B", 8),
+                noc: NocChoice::Analytic,
+                fault: None,
+            },
+            AdmissionRow {
+                label: "8c/1ch composite+clip flip-criticality",
+                cfg: one_channel(8, PrefetcherKind::Composite),
+                scheme: Scheme::with_clip(),
+                mix: homogeneous("603.bwaves_s-891B", 8),
+                noc: NocChoice::Analytic,
+                fault: Some(FaultSpec {
+                    kind: FaultKind::FlipCriticality,
+                    at: 3_000,
+                }),
+            },
+            AdmissionRow {
+                label: "4c/2ch mesh read_queue=4",
+                cfg: short_queue,
+                scheme: Scheme::with_clip(),
+                mix: clip_trace::heterogeneous_mixes(1, 4, 5).remove(0),
+                noc: NocChoice::Mesh,
+                fault: None,
+            },
+        ]
+    }
+
+    /// Runs `row` and folds its rendered report and its cheap fingerprint
+    /// stream into one [`Fnv64`]. The stream's transaction balance counts
+    /// parked transactions, so it must match polled retries window by
+    /// window.
+    fn pinned_hash(row: &AdmissionRow, step: bool) -> u64 {
+        set_step_override(Some(step));
+        let r = run_mix_checked(&row.cfg, &row.scheme, &row.mix, &row.opts());
+        set_step_override(None);
+        let r = r.expect("run completes");
+        assert!(!r.fingerprints.is_empty(), "{}: no fingerprints", row.label);
+        let mut h = r.to_json().render().bytes().fold(Fnv64::new(), |mut h, b| {
+            h.write_u64(u64::from(b));
+            h
+        });
+        for w in &r.fingerprints {
+            h.write_u64(w.cycle);
+            for &x in &w.hashes {
+                h.write_u64(x);
+            }
+        }
+        h.finish()
+    }
+
+    /// Pins DRAM admission against the polled retries it replaced: each
+    /// row, on the wheel and stepped, hashes to the value recorded from
+    /// the engine that re-scheduled a refused read every `RETRY_DELAY`
+    /// cycles. Each row also shows it reaches the parked path: stepping
+    /// `System::tick` directly, some transaction parks.
+    #[test]
+    fn dram_admission_is_pinned() {
+        const REACH_CYCLES: Cycle = 20_000;
+        #[rustfmt::skip]
+        const EXPECTED: &[(&str, u64)] = &[
+            ("16c/1ch berti+clip analytic", 0x399f_8ce7_d461_4bc9),
+            ("8c/1ch berti+hermes", 0x2f24_09d1_c174_3305),
+            ("8c/1ch hbm+refresh berti", 0x2008_93bf_7cc7_5c4f),
+            ("8c/1ch composite+clip flip-criticality", 0x306d_8341_04a1_6d47),
+            ("4c/2ch mesh read_queue=4", 0x0422_42df_deae_03aa),
+        ];
+        let rows = admission_rows();
+        assert_eq!(rows.len(), EXPECTED.len());
+        for (row, &(label, want)) in rows.iter().zip(EXPECTED) {
+            assert_eq!(row.label, label);
+            for step in [false, true] {
+                let got = pinned_hash(row, step);
+                assert_eq!(got, want, "{label} (step={step}): got {got:#018x}");
+            }
+            let mut sys = System::new(&row.cfg, &row.scheme, &row.mix, SEED, row.noc);
+            if let Some(f) = row.fault {
+                sys.set_fault(f, SEED);
+            }
+            let parked = (0..REACH_CYCLES).any(|_| {
+                sys.tick(true).expect("unaudited tick");
+                sys.engine.dram_parked() > 0
+            });
+            assert!(parked, "{label}: nothing parked in {REACH_CYCLES} cycles");
+        }
     }
 }

@@ -96,6 +96,7 @@ fn lost_deliveries_trip_the_forward_progress_watchdog() {
     assert_eq!(err.kind, SimErrorKind::Deadlock);
     assert!(err.cycle >= 2_000, "detected at cycle {}", err.cycle);
     assert!(err.detail.contains("live txns"), "{err}");
+    assert!(err.detail.contains("dram_parked="), "{err}");
     assert!(err.detail.contains("oldest"), "{err}");
 }
 
