@@ -5,9 +5,16 @@
 //! under `target/clip-cache/`, keyed by a hash of the full job identity
 //! (config, scheme, mix, run options — their `Debug` forms) plus
 //! [`CACHE_VERSION`]. Repeat queries (a re-run figure binary, a second
-//! `clipd` client asking for a cell another client already paid for)
-//! are served from disk without re-simulating; the determinism contract
-//! makes a replayed result byte-identical to a fresh one.
+//! figure sharing cells with the first) are served from disk without
+//! re-simulating; the determinism contract makes a replayed result
+//! byte-identical to a fresh one.
+//!
+//! The cache is also how an interrupted sweep resumes: re-running it
+//! serves every completed cell from disk and simulates only the missing
+//! ones. That holds while one sweep's entries fit under the size cap
+//! below — the GC evicts oldest first, so it reaches a sweep's own
+//! entries only when that sweep alone outgrows `CLIP_CACHE_MAX_MB`
+//! (an entry is about 1 KB at 4 cores, against a 256 MiB default).
 //!
 //! Each entry wraps the result payload with an FNV-1a checksum of its
 //! rendered form: `{"checksum":"<16 hex>","result":{...}}`. An entry
@@ -38,8 +45,9 @@
 //! * Unparseable, corrupt, or stale entries are treated as misses.
 //!
 //! Hit/miss/store/eviction counts are kept in process-wide counters
-//! ([`stats`]) so the `clipd` health endpoint can prove cache hits are
-//! being served without re-simulation.
+//! ([`stats`]) so callers can prove cache hits are being served without
+//! re-simulation (perfbench's fig02 passes and the resume test read
+//! them).
 //!
 //! Bump [`CACHE_VERSION`] whenever a change alters simulation results;
 //! the job key only captures configuration, not simulator behavior.
@@ -78,8 +86,8 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Reads the current counters (the `clipd` health endpoint reports
-/// these so "cache hits served without re-simulation" is observable).
+/// Reads the current counters, so "cache hits served without
+/// re-simulation" is observable.
 pub fn stats() -> CacheStats {
     CacheStats {
         hits: HITS.load(Ordering::Relaxed),

@@ -24,9 +24,11 @@
 //! cell that blew its wall-clock deadline renders `TMO` and one never
 //! dispatched because the sweep budget (`CLIP_SWEEP_BUDGET_MS`) ran out
 //! renders `PEND`, and either marks the artifact `"partial": true`.
-//! Under `CLIP_JOURNAL` (see [`crate::journal`]) completed cells persist
-//! as they finish and a resumed sweep replays them, simulating only what
-//! is missing — converging on the byte-identical complete artifact.
+//! Resuming such a sweep is re-running it: completed cells come back
+//! from the disk cache, only the missing ones simulate, and the result
+//! is the byte-identical complete artifact — as long as the sweep's
+//! own entries fit under `CLIP_CACHE_MAX_MB`, since the size-cap GC
+//! evicts oldest first.
 
 use clip_sim::{run_jobs_checked, RunOptions, Scheme, SimError, SimErrorKind, SimResult, SweepJob};
 use clip_stats::{normalized_weighted_speedup, Json};
@@ -417,8 +419,7 @@ pub(crate) fn run_cached(jobs: &[SweepJob], opts: &RunOptions) -> Vec<SimResult>
 }
 
 /// Runs jobs through the memoized parallel driver: outcomes come from the
-/// in-process cache, then the sweep journal (`CLIP_JOURNAL=resume`, see
-/// [`crate::journal`]), then the universal on-disk result cache (every
+/// in-process cache, then the universal on-disk result cache (every
 /// scheme, not just baselines — see [`crate::cache`]), and only the
 /// remainder is simulated (deduplicated, one `run_jobs_checked` batch).
 /// Returns outcomes in job order, identical to a serial `run_mix_checked`
@@ -433,7 +434,7 @@ pub(crate) fn run_cached(jobs: &[SweepJob], opts: &RunOptions) -> Vec<SimResult>
 /// which are returned but never remembered: the deadline and budget are
 /// deliberately absent from the job key, so memoizing one would serve a
 /// stale failure to a later same-key run with a healthier budget.
-/// Failures are never written to the disk cache or the journal.
+/// Failures are never written to the disk cache.
 pub(crate) fn run_cached_checked(
     jobs: &[SweepJob],
     opts: &RunOptions,
@@ -443,7 +444,6 @@ pub(crate) fn run_cached_checked(
     let put = |k: String, r: Result<SimResult, SimError>| {
         RESULT_CACHE.with(|c| c.borrow_mut().insert(k, r));
     };
-    let journal_mode = crate::journal::mode();
     let fp_off = crate::fp_store::mode() == crate::fp_store::FpMode::Off;
 
     let mut missing: Vec<usize> = Vec::new();
@@ -452,19 +452,13 @@ pub(crate) fn run_cached_checked(
         if cached(key).is_some() || !queued.insert(key) {
             continue;
         }
-        // Journal and disk-cache hits carry no fingerprint stream, so
-        // serving one under an active CLIP_FP_BASELINE mode would
-        // silently skip the record/verify step for that job. Bypass both
-        // stores (but not the in-process memo) whenever a baseline mode
-        // is active: the job re-simulates once, gets checked, and
-        // refreshes its entries on the way out.
+        // Disk-cache hits carry no fingerprint stream, so serving one
+        // under an active CLIP_FP_BASELINE mode would silently skip the
+        // record/verify step for that job. Bypass the disk cache (but
+        // not the in-process memo) whenever a baseline mode is active:
+        // the job re-simulates once, gets checked, and refreshes its
+        // entry on the way out.
         if fp_off {
-            if journal_mode == crate::journal::JournalMode::Resume {
-                if let Some(r) = crate::journal::lookup(key, &jobs[i].mix.name) {
-                    put(key.clone(), Ok(r));
-                    continue;
-                }
-            }
             if let Some(r) = crate::cache::lookup(key, &jobs[i].mix.name) {
                 put(key.clone(), Ok(r));
                 continue;
@@ -512,17 +506,13 @@ pub(crate) fn run_cached_checked(
         for ((&i, r), n) in missing.iter().zip(outcomes).zip(attempts) {
             // Fingerprint baselines see only freshly simulated outcomes:
             // results served from the in-process memo carry no
-            // fingerprint stream to record or verify (the journal and
-            // disk cache are bypassed above when a baseline mode is
-            // active). Inert unless CLIP_FP_BASELINE is set; a verify
-            // failure replaces the outcome with its Divergence error
-            // (rendered DIV).
+            // fingerprint stream to record or verify (the disk cache is
+            // bypassed above when a baseline mode is active). Inert
+            // unless CLIP_FP_BASELINE is set; a verify failure replaces
+            // the outcome with its Divergence error (rendered DIV).
             let r = crate::fp_store::apply(&jobs[i], opts, r).map_err(|e| e.with_attempts(n));
             match &r {
                 Ok(res) => {
-                    if journal_mode.records() {
-                        crate::journal::store(&keys[i], &jobs[i].mix.name, res);
-                    }
                     crate::cache::store(&keys[i], &jobs[i].mix.name, res);
                     put(keys[i].clone(), r);
                 }
@@ -575,8 +565,8 @@ fn artifact_json(exp: &Experiment, body: &TableBody, errors: &[CellError]) -> Js
         // A timed-out or budget-cancelled cell means the sweep did not
         // finish: mark the artifact partial so consumers (and CI) can
         // tell "incomplete, resume me" from "complete with bad cells".
-        // A resumed sweep (CLIP_JOURNAL=resume) fills those cells in and
-        // the flag disappears.
+        // Re-running the sweep with the cache on fills those cells in
+        // and the flag disappears.
         if errors.iter().any(|e| {
             matches!(
                 e.error.kind,
@@ -614,10 +604,8 @@ pub fn artifact_dir() -> std::path::PathBuf {
 }
 
 /// Writes an artifact (best effort — rendering must not fail a figure
-/// run on read-only filesystems). Public so `clipsim --connect` can
-/// land a daemon-streamed artifact in the *client's* artifact
-/// directory, byte-identical to a local run.
-pub fn write_artifact(name: &str, value: &Json) {
+/// run on read-only filesystems).
+fn write_artifact(name: &str, value: &Json) {
     let dir = artifact_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;

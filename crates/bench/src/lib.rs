@@ -5,7 +5,7 @@
 //! specs (see [`figures`] for the registry) and hands them to
 //! [`experiment::run_experiment`], which expands the spec into jobs, runs
 //! them through `clip_sim::run_jobs_checked` (memoized in-process, with
-//! no-prefetch baselines also cached on disk under `target/clip-cache/`),
+//! every completed run also cached on disk under `target/clip-cache/`),
 //! prints the table, and writes a JSON artifact under
 //! `target/experiments/`. Failed cells render as `ERR` instead of
 //! aborting the sweep. Run them with
@@ -21,10 +21,6 @@
 //! * `CLIP_NOC` — `mesh`, `analytic`, or `chiplet` (default analytic
 //!   for sweeps).
 //! * `CLIP_DRAM` — memory backend: `ddr4` (default) or `hbm`.
-//! * `CLIP_PF` — default prefetcher for `clipsim`/`clipd` run specs
-//!   that omit one: any CLI word incl. `composite` (default `berti`);
-//!   see [`proto::default_prefetcher`]. Figure binaries pin their own
-//!   prefetchers and ignore it.
 //! * `CLIP_CACHE` — `0`/`off` disables the universal on-disk result
 //!   cache (every completed cell, all schemes — see [`mod@cache`]).
 //! * `CLIP_CACHE_DIR` — overrides the result-cache directory.
@@ -50,34 +46,19 @@
 //! * `CLIP_SWEEP_BUDGET_MS` — whole-sweep wall-clock budget (same
 //!   range, counted from the first batch this process runs). Once
 //!   exhausted, new cells are cancelled (`PEND`) while in-flight ones
-//!   drain; the artifact is marked `"partial": true`.
+//!   drain; the artifact is marked `"partial": true`. Re-running the
+//!   sweep with the cache on resumes it: completed cells are cache hits
+//!   and only the missing ones simulate.
 //! * `CLIP_RETRY` — extra attempts for environmental failures — panic,
 //!   internal, timeout — with deterministic backoff (`0..=8`, default
 //!   1). Audit failures are never retried. Invalid values warn once and
 //!   fall back to the default.
-//! * `CLIP_JOURNAL` — sweep journal mode: `record` persists each
-//!   completed cell under `target/clip-journal/`, `resume` additionally
-//!   replays journaled cells so only missing/failed ones simulate;
-//!   unset/`off` is completely inert (see [`journal`]).
-//! * `CLIP_JOURNAL_DIR` — overrides the journal directory.
-//!
-//! The same pipeline is reachable as a service: `clipd` (see [`server`])
-//! runs requests from many clients through one shared memo, journal, and
-//! result cache. Its knobs: `CLIP_DAEMON_ADDR` (listen address, default
-//! `127.0.0.1:4117`), `CLIP_DAEMON_ACTIVE` / `CLIP_DAEMON_BACKLOG`
-//! (admission control), `CLIP_DAEMON_IO_TIMEOUT_MS` (per-connection
-//! read/write timeout), and on the client side
-//! `CLIP_CLIENT_TIMEOUT_MS` (see [`client`]).
 
 mod cache;
-pub mod client;
 pub mod experiment;
 pub mod figures;
 pub mod fp_store;
-pub mod journal;
-pub mod proto;
 pub mod retry;
-pub mod server;
 mod store_util;
 pub mod timing;
 

@@ -1,9 +1,10 @@
-//! Shared on-disk entry machinery for the baseline caches.
+//! Shared on-disk entry machinery for the persistent stores.
 //!
-//! Both persistent stores — the no-prefetch result cache
-//! (`target/clip-cache/`, [`crate::cache`]) and the fingerprint-baseline
-//! store (`target/clip-fp/`, [`crate::fp_store`]) — keep one JSON file
-//! per entry with the same durability discipline, factored out here:
+//! Both persistent stores — the universal result cache, which holds
+//! every completed run (`target/clip-cache/`, [`crate::cache`]), and
+//! the fingerprint-baseline store (`target/clip-fp/`,
+//! [`crate::fp_store`]) — keep one JSON file per entry with the same
+//! durability discipline, factored out here:
 //!
 //! * **Checksum wrapper.** An entry is
 //!   `{"checksum":"<16 hex>","<payload key>":{...}}` where the checksum

@@ -123,8 +123,8 @@ pub struct RunOptions {
     pub deadline: Option<Duration>,
 }
 
-/// `RunOptions`' `Debug` form doubles as the sweep cache / fingerprint /
-/// journal key (see `clip-bench`'s `job_key`), so it must stay byte-stable
+/// `RunOptions`' `Debug` form doubles as the sweep cache / fingerprint
+/// key (see `clip-bench`'s `job_key`), so it must stay byte-stable
 /// as execution-policy fields are added. This hand-written impl emits
 /// exactly what `#[derive(Debug)]` produced before `deadline` existed;
 /// result-affecting fields added later must be appended here too.

@@ -14,7 +14,7 @@
 //!   the millisecond budgets).
 //! * [`env_choice`] — one of an allowed word list, matched
 //!   case-insensitively after trimming (`CLIP_CHECK`, `CLIP_TICK`,
-//!   `CLIP_NOC`, `CLIP_DRAM`, the journal/fingerprint modes).
+//!   `CLIP_NOC`, `CLIP_DRAM`, the fingerprint-baseline mode).
 //! * [`env_flag`] — booleans (`CLIP_CACHE`): `1`/`on`/`true`/`yes`
 //!   against `0`/`off`/`false`/`no`.
 //!

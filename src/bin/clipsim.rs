@@ -5,35 +5,180 @@
 //!         --prefetcher berti --clip --instrs 10000
 //! clipsim --hetero-seed 7 --cores 16 --channels 2 --prefetcher spp-ppf
 //! clipsim --list-workloads
-//! clipsim --connect 127.0.0.1:4117 --workload 605.mcf_s-1554B --clip
-//! clipsim --connect 127.0.0.1:4117 --figure fig02
 //! ```
 //!
 //! Runs the requested mix under the requested scheme *and* the
-//! no-prefetch baseline, then prints a comparison report. With
-//! `--connect`, the same request is executed by a `clipd` daemon
-//! (shared cache, admission control — see `clip::bench::server`) and
-//! the output is byte-identical to a local run.
+//! no-prefetch baseline, then prints a comparison report.
 
-use clip::bench::client::{self, ClientError};
-use clip::bench::experiment::write_artifact;
-use clip::bench::proto::{self, RunSpec};
-use clip::sim::{run_mix_checked, ComparisonReport, Scheme, SimResult};
-use clip::stats::Json;
+use clip::sim::{run_mix_checked, ComparisonReport, NocChoice, RunOptions, Scheme};
+use clip::throttle::ThrottlerKind;
+use clip::trace::Mix;
+use clip::types::{DramKind, PrefetcherKind, SimConfig};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-#[derive(Debug, Default)]
+/// One simulation cell as the command line describes it. Every field
+/// has the CLI's default.
+struct RunSpec {
+    /// Homogeneous mix of this catalog trace (`hetero_seed` wins).
+    workload: Option<String>,
+    /// Random heterogeneous mix from this seed instead of a workload.
+    hetero_seed: Option<u64>,
+    cores: usize,
+    channels: usize,
+    prefetcher: PrefetcherKind,
+    clip: bool,
+    dynclip: bool,
+    throttler: Option<ThrottlerKind>,
+    hermes: bool,
+    dspatch: bool,
+    instrs: u64,
+    warmup: u64,
+    seed: u64,
+    noc: NocChoice,
+    dram: DramKind,
+    /// Per-run wall-clock budget, wired into [`RunOptions::deadline`].
+    deadline_ms: Option<u64>,
+}
+
+impl Default for RunSpec {
+    fn default() -> Self {
+        RunSpec {
+            workload: None,
+            hetero_seed: None,
+            cores: 8,
+            channels: 1,
+            prefetcher: PrefetcherKind::Berti,
+            clip: false,
+            dynclip: false,
+            throttler: None,
+            hermes: false,
+            dspatch: false,
+            instrs: 10_000,
+            warmup: 2_000,
+            seed: 42,
+            noc: NocChoice::Mesh,
+            dram: DramKind::Ddr4,
+            deadline_ms: None,
+        }
+    }
+}
+
+impl RunSpec {
+    /// The mix this spec runs over.
+    fn mix(&self) -> Result<Mix, String> {
+        if let Some(seed) = self.hetero_seed {
+            return clip::trace::heterogeneous_mixes(1, self.cores, seed)
+                .pop()
+                .ok_or_else(|| "no heterogeneous mix generated".to_string());
+        }
+        let name = self.workload.as_deref().unwrap_or("605.mcf_s-1554B");
+        match clip::trace::catalog::by_name(name) {
+            Some(w) => Ok(Mix::homogeneous(&w, self.cores)),
+            None => Err(format!("unknown workload {name} (try --list-workloads)")),
+        }
+    }
+
+    /// The platform configs: `(baseline, scheme)` — identical apart from
+    /// the prefetcher placement (L1-trained kinds in the L1 slot).
+    fn configs(&self) -> Result<(SimConfig, SimConfig), String> {
+        let build = |pf: PrefetcherKind| {
+            let (l1, l2) = clip::bench::place(pf);
+            SimConfig::builder()
+                .cores(self.cores)
+                .dram_backend(self.dram)
+                .dram_channels(self.channels)
+                .l1_prefetcher(l1)
+                .l2_prefetcher(l2)
+                .build()
+                .map_err(|e| format!("{e}"))
+        };
+        Ok((build(PrefetcherKind::None)?, build(self.prefetcher)?))
+    }
+
+    /// The attachment scheme (CLIP / DynCLIP / throttler / Hermes /
+    /// DSPatch toggles applied to the plain scheme).
+    fn scheme(&self) -> Scheme {
+        let mut scheme = if self.dynclip {
+            Scheme::with_dynamic_clip()
+        } else if self.clip {
+            Scheme::with_clip()
+        } else {
+            Scheme::plain()
+        };
+        scheme.throttler = self.throttler;
+        scheme.hermes = self.hermes;
+        scheme.dspatch = self.dspatch;
+        scheme
+    }
+
+    /// The run options, deadline included.
+    fn options(&self) -> RunOptions {
+        RunOptions {
+            warmup_instrs: self.warmup,
+            sim_instrs: self.instrs,
+            seed: self.seed,
+            noc: self.noc,
+            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
+            ..RunOptions::default()
+        }
+    }
+}
+
+fn prefetcher_from(name: &str) -> Result<PrefetcherKind, String> {
+    Ok(match name {
+        "none" => PrefetcherKind::None,
+        "berti" => PrefetcherKind::Berti,
+        "ipcp" => PrefetcherKind::Ipcp,
+        "bingo" => PrefetcherKind::Bingo,
+        "spp-ppf" | "spp" => PrefetcherKind::SppPpf,
+        "ip-stride" => PrefetcherKind::IpStride,
+        "stream" => PrefetcherKind::Stream,
+        "next-line" => PrefetcherKind::NextLine,
+        "composite" => PrefetcherKind::Composite,
+        other => return Err(format!("unknown prefetcher: {other}")),
+    })
+}
+
+fn throttler_from(name: &str) -> Result<ThrottlerKind, String> {
+    Ok(match name {
+        "fdp" => ThrottlerKind::Fdp,
+        "hpac" => ThrottlerKind::Hpac,
+        "spac" => ThrottlerKind::Spac,
+        "nst" => ThrottlerKind::Nst,
+        other => return Err(format!("unknown throttler: {other}")),
+    })
+}
+
+fn noc_from(name: &str) -> Result<NocChoice, String> {
+    Ok(match name {
+        "mesh" => NocChoice::Mesh,
+        "analytic" => NocChoice::Analytic,
+        "chiplet" => NocChoice::Chiplet,
+        other => return Err(format!("unknown noc model: {other}")),
+    })
+}
+
+fn dram_from(name: &str) -> Result<DramKind, String> {
+    Ok(match name {
+        "ddr4" => DramKind::Ddr4,
+        "hbm" => DramKind::Hbm,
+        other => return Err(format!("unknown dram backend: {other}")),
+    })
+}
+
+/// Parses a numeric flag's value, naming the flag and the value on
+/// failure (`--cores: invalid value "many"`).
+fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid value \"{value}\""))
+}
+
+#[derive(Default)]
 struct Args {
     spec: RunSpec,
     list: bool,
-    /// Execute on a `clipd` daemon at this address instead of locally.
-    connect: Option<String>,
-    /// Ask the daemon for a whole registered figure.
-    figure: Option<String>,
-    /// Ask the daemon for its health/stats frame.
-    health: bool,
-    /// Ask the daemon to drain and stop.
-    shutdown: bool,
 }
 
 const USAGE: &str = "\
@@ -48,7 +193,7 @@ OPTIONS:
   --cores <N>            cores in the system              [default: 8]
   --channels <N>         DRAM channels (power of 2)       [default: 1]
   --prefetcher <KIND>    none|berti|ipcp|bingo|spp-ppf|ip-stride|stream|next-line|composite
-                                                          [default: berti, or CLIP_PF]
+                                                          [default: berti]
   --clip                 attach CLIP to the prefetcher
   --dynclip              attach Dynamic CLIP (bandwidth-governed)
   --throttler <KIND>     fdp|hpac|spac|nst
@@ -62,15 +207,6 @@ OPTIONS:
   --deadline-ms <N>      wall-clock budget per run in milliseconds
                          (default: CLIP_JOB_DEADLINE_MS, else unlimited)
   --list-workloads       print the workload catalog and exit
-
-DAEMON MODE (see `clipd --help`):
-  --connect <ADDR>       execute on the clipd daemon at HOST:PORT
-  --figure <NAME>        with --connect: run a registered figure binary
-                         (text printed, artifacts written locally)
-  --health               with --connect: print the daemon's health frame
-  --shutdown             with --connect: ask the daemon to drain and stop
-                         (CLIP_CLIENT_TIMEOUT_MS bounds each attempt;
-                         `overloaded` rejections retry with backoff)
   --help                 this text
 ";
 
@@ -78,44 +214,26 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         let spec = &mut args.spec;
         match flag.as_str() {
-            "--workload" => spec.workload = Some(value("--workload")?),
-            "--hetero-seed" => {
-                spec.hetero_seed = Some(
-                    value("--hetero-seed")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--cores" => spec.cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--channels" => {
-                spec.channels = value("--channels")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--prefetcher" => spec.prefetcher = proto::prefetcher_from(&value("--prefetcher")?)?,
+            "--workload" => spec.workload = Some(value()?),
+            "--hetero-seed" => spec.hetero_seed = Some(number(&flag, value()?)?),
+            "--cores" => spec.cores = number(&flag, value()?)?,
+            "--channels" => spec.channels = number(&flag, value()?)?,
+            "--prefetcher" => spec.prefetcher = prefetcher_from(&value()?)?,
             "--clip" => spec.clip = true,
             "--dynclip" => spec.dynclip = true,
-            "--throttler" => spec.throttler = Some(proto::throttler_from(&value("--throttler")?)?),
+            "--throttler" => spec.throttler = Some(throttler_from(&value()?)?),
             "--hermes" => spec.hermes = true,
             "--dspatch" => spec.dspatch = true,
-            "--instrs" => spec.instrs = value("--instrs")?.parse().map_err(|e| format!("{e}"))?,
-            "--warmup" => spec.warmup = value("--warmup")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => spec.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--noc" => spec.noc = proto::noc_from(&value("--noc")?)?,
-            "--dram" => spec.dram = proto::dram_from(&value("--dram")?)?,
-            "--deadline-ms" => {
-                spec.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
+            "--instrs" => spec.instrs = number(&flag, value()?)?,
+            "--warmup" => spec.warmup = number(&flag, value()?)?,
+            "--seed" => spec.seed = number(&flag, value()?)?,
+            "--noc" => spec.noc = noc_from(&value()?)?,
+            "--dram" => spec.dram = dram_from(&value()?)?,
+            "--deadline-ms" => spec.deadline_ms = Some(number(&flag, value()?)?),
             "--list-workloads" => args.list = true,
-            "--connect" => args.connect = Some(value("--connect")?),
-            "--figure" => args.figure = Some(value("--figure")?),
-            "--health" => args.health = true,
-            "--shutdown" => args.shutdown = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -123,23 +241,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag: {other}")),
         }
     }
-    if args.connect.is_none() && (args.figure.is_some() || args.health || args.shutdown) {
-        return Err("--figure/--health/--shutdown need --connect".to_string());
-    }
     Ok(args)
 }
 
-/// Prints the run report exactly as the local path always has, from
-/// wherever the two results came from.
-fn print_report(spec: &RunSpec, mix_name: &str, res: &SimResult, base: &SimResult) {
-    println!("mix                 : {} x {}", spec.cores, mix_name);
-    println!(
-        "{}",
-        ComparisonReport::new(spec.scheme().label(spec.prefetcher), res, base)
-    );
-}
-
-fn run_local(spec: &RunSpec) -> ExitCode {
+fn simulate(spec: &RunSpec) -> ExitCode {
     let mix = match spec.mix() {
         Ok(m) => m,
         Err(e) => {
@@ -178,105 +283,12 @@ fn run_local(spec: &RunSpec) -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    print_report(spec, &mix.name, &res, &base);
-    ExitCode::SUCCESS
-}
-
-fn run_remote(addr: &str, spec: &RunSpec) -> ExitCode {
-    // The mix derivation is deterministic and shared with the daemon
-    // (same spec, same mix), so the report line needs no wire traffic.
-    let mix_name = match spec.mix() {
-        Ok(m) => m.name,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "requesting {} on {} cores / {} channel(s), {} + baseline from {addr} ...",
-        mix_name,
-        spec.cores,
-        spec.channels,
-        spec.scheme().label(spec.prefetcher)
+    println!("mix                 : {} x {}", spec.cores, mix.name);
+    println!(
+        "{}",
+        ComparisonReport::new(scheme.label(spec.prefetcher), &res, &base)
     );
-    let mut cells: Vec<SimResult> = Vec::new();
-    let outcome = client::request(addr, &spec.to_json(), |frame| {
-        if frame.get("kind").and_then(Json::as_str) == Some("cell") {
-            if let Some(r) = frame.get("result").and_then(SimResult::from_json) {
-                cells.push(r);
-            }
-        }
-    });
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    // The daemon streams the baseline cell first, then the scheme cell.
-    let (Some(res), Some(base)) = (cells.pop(), cells.pop()) else {
-        eprintln!("error: daemon response was missing cells");
-        return ExitCode::FAILURE;
-    };
-    print_report(spec, &mix_name, &res, &base);
     ExitCode::SUCCESS
-}
-
-fn run_figure(addr: &str, name: &str) -> ExitCode {
-    eprintln!("requesting figure {name} from {addr} ...");
-    let outcome = client::request(addr, &proto::figure_request(name), |frame| {
-        if frame.get("kind").and_then(Json::as_str) != Some("experiment") {
-            return;
-        }
-        if let Some(text) = frame.get("text").and_then(Json::as_str) {
-            print!("{text}");
-        }
-        // The artifact lands in the *client's* artifact directory,
-        // byte-identical to a local figure run.
-        if let (Some(exp), Some(artifact)) = (
-            frame.get("name").and_then(Json::as_str),
-            frame.get("artifact"),
-        ) {
-            write_artifact(exp, artifact);
-        }
-    });
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_health(addr: &str) -> ExitCode {
-    let outcome = client::request(addr, &proto::health_request(), |frame| {
-        println!("{}", frame.render());
-    });
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_shutdown(addr: &str) -> ExitCode {
-    match client::request(addr, &proto::shutdown_request(), |_| {}) {
-        Ok(()) => {
-            eprintln!("daemon at {addr} acknowledged shutdown");
-            ExitCode::SUCCESS
-        }
-        // A daemon that drains *very* fast can close before the ack
-        // frame is read; the shutdown still happened.
-        Err(ClientError::Protocol(_)) => {
-            eprintln!("daemon at {addr} closed while draining");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -300,13 +312,36 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    match &args.connect {
-        None => run_local(&args.spec),
-        Some(addr) if args.health => run_health(addr),
-        Some(addr) if args.shutdown => run_shutdown(addr),
-        Some(addr) => match &args.figure {
-            Some(name) => run_figure(addr, name),
-            None => run_remote(addr, &args.spec),
-        },
+    simulate(&args.spec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every word the usage text lists for `flag` parses.
+    fn usage_words_parse<T>(flag: &str, parse: fn(&str) -> Result<T, String>) {
+        let line = USAGE
+            .lines()
+            .find(|l| l.trim_start().starts_with(flag))
+            .unwrap_or_else(|| panic!("{flag} is documented"));
+        let words: Vec<&str> = line
+            .split_whitespace()
+            .nth(2)
+            .unwrap_or_else(|| panic!("{flag} lists its words"))
+            .split('|')
+            .collect();
+        assert!(words.len() >= 2, "{flag}: {words:?}");
+        for w in words {
+            assert!(parse(w).is_ok(), "{flag} documents {w:?} but rejects it");
+        }
+    }
+
+    #[test]
+    fn every_usage_word_parses() {
+        usage_words_parse("--prefetcher", prefetcher_from);
+        usage_words_parse("--throttler", throttler_from);
+        usage_words_parse("--noc", noc_from);
+        usage_words_parse("--dram", dram_from);
     }
 }

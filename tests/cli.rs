@@ -47,12 +47,34 @@ fn clipsim_runs_a_tiny_simulation() {
 
 #[test]
 fn clipsim_rejects_unknown_flags() {
-    let out = Command::new(env!("CARGO_BIN_EXE_clipsim"))
-        .arg("--frobnicate")
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    // Malformed input, and what the first stderr line must name. Every
+    // row is refused while parsing, before any simulation starts.
+    let rows: &[(&[&str], &str)] = &[
+        (&["--frobnicate"], "unknown flag: --frobnicate"),
+        (&["--prefetcher", "warp-drive"], "warp-drive"),
+        (&["--throttler", "brake"], "brake"),
+        (&["--noc", "torus"], "torus"),
+        (&["--dram", "ddr9"], "ddr9"),
+        (&["--cores", "many"], "--cores: invalid value \"many\""),
+        (
+            &["--deadline-ms", "-5"],
+            "--deadline-ms: invalid value \"-5\"",
+        ),
+        (&["--cores", "4", "--instrs"], "--instrs needs a value"),
+    ];
+    for (args, named) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_clipsim"))
+            .args(*args)
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.starts_with("error: ") && first.contains(named),
+            "{args:?}: first stderr line must name {named:?}, got {first:?}"
+        );
+    }
 }
 
 #[test]
