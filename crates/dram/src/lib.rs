@@ -162,23 +162,33 @@ pub trait DramModel {
     fn fingerprint(&self, h: &mut Fnv64, full: bool);
 }
 
+/// A queued read, mapped to its bank and global row once, at enqueue.
 #[derive(Debug, Clone, Copy)]
 struct PendingRead {
     id: ReqId,
     line: LineAddr,
     priority: Priority,
     arrive: Cycle,
+    bank: usize,
+    row: u64,
 }
 
+/// A queued writeback, mapped like [`PendingRead`].
 #[derive(Debug, Clone, Copy)]
 struct PendingWrite {
     line: LineAddr,
+    bank: usize,
+    row: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
     busy_until: Cycle,
+    /// Entries of the channel's read queue that map to this bank.
+    queued_reads: u32,
+    /// Entries of the channel's write queue that map to this bank.
+    queued_writes: u32,
 }
 
 /// Per-channel statistics.
@@ -208,6 +218,9 @@ struct Channel {
     bus_free_at: Cycle,
     draining: bool,
     inflight: Vec<DramCompletion>,
+    /// Earliest `done_cycle` in `inflight` (`Cycle::MAX` when empty):
+    /// lowered on issue, recomputed by the pass that delivers.
+    next_done: Cycle,
     /// Cycle of the next scheduled all-bank refresh (refresh modeling).
     next_refresh: Cycle,
     /// Reads accepted into the queue (conservation audit).
@@ -215,6 +228,39 @@ struct Channel {
     /// Read completions handed back from `tick` (conservation audit).
     reads_delivered: u64,
     stats: ChannelStats,
+}
+
+impl Channel {
+    /// The earliest cycle a bank holding queued work of one class frees:
+    /// writes when `writes`, reads otherwise; `None` when that queue is
+    /// empty. Arbitration can only pick an entry whose bank is free, so
+    /// before this cycle a scheduling pass over that queue finds nothing.
+    fn next_issue(&self, writes: bool) -> Option<Cycle> {
+        self.banks
+            .iter()
+            .filter(|b| {
+                if writes {
+                    b.queued_writes > 0
+                } else {
+                    b.queued_reads > 0
+                }
+            })
+            .map(|b| b.busy_until)
+            .min()
+    }
+
+    /// The write-drain hysteresis a tick sets from the current write
+    /// queue: enter at the watermark, leave once empty, else hold.
+    fn drain_state(&self, cfg: &DramConfig) -> bool {
+        let (wn, wd) = cfg.write_watermark;
+        if self.write_q.len() * wd >= cfg.write_queue * wn {
+            true
+        } else if self.write_q.is_empty() {
+            false
+        } else {
+            self.draining
+        }
+    }
 }
 
 /// The DRAM subsystem: all channels of the socket.
@@ -243,6 +289,7 @@ impl DramSystem {
             bus_free_at: 0,
             draining: false,
             inflight: Vec::new(),
+            next_done: Cycle::MAX,
             next_refresh: cfg.t_refi,
             reads_enqueued: 0,
             reads_delivered: 0,
@@ -264,6 +311,16 @@ impl DramSystem {
     #[inline]
     pub fn channel_for(&self, line: LineAddr) -> usize {
         (clip_types::hash64(line.raw()) as usize) & (self.channels.len() - 1)
+    }
+
+    /// The bank (within its channel) and global row a line maps to.
+    #[inline]
+    fn bank_row(&self, line: LineAddr) -> (usize, u64) {
+        let row = line.raw() / self.lines_per_row;
+        (
+            (clip_types::hash64(row) as usize) % self.cfg.banks_per_channel,
+            row,
+        )
     }
 
     /// True when the channel's read queue can accept another request.
@@ -290,10 +347,11 @@ impl DramSystem {
         priority: Priority,
         now: Cycle,
     ) -> Result<(), QueueFullError> {
-        let ch = &mut self.channels[channel];
-        if ch.read_q.len() >= self.cfg.read_queue {
+        if !self.read_queue_has_room(channel) {
             return Err(QueueFullError);
         }
+        let (bank, row) = self.bank_row(line);
+        let ch = &mut self.channels[channel];
         if priority == Priority::Prefetch {
             ch.stats.prefetch_reads += 1;
         }
@@ -302,7 +360,10 @@ impl DramSystem {
             line,
             priority,
             arrive: now,
+            bank,
+            row,
         });
+        ch.banks[bank].queued_reads += 1;
         ch.reads_enqueued += 1;
         Ok(())
     }
@@ -314,11 +375,13 @@ impl DramSystem {
     /// Returns [`QueueFullError`] when the write queue is full.
     pub fn enqueue_write(&mut self, line: LineAddr, _now: Cycle) -> Result<(), QueueFullError> {
         let channel = self.channel_for(line);
-        let ch = &mut self.channels[channel];
-        if ch.write_q.len() >= self.cfg.write_queue {
+        if self.channels[channel].write_q.len() >= self.cfg.write_queue {
             return Err(QueueFullError);
         }
-        ch.write_q.push(PendingWrite { line });
+        let (bank, row) = self.bank_row(line);
+        let ch = &mut self.channels[channel];
+        ch.write_q.push(PendingWrite { line, bank, row });
+        ch.banks[bank].queued_writes += 1;
         Ok(())
     }
 
@@ -333,19 +396,22 @@ impl DramSystem {
     }
 
     fn tick_channel(&mut self, ci: usize, now: Cycle, done: &mut Vec<DramCompletion>) {
-        // Deliver finished reads.
-        let lines_per_row = self.lines_per_row;
-        let banks = self.cfg.banks_per_channel;
         let cfg = self.cfg;
         let ch = &mut self.channels[ci];
-        let mut i = 0;
-        while i < ch.inflight.len() {
-            if ch.inflight[i].done_cycle <= now {
-                done.push(ch.inflight.swap_remove(i));
-                ch.reads_delivered += 1;
-            } else {
-                i += 1;
+        // Deliver finished reads, recomputing the earliest one left.
+        if ch.next_done <= now {
+            let mut next_done = Cycle::MAX;
+            let mut i = 0;
+            while i < ch.inflight.len() {
+                if ch.inflight[i].done_cycle <= now {
+                    done.push(ch.inflight.swap_remove(i));
+                    ch.reads_delivered += 1;
+                } else {
+                    next_done = next_done.min(ch.inflight[i].done_cycle);
+                    i += 1;
+                }
             }
+            ch.next_done = next_done;
         }
 
         // All-bank refresh: when tREFI elapses, every bank is blocked for
@@ -360,12 +426,7 @@ impl DramSystem {
         }
 
         // Update write-drain hysteresis (enter at watermark, leave empty).
-        let (wn, wd) = cfg.write_watermark;
-        if ch.write_q.len() * wd >= cfg.write_queue * wn {
-            ch.draining = true;
-        } else if ch.write_q.is_empty() {
-            ch.draining = false;
-        }
+        ch.draining = ch.drain_state(&cfg);
 
         if ch.bus_free_at > now {
             ch.stats.busy_cycles += 1;
@@ -373,42 +434,40 @@ impl DramSystem {
         }
 
         // Reads are prioritized over writes unless draining (Table 3).
+        // Until a bank holding queued work of the served class frees, the
+        // pass below would pick nothing.
         let serve_write = ch.draining || ch.read_q.is_empty();
+        if ch.next_issue(serve_write).is_none_or(|c| c > now) {
+            return;
+        }
         if serve_write {
             // FCFS over writes with a ready bank.
-            let mut chosen: Option<usize> = None;
-            for (qi, w) in ch.write_q.iter().enumerate() {
-                let row_global = w.line.raw() / lines_per_row;
-                let bank = (clip_types::hash64(row_global) as usize) % banks;
-                if ch.banks[bank].busy_until <= now {
-                    chosen = Some(qi);
-                    break;
-                }
-            }
-            if let Some(qi) = chosen {
-                let w = ch.write_q.remove(qi);
-                let row_global = w.line.raw() / lines_per_row;
-                let bank_i = (clip_types::hash64(row_global) as usize) % banks;
-                let bank = &mut ch.banks[bank_i];
-                let lat = Self::access_latency(&cfg, bank, row_global);
-                bank.open_row = Some(row_global);
-                bank.busy_until = now + lat + cfg.burst_cycles;
-                ch.bus_free_at = now + cfg.burst_cycles;
-                ch.stats.writes += 1;
-            }
+            let Some(qi) = ch
+                .write_q
+                .iter()
+                .position(|w| ch.banks[w.bank].busy_until <= now)
+            else {
+                return;
+            };
+            let w = ch.write_q.remove(qi);
+            let bank = &mut ch.banks[w.bank];
+            bank.queued_writes -= 1;
+            let lat = Self::access_latency(&cfg, bank, w.row);
+            bank.open_row = Some(w.row);
+            bank.busy_until = now + lat + cfg.burst_cycles;
+            ch.bus_free_at = now + cfg.burst_cycles;
+            ch.stats.writes += 1;
             return;
         }
 
         // FR-FCFS with priority classes: (priority, row-hit, age).
         let mut best: Option<(usize, (u8, bool, Cycle))> = None;
         for (qi, r) in ch.read_q.iter().enumerate() {
-            let row_global = r.line.raw() / lines_per_row;
-            let bank_i = (clip_types::hash64(row_global) as usize) % banks;
-            let bank = &ch.banks[bank_i];
+            let bank = &ch.banks[r.bank];
             if bank.busy_until > now {
                 continue;
             }
-            let row_hit = bank.open_row == Some(row_global);
+            let row_hit = bank.open_row == Some(r.row);
             let prio_class = if cfg.prefetch_aware {
                 match r.priority {
                     Priority::Demand => 2u8,
@@ -432,12 +491,11 @@ impl DramSystem {
             return;
         };
         let r = ch.read_q.remove(qi);
-        let row_global = r.line.raw() / lines_per_row;
-        let bank_i = (clip_types::hash64(row_global) as usize) % banks;
-        let bank = &mut ch.banks[bank_i];
-        let row_hit = bank.open_row == Some(row_global);
-        let lat = Self::access_latency(&cfg, bank, row_global);
-        bank.open_row = Some(row_global);
+        let bank = &mut ch.banks[r.bank];
+        bank.queued_reads -= 1;
+        let row_hit = bank.open_row == Some(r.row);
+        let lat = Self::access_latency(&cfg, bank, r.row);
+        bank.open_row = Some(r.row);
         bank.busy_until = now + lat + cfg.burst_cycles;
         ch.bus_free_at = now + cfg.burst_cycles;
         ch.stats.reads += 1;
@@ -445,11 +503,13 @@ impl DramSystem {
             ch.stats.row_hits += 1;
         }
         ch.stats.total_read_queue_delay += now - r.arrive;
+        let done_cycle = now + lat + cfg.burst_cycles;
+        ch.next_done = ch.next_done.min(done_cycle);
         ch.inflight.push(DramCompletion {
             id: r.id,
             line: r.line,
             channel: ci,
-            done_cycle: now + lat + cfg.burst_cycles,
+            done_cycle,
         });
     }
 
@@ -470,12 +530,12 @@ impl DramSystem {
     /// is exactly the next cycle arbitration can act. With empty queues
     /// the only future activity is a scheduled completion or, when
     /// refresh is modelled (`t_refi > 0`), the next all-bank refresh.
+    /// The per-bank queue counts and the cached earliest completion give
+    /// the answer in O(banks) per channel, without visiting a queued
+    /// entry.
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut fold = |c: Cycle| next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        let lines_per_row = self.lines_per_row;
-        let banks = self.cfg.banks_per_channel;
-        let (wn, wd) = self.cfg.write_watermark;
         for ch in &self.channels {
             if !ch.read_q.is_empty() || !ch.write_q.is_empty() {
                 if ch.bus_free_at > now {
@@ -483,35 +543,15 @@ impl DramSystem {
                 } else {
                     // Bus free: the next command issues when a candidate
                     // bank frees. The hysteresis value a tick would see
-                    // (enter at watermark, leave empty) picks the queue.
-                    let draining = if ch.write_q.len() * wd >= self.cfg.write_queue * wn {
-                        true
-                    } else if ch.write_q.is_empty() {
-                        false
-                    } else {
-                        ch.draining
-                    };
-                    let bank_of = |line: LineAddr| {
-                        (clip_types::hash64(line.raw() / lines_per_row) as usize) % banks
-                    };
-                    let earliest = if draining || ch.read_q.is_empty() {
-                        ch.write_q
-                            .iter()
-                            .map(|w| ch.banks[bank_of(w.line)].busy_until)
-                            .min()
-                    } else {
-                        ch.read_q
-                            .iter()
-                            .map(|r| ch.banks[bank_of(r.line)].busy_until)
-                            .min()
-                    };
-                    if let Some(c) = earliest {
+                    // picks the queue.
+                    let writes = ch.drain_state(&self.cfg) || ch.read_q.is_empty();
+                    if let Some(c) = ch.next_issue(writes) {
                         fold(c.max(now));
                     }
                 }
             }
-            for c in &ch.inflight {
-                fold(c.done_cycle.max(now));
+            if !ch.inflight.is_empty() {
+                fold(ch.next_done.max(now));
             }
             if self.cfg.t_refi > 0 {
                 fold(ch.next_refresh.max(now));
@@ -528,16 +568,11 @@ impl DramSystem {
     /// empty — idempotent, so once equals many). After this, channel
     /// state is bit-identical to having ticked every cycle of the span.
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        let (wn, wd) = self.cfg.write_watermark;
         for ch in self.channels.iter_mut() {
             if ch.bus_free_at > from {
                 ch.stats.busy_cycles += ch.bus_free_at.min(to) - from;
             }
-            if ch.write_q.len() * wd >= self.cfg.write_queue * wn {
-                ch.draining = true;
-            } else if ch.write_q.is_empty() {
-                ch.draining = false;
-            }
+            ch.draining = ch.drain_state(&self.cfg);
         }
     }
 
@@ -573,7 +608,9 @@ impl DramSystem {
     /// accepted read must be queued, in flight, or delivered, and queue
     /// occupancies must respect their configured capacities. With `full`,
     /// also scans per-entry timestamps (an in-flight completion dated
-    /// before `now` would mean `tick` failed to deliver it).
+    /// before `now` would mean `tick` failed to deliver it) and recomputes
+    /// the scheduling caches from the queues: each entry's bank and row,
+    /// the per-bank queue counts, and the earliest in-flight completion.
     ///
     /// # Errors
     ///
@@ -628,7 +665,49 @@ impl DramSystem {
                         ));
                     }
                 }
+                self.audit_bank_index(ci, ch)?;
             }
+        }
+        Ok(())
+    }
+
+    /// The full audit's cache check for one channel (see
+    /// [`DramSystem::audit`]).
+    fn audit_bank_index(&self, ci: usize, ch: &Channel) -> Result<(), String> {
+        let mut counts = vec![(0u32, 0u32); ch.banks.len()];
+        let entries = ch.read_q.iter().map(|r| (r.line, r.bank, r.row, true));
+        let entries = entries.chain(ch.write_q.iter().map(|w| (w.line, w.bank, w.row, false)));
+        for (line, bank, row, is_read) in entries {
+            let (want_bank, want_row) = self.bank_row(line);
+            if (bank, row) != (want_bank, want_row) {
+                return Err(format!(
+                    "channel {ci} queued entry for line {:#x} indexed to bank {bank} row \
+                     {row:#x}, but the line maps to bank {want_bank} row {want_row:#x}",
+                    line.raw()
+                ));
+            }
+            if is_read {
+                counts[bank].0 += 1;
+            } else {
+                counts[bank].1 += 1;
+            }
+        }
+        for (bi, (b, &(reads, writes))) in ch.banks.iter().zip(&counts).enumerate() {
+            if (b.queued_reads, b.queued_writes) != (reads, writes) {
+                return Err(format!(
+                    "channel {ci} bank {bi} queue index drifted: counts {} reads + {} \
+                     writes but {reads} + {writes} queued",
+                    b.queued_reads, b.queued_writes
+                ));
+            }
+        }
+        let earliest = ch.inflight.iter().map(|c| c.done_cycle).min();
+        if ch.next_done != earliest.unwrap_or(Cycle::MAX) {
+            return Err(format!(
+                "channel {ci} earliest-completion cache drifted: cached {} but the \
+                 earliest in-flight read completes at {earliest:?}",
+                ch.next_done
+            ));
         }
         Ok(())
     }
@@ -648,6 +727,12 @@ impl DramSystem {
         for ch in self.channels.iter_mut() {
             if idx < ch.inflight.len() {
                 ch.inflight.remove(idx);
+                ch.next_done = ch
+                    .inflight
+                    .iter()
+                    .map(|c| c.done_cycle)
+                    .min()
+                    .unwrap_or(Cycle::MAX);
                 return true;
             }
             idx -= ch.inflight.len();
@@ -1148,6 +1233,34 @@ mod tests {
         let err = d.audit(200, false).unwrap_err();
         assert!(err.contains("conservation broken"), "{err}");
         assert!(err.contains("channel 0"), "{err}");
+    }
+
+    #[test]
+    fn full_audit_catches_a_drifted_bank_index() {
+        let mut d = sys(1);
+        for i in 0..8u64 {
+            d.enqueue_read(0, ReqId(i), LineAddr::new(i * 977), Priority::Demand, 0)
+                .unwrap();
+        }
+        d.enqueue_write(LineAddr::new(5), 0).unwrap();
+        assert_eq!(d.audit(0, true), Ok(()));
+        let bank = d.channels[0].read_q[3].bank;
+        d.channels[0].banks[bank].queued_reads -= 1;
+        let err = d.audit(0, true).unwrap_err();
+        assert!(err.contains("queue index drifted"), "{err}");
+        assert_eq!(d.audit(0, false), Ok(()), "only the full audit checks it");
+    }
+
+    #[test]
+    fn full_audit_catches_a_drifted_earliest_completion() {
+        let mut d = sys(1);
+        d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
+            .unwrap();
+        d.tick(0);
+        assert_eq!(d.audit(1, true), Ok(()));
+        d.channels[0].next_done += 1;
+        let err = d.audit(1, true).unwrap_err();
+        assert!(err.contains("earliest-completion cache drifted"), "{err}");
     }
 
     #[test]

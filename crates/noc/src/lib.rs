@@ -146,6 +146,7 @@ fn class_index(p: Priority) -> usize {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Flit {
+    /// The packet's slot in [`MeshNoc::packets`].
     packet: u32,
     /// Global index of the input buffer this flit enters at the next
     /// router (unused when `out_port` is [`LOCAL`]).
@@ -161,6 +162,9 @@ struct Flit {
 
 #[derive(Debug, Clone)]
 struct PacketInfo {
+    /// Send sequence number: the packet's id for VC choice and the
+    /// fingerprint, independent of which table slot it occupies.
+    seq: u32,
     dst: usize,
     payload: u64,
     priority: Priority,
@@ -205,9 +209,14 @@ pub struct MeshNoc {
     routers: Vec<Router>,
     /// Directed links, indexed `node * 4 + port`.
     links: Vec<Link>,
+    /// One entry per packet in flight; a slot is recycled through
+    /// `free_packets` once its tail flit delivers.
     packets: Vec<PacketInfo>,
+    free_packets: Vec<u32>,
+    /// Packets ever accepted by `send` (the next sequence number).
+    sent: u64,
     /// Per-node queues of packets waiting to inject.
-    inject: Vec<VecDeque<(u32, usize)>>, // (packet, flits_remaining)
+    inject: Vec<VecDeque<(u32, usize)>>, // (packet slot, flits_remaining)
     /// Flits held in router buffers, over all routers.
     buffered: usize,
     /// Packets waiting in injection queues, over all nodes.
@@ -227,8 +236,8 @@ pub struct MeshNoc {
     delivered_by_class: [u64; 3],
     /// Latency sums per priority class, same order.
     latency_by_class: [u64; 3],
-    /// Partially arrived packets per destination node: (packet, flits
-    /// received so far).
+    /// Partially arrived packets per destination node: (packet slot,
+    /// flits received so far).
     arriving: Vec<Vec<(u32, u32)>>,
 }
 
@@ -293,6 +302,8 @@ impl MeshNoc {
             routers: vec![router; n],
             links,
             packets: Vec::new(),
+            free_packets: Vec::new(),
+            sent: 0,
             inject: vec![VecDeque::new(); n],
             buffered: 0,
             injecting: 0,
@@ -342,9 +353,10 @@ impl MeshNoc {
         }
     }
 
+    /// The virtual channel of the packet with send sequence number `seq`.
     #[inline]
-    fn vc_for(&self, packet: u32) -> usize {
-        (clip_types::hash64(packet as u64) as usize) % self.cfg.virtual_channels
+    fn vc_for(&self, seq: u32) -> usize {
+        (clip_types::hash64(seq as u64) as usize) % self.cfg.virtual_channels
     }
 
     fn priority_class(&self, p: Priority) -> u8 {
@@ -387,14 +399,25 @@ impl NocModel for MeshNoc {
         if self.inject[src].len() >= INJECTION_QUEUE {
             return Err(NocFullError);
         }
-        let id = self.packets.len() as u32;
-        self.packets.push(PacketInfo {
+        let info = PacketInfo {
+            seq: self.sent as u32,
             dst,
             payload,
             priority,
             injected_at: now,
-        });
-        self.inject[src].push_back((id, flits.max(1)));
+        };
+        self.sent += 1;
+        let slot = match self.free_packets.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = info;
+                slot
+            }
+            None => {
+                self.packets.push(info);
+                (self.packets.len() - 1) as u32
+            }
+        };
+        self.inject[src].push_back((slot, flits.max(1)));
         self.injecting += 1;
         Ok(())
     }
@@ -414,7 +437,7 @@ impl NocModel for MeshNoc {
                 let Some(&(pid, remaining)) = self.inject[node].front() else {
                     continue;
                 };
-                let vc = self.vc_for(pid);
+                let vc = self.vc_for(self.packets[pid as usize].seq);
                 let slot = LOCAL * self.cfg.virtual_channels + vc;
                 if self.buffers[node * slots + slot].len() >= depth {
                     continue;
@@ -522,6 +545,7 @@ impl NocModel for MeshNoc {
                     arriving.remove(i);
                 }
                 let info = &self.packets[flit.packet as usize];
+                self.free_packets.push(flit.packet);
                 self.delivered_count += 1;
                 let lat = now.saturating_sub(info.injected_at);
                 self.total_latency += lat;
@@ -593,11 +617,10 @@ impl NocModel for MeshNoc {
                 self.flits_injected as i64 - (self.flits_delivered + buffered) as i64
             ));
         }
-        if self.delivered_count as usize > self.packets.len() {
+        if self.delivered_count > self.sent {
             return Err(format!(
                 "delivered {} packets but only {} were ever sent",
-                self.delivered_count,
-                self.packets.len()
+                self.delivered_count, self.sent
             ));
         }
         if full {
@@ -634,6 +657,13 @@ impl NocModel for MeshNoc {
                 return Err(format!(
                     "injection counter drifted: cached {} vs actual {queued}",
                     self.injecting
+                ));
+            }
+            let live = (self.packets.len() - self.free_packets.len()) as u64;
+            if live != self.sent - self.delivered_count {
+                return Err(format!(
+                    "packet table drifted: {live} live entries but {} packets in flight",
+                    self.sent - self.delivered_count
                 ));
             }
         }
@@ -690,18 +720,19 @@ impl NocModel for MeshNoc {
             h.write_usize(node)
                 .write_usize(bufs.iter().map(VecDeque::len).sum());
             for f in bufs.iter().flatten() {
-                h.write_u64(u64::from(f.packet));
+                h.write_u64(u64::from(self.packets[f.packet as usize].seq));
             }
         }
         for (node, q) in self.inject.iter().enumerate() {
             for &(packet, rem) in q {
                 h.write_usize(node)
-                    .write_u64(u64::from(packet))
+                    .write_u64(u64::from(self.packets[packet as usize].seq))
                     .write_usize(rem);
             }
         }
         for &(packet, got) in self.arriving.iter().flatten() {
-            h.write_u64(u64::from(packet)).write_u64(u64::from(got));
+            h.write_u64(u64::from(self.packets[packet as usize].seq))
+                .write_u64(u64::from(got));
         }
     }
 }
@@ -727,6 +758,94 @@ impl MeshNoc {
     }
 }
 
+/// The deliveries a link-schedule fabric fixed at `send` time, shared by
+/// [`AnalyticNoc`] and [`ChipletNoc`]. The earliest one is cached, so a
+/// tick before it returns at once and the quiescence answer is O(1).
+#[derive(Debug, Clone)]
+struct DeliverySchedule {
+    pending: Vec<(Cycle, Delivered)>,
+    /// No pending delivery is due before this cycle (`Cycle::MAX` when
+    /// none is pending). Exact after a send or a delivering tick; a
+    /// dropped delivery may leave it early, which only costs one scan.
+    earliest: Cycle,
+}
+
+impl DeliverySchedule {
+    fn new() -> Self {
+        DeliverySchedule {
+            pending: Vec::new(),
+            earliest: Cycle::MAX,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn push(&mut self, d: Delivered) {
+        self.earliest = self.earliest.min(d.done_cycle);
+        self.pending.push((d.done_cycle, d));
+    }
+
+    /// Removes and returns every delivery due by `now`, in the order the
+    /// uncached scan produced, recomputing the earliest one left.
+    fn take_due(&mut self, now: Cycle) -> Vec<Delivered> {
+        let mut out = Vec::new();
+        if now < self.earliest {
+            return out;
+        }
+        let mut earliest = Cycle::MAX;
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].0 <= now {
+                out.push(self.pending.swap_remove(i).1);
+            } else {
+                earliest = earliest.min(self.pending[i].0);
+                i += 1;
+            }
+        }
+        self.earliest = earliest;
+        out
+    }
+
+    /// The earliest pending `done_cycle` (early only after a dropped
+    /// delivery), clamped to `now`: an overdue delivery fires on the very
+    /// next tick.
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        (!self.pending.is_empty()).then(|| self.earliest.max(now))
+    }
+
+    /// Checks the cached earliest delivery against every pending one.
+    fn audit(&self) -> Result<(), String> {
+        match self.pending.iter().find(|&&(done, _)| done < self.earliest) {
+            Some(&(done, d)) => Err(format!(
+                "earliest-delivery cache drifted: cached {} but the packet to node {} \
+                 is due at {done}",
+                self.earliest, d.node
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn drop_one(&mut self, selector: u64) -> bool {
+        if self.pending.is_empty() {
+            return false;
+        }
+        let victim = (selector % self.pending.len() as u64) as usize;
+        self.pending.remove(victim);
+        true
+    }
+
+    fn fingerprint(&self, h: &mut Fnv64) {
+        for &(done, d) in &self.pending {
+            h.write_u64(done)
+                .write_usize(d.node)
+                .write_u64(d.payload)
+                .write_u64(d.done_cycle);
+        }
+    }
+}
+
 /// Maximum cycles of backlog an analytic link may accumulate before the
 /// model back-pressures the sender. Without this bound a saturated
 /// injection rate would diverge (every delivery scheduled further and
@@ -743,7 +862,7 @@ pub struct AnalyticNoc {
     cfg: NocConfig,
     /// busy-until per directed link, indexed `node * 4 + port`.
     link_free: Vec<Cycle>,
-    pending: Vec<(Cycle, Delivered)>,
+    deliveries: DeliverySchedule,
     delivered_count: u64,
     total_latency: u64,
     flit_hops: u64,
@@ -758,7 +877,7 @@ impl AnalyticNoc {
         AnalyticNoc {
             cfg: *cfg,
             link_free: vec![0; n * 4],
-            pending: Vec::new(),
+            deliveries: DeliverySchedule::new(),
             delivered_count: 0,
             total_latency: 0,
             flit_hops: 0,
@@ -835,30 +954,18 @@ impl NocModel for AnalyticNoc {
         self.flit_hops += hops * flits as u64;
         let done = t + flits as u64; // tail serialization
         self.injected += 1;
-        self.pending.push((
-            done,
-            Delivered {
-                node: dst,
-                payload,
-                done_cycle: done,
-            },
-        ));
+        self.deliveries.push(Delivered {
+            node: dst,
+            payload,
+            done_cycle: done,
+        });
         self.total_latency += done - now;
         Ok(())
     }
 
     fn tick(&mut self, now: Cycle) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (_, d) = self.pending.swap_remove(i);
-                self.delivered_count += 1;
-                out.push(d);
-            } else {
-                i += 1;
-            }
-        }
+        let out = self.deliveries.take_due(now);
+        self.delivered_count += out.len() as u64;
         out
     }
 
@@ -866,7 +973,7 @@ impl NocModel for AnalyticNoc {
     /// activity is the earliest pending `done_cycle` (clamped to `now` —
     /// an overdue delivery fires on the very next tick).
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.pending.iter().map(|&(done, _)| done.max(now)).min()
+        self.deliveries.next_activity(now)
     }
 
     fn nodes(&self) -> usize {
@@ -885,8 +992,8 @@ impl NocModel for AnalyticNoc {
         self.flit_hops
     }
 
-    fn audit(&self, _full: bool) -> Result<(), String> {
-        let outstanding = self.pending.len() as u64;
+    fn audit(&self, full: bool) -> Result<(), String> {
+        let outstanding = self.deliveries.len() as u64;
         if self.injected != self.delivered_count + outstanding {
             return Err(format!(
                 "packet conservation broken: {} injected but {} delivered + {} pending (lost {})",
@@ -896,31 +1003,24 @@ impl NocModel for AnalyticNoc {
                 self.injected as i64 - (self.delivered_count + outstanding) as i64
             ));
         }
+        if full {
+            self.deliveries.audit()?;
+        }
         Ok(())
     }
 
     fn inject_drop_flit(&mut self, selector: u64) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        let victim = (selector % self.pending.len() as u64) as usize;
-        self.pending.remove(victim);
-        true
+        self.deliveries.drop_one(selector)
     }
 
     fn fingerprint(&self, h: &mut Fnv64, full: bool) {
         h.write_u64(self.injected)
             .write_u64(self.delivered_count)
-            .write_usize(self.pending.len());
+            .write_usize(self.deliveries.len());
         if !full {
             return;
         }
-        for &(done, d) in &self.pending {
-            h.write_u64(done)
-                .write_usize(d.node)
-                .write_u64(d.payload)
-                .write_u64(d.done_cycle);
-        }
+        self.deliveries.fingerprint(h);
         for &free in &self.link_free {
             h.write_u64(free);
         }
@@ -956,7 +1056,7 @@ pub struct ChipletNoc {
     d2d_out_free: Vec<Cycle>,
     /// busy-until of each die's d2d ingress port.
     d2d_in_free: Vec<Cycle>,
-    pending: Vec<(Cycle, Delivered)>,
+    deliveries: DeliverySchedule,
     delivered_count: u64,
     total_latency: u64,
     flit_hops: u64,
@@ -985,7 +1085,7 @@ impl ChipletNoc {
             local_free: vec![0; clusters],
             d2d_out_free: vec![0; clusters],
             d2d_in_free: vec![0; clusters],
-            pending: Vec::new(),
+            deliveries: DeliverySchedule::new(),
             delivered_count: 0,
             total_latency: 0,
             flit_hops: 0,
@@ -1066,30 +1166,18 @@ impl NocModel for ChipletNoc {
             t3 + hop + flits
         };
         self.injected += 1;
-        self.pending.push((
-            done,
-            Delivered {
-                node: dst,
-                payload,
-                done_cycle: done,
-            },
-        ));
+        self.deliveries.push(Delivered {
+            node: dst,
+            payload,
+            done_cycle: done,
+        });
         self.total_latency += done - now;
         Ok(())
     }
 
     fn tick(&mut self, now: Cycle) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (_, d) = self.pending.swap_remove(i);
-                self.delivered_count += 1;
-                out.push(d);
-            } else {
-                i += 1;
-            }
-        }
+        let out = self.deliveries.take_due(now);
+        self.delivered_count += out.len() as u64;
         out
     }
 
@@ -1097,7 +1185,7 @@ impl NocModel for ChipletNoc {
     /// `send` time, so the next activity is the earliest pending
     /// `done_cycle` (clamped to `now`).
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.pending.iter().map(|&(done, _)| done.max(now)).min()
+        self.deliveries.next_activity(now)
     }
 
     fn nodes(&self) -> usize {
@@ -1116,8 +1204,8 @@ impl NocModel for ChipletNoc {
         self.flit_hops
     }
 
-    fn audit(&self, _full: bool) -> Result<(), String> {
-        let outstanding = self.pending.len() as u64;
+    fn audit(&self, full: bool) -> Result<(), String> {
+        let outstanding = self.deliveries.len() as u64;
         if self.injected != self.delivered_count + outstanding {
             return Err(format!(
                 "packet conservation broken: {} injected but {} delivered + {} pending (lost {})",
@@ -1133,32 +1221,25 @@ impl NocModel for ChipletNoc {
                 self.d2d_crossings, self.injected
             ));
         }
+        if full {
+            self.deliveries.audit()?;
+        }
         Ok(())
     }
 
     fn inject_drop_flit(&mut self, selector: u64) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        let victim = (selector % self.pending.len() as u64) as usize;
-        self.pending.remove(victim);
-        true
+        self.deliveries.drop_one(selector)
     }
 
     fn fingerprint(&self, h: &mut Fnv64, full: bool) {
         h.write_u64(self.injected)
             .write_u64(self.delivered_count)
             .write_u64(self.d2d_crossings)
-            .write_usize(self.pending.len());
+            .write_usize(self.deliveries.len());
         if !full {
             return;
         }
-        for &(done, d) in &self.pending {
-            h.write_u64(done)
-                .write_usize(d.node)
-                .write_u64(d.payload)
-                .write_u64(d.done_cycle);
-        }
+        self.deliveries.fingerprint(h);
         for free in [&self.local_free, &self.d2d_out_free, &self.d2d_in_free] {
             for &f in free {
                 h.write_u64(f);
@@ -1405,6 +1486,52 @@ mod tests {
         assert_eq!(noc.next_activity(0), Some(0), "queued injection is work");
         let _ = drain(&mut noc, 300);
         assert_eq!(noc.next_activity(300), None, "drained fabric is idle again");
+    }
+
+    #[test]
+    fn mesh_packet_table_stays_bounded_by_packets_in_flight() {
+        let mut noc = MeshNoc::new(&cfg());
+        let mut rng = clip_types::SimRng::seed_from_u64(0x7AB1E);
+        let (mut sent, mut delivered, mut peak) = (0u64, 0u64, 0u64);
+        for now in 0..20_000u64 {
+            for _ in 0..rng.gen_range(0usize..4) {
+                let (src, dst) = (rng.gen_range(0usize..64), rng.gen_range(0usize..64));
+                let flits = if rng.gen_bool(0.5) { 8 } else { 1 };
+                if noc
+                    .send(src, dst, flits, Priority::Demand, sent, now)
+                    .is_ok()
+                {
+                    sent += 1;
+                }
+            }
+            peak = peak.max(sent - delivered);
+            delivered += noc.tick(now).len() as u64;
+        }
+        assert!(delivered > 20_000, "only {delivered} of {sent} delivered");
+        assert!(
+            noc.packets.len() as u64 <= peak,
+            "{} table entries for at most {peak} packets in flight",
+            noc.packets.len()
+        );
+        assert_eq!(noc.audit(true), Ok(()));
+    }
+
+    #[test]
+    fn full_audit_catches_a_drifted_earliest_delivery() {
+        let mut ana = AnalyticNoc::new(&cfg());
+        let mut chip = ChipletNoc::new(&chiplet_cfg());
+        for noc in [&mut ana as &mut dyn NocModel, &mut chip] {
+            noc.send(0, 63, 8, Priority::Demand, 1, 0).unwrap();
+            noc.send(5, 9, 1, Priority::Prefetch, 2, 0).unwrap();
+            assert_eq!(noc.audit(true), Ok(()));
+        }
+        ana.deliveries.earliest += 1;
+        chip.deliveries.earliest += 1;
+        for noc in [&ana as &dyn NocModel, &chip] {
+            assert_eq!(noc.audit(false), Ok(()), "only the full audit checks it");
+            let err = noc.audit(true).unwrap_err();
+            assert!(err.contains("earliest-delivery cache drifted"), "{err}");
+        }
     }
 
     #[test]

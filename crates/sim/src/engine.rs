@@ -372,6 +372,8 @@ pub(crate) struct Engine {
     dram_parked: usize,
     /// Per-node injection outboxes (FIFO behind a refused packet).
     outbox: Vec<Channel<OutMsg>>,
+    /// Messages across all `outbox` FIFOs.
+    spilled: usize,
     next_req: u64,
     /// In-flight Hermes probes: unique probe id → owning transaction.
     /// Probe ids must be generation-unique (not slot-derived): transaction
@@ -406,6 +408,7 @@ impl Engine {
                 .collect(),
             dram_parked: 0,
             outbox: (0..params.nodes).map(|_| Channel::new()).collect(),
+            spilled: 0,
             next_req: 1,
             probe_map: HashMap::new(),
             next_probe: 0,
@@ -537,8 +540,25 @@ impl Engine {
         merge_activity(next, self.llc.next_activity(now))
     }
 
+    /// Messages waiting in the injection outboxes.
     pub(crate) fn outbox_backlog(&self) -> usize {
-        self.outbox.iter().map(|o| o.len()).sum()
+        self.spilled
+    }
+
+    /// Checks the spilled-message count against the outbox lengths.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the drift.
+    pub(crate) fn audit_outboxes(&self) -> Result<(), String> {
+        let actual: usize = self.outbox.iter().map(|o| o.len()).sum();
+        if actual != self.spilled {
+            return Err(format!(
+                "spilled-message count drifted: cached {} but the outboxes hold {actual}",
+                self.spilled
+            ));
+        }
+        Ok(())
     }
 
     pub(crate) fn txn_priority(&self, t: TxnId) -> Priority {
@@ -656,31 +676,28 @@ impl Engine {
         pl: NocPayload,
     ) {
         let now = self.clock.now();
-        if !self.outbox[src].is_empty() {
-            self.outbox[src].push(OutMsg {
-                dst,
-                flits,
-                priority: prio,
-                payload: pl,
-            });
+        if self.outbox[src].is_empty()
+            && self
+                .noc
+                .model
+                .send(src, dst, flits, prio, pl.encode(), now)
+                .is_ok()
+        {
             return;
         }
-        if self
-            .noc
-            .model
-            .send(src, dst, flits, prio, pl.encode(), now)
-            .is_err()
-        {
-            self.outbox[src].push(OutMsg {
-                dst,
-                flits,
-                priority: prio,
-                payload: pl,
-            });
-        }
+        self.outbox[src].push(OutMsg {
+            dst,
+            flits,
+            priority: prio,
+            payload: pl,
+        });
+        self.spilled += 1;
     }
 
     pub(crate) fn drain_outboxes(&mut self) {
+        if self.spilled == 0 {
+            return;
+        }
         let now = self.clock.now();
         // Rotate the starting node each cycle: a fixed order would let
         // low-index tiles win saturated links every cycle and starve the
@@ -696,6 +713,7 @@ impl Engine {
                     .is_ok();
                 if ok {
                     self.outbox[node].pop();
+                    self.spilled -= 1;
                 } else {
                     break;
                 }
@@ -779,7 +797,8 @@ impl Engine {
 
     /// Admits parked transactions whose retry falls on `now`: each
     /// channel's FIFO for this phase, from the head, while the read
-    /// queue has room.
+    /// queue has room. A full channel is passed over without an attempt,
+    /// which would have no side effects.
     ///
     /// This replays polling every `RETRY_DELAY` cycles exactly. A
     /// transaction refused at cycle `c` would retry at `c + 4`, `c + 8`,
@@ -800,6 +819,9 @@ impl Engine {
         }
         let p = phase(now);
         for ch in 0..self.dram_wait.len() {
+            if !self.dram.mem.read_queue_has_room(ch) {
+                continue;
+            }
             while let Some(&txn) = self.dram_wait[ch][p].front() {
                 if !self.try_enqueue_read(ch, txn, now) {
                     break;
@@ -923,5 +945,39 @@ mod tests {
             e.clock.advance();
         }
         assert!(e.pending_events() > 0, "events stay pending past the loop");
+    }
+
+    /// A spilled message the count missed is named by the outbox audit.
+    #[test]
+    fn outbox_audit_catches_a_drifted_spilled_count() {
+        let cfg = SimConfig::builder()
+            .cores(2)
+            .dram_channels(1)
+            .build()
+            .expect("valid config");
+        let mut e = Engine::new(
+            NocImpl::build(NocChoice::Mesh, &cfg),
+            DramImpl::build(&cfg.dram),
+            ClockedLlc::new(&cfg),
+            EngineParams::from_config(&cfg),
+        );
+        // Flood one node until its injection queue refuses and messages
+        // spill.
+        for _ in 0..200 {
+            e.send_msg(
+                0,
+                1,
+                8,
+                Priority::Demand,
+                NocPayload::WbMc(LineAddr::new(9)),
+            );
+        }
+        assert!(e.outbox_backlog() > 0, "the flood must spill");
+        assert_eq!(e.audit_outboxes(), Ok(()));
+        e.drain_outboxes();
+        assert_eq!(e.audit_outboxes(), Ok(()));
+        e.spilled -= 1;
+        let err = e.audit_outboxes().unwrap_err();
+        assert!(err.contains("spilled-message count drifted"), "{err}");
     }
 }

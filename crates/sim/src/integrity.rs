@@ -97,6 +97,9 @@ impl System {
             self.engine
                 .audit_txns()
                 .map_err(|e| component_error(now, "txns", e))?;
+            self.engine
+                .audit_outboxes()
+                .map_err(|e| component_error(now, "outbox", e))?;
         }
         for (i, t) in self.tiles.iter().enumerate() {
             t.l1_mshr

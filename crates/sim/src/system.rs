@@ -138,6 +138,7 @@ impl System {
                     pf_queued_eng: [0; clip_types::MAX_PF_ENGINES],
                     pf_dequeued_eng: [0; clip_types::MAX_PF_ENGINES],
                     wake: None,
+                    settled: 0,
                 }
             })
             .collect();
@@ -216,13 +217,14 @@ impl System {
     /// the event wheel fires, and the tiles tick (prefetch issue + core).
     ///
     /// On the event wheel only the tiles whose [`Tile::next_activity`]
-    /// is due tick; every other tile is settled with
-    /// [`Core::skip_stalled`]. The answer holds until the tile's own
-    /// tick, a tile-facing event or a landed fault clears its cached copy
-    /// ([`Tile::wake`]); faults and events come before the tile loop, so
-    /// it is final for the cycle. With `step` every tile ticks every cycle
-    /// (the oracle); under `CLIP_CHECK=full` each tick of a tile that
-    /// declared itself asleep is audited against that promise.
+    /// is due tick; every other tile sleeps untouched, its stall counters
+    /// settled lazily ([`Tile::settle`]). The answer holds until the
+    /// tile's own tick, a tile-facing event or a landed fault clears its
+    /// cached copy ([`Tile::wake`]); faults and events come before the
+    /// tile loop, so it is final for the cycle. With `step` every tile
+    /// ticks every cycle (the oracle); under `CLIP_CHECK=full` each tick
+    /// of a tile that declared itself asleep is audited against that
+    /// promise.
     ///
     /// # Errors
     ///
@@ -269,11 +271,7 @@ impl System {
             match self.tiles[t].cached_next_activity(now) {
                 Some(wake) if wake <= now => TileTick { sys: self, t }.tick(now),
                 wake if step => self.tick_asleep_tile_audited(t, now, wake)?,
-                _ => self.tiles[t]
-                    .core
-                    .as_mut()
-                    .expect("core present")
-                    .skip_stalled(now, 1),
+                _ => {}
             }
         }
 
@@ -310,6 +308,7 @@ impl System {
             Ev::DramEnqueue { .. } | Ev::WbDram { .. } => None,
         };
         if let Some(t) = tile {
+            self.tiles[t].settle(now);
             self.tiles[t].wake = None;
         }
         match ev {
@@ -401,23 +400,25 @@ impl System {
         next
     }
 
-    /// Advances the clock straight to `target`, settling the per-cycle
-    /// bulk accounting the skipped ticks would have done (core stall /
-    /// dispatch-block counters, the DRAM bus-busy tail). Only sound when
-    /// every cycle in `now..target` is quiescent per
+    /// Advances the clock straight to `target`, settling the DRAM
+    /// bus-busy tail the skipped ticks would have counted; the sleeping
+    /// tiles settle their own stall counters lazily ([`Tile::settle`]).
+    /// Only sound when every cycle in `now..target` is quiescent per
     /// [`System::next_interesting`].
     fn skip_to(&mut self, target: Cycle) {
         let now = self.engine.now();
         debug_assert!(target > now);
-        let span = target - now;
-        for t in self.tiles.iter_mut() {
-            t.core
-                .as_mut()
-                .expect("core present")
-                .skip_stalled(now, span);
-        }
         self.engine.dram.mem.skip_idle(now, target);
         self.engine.clock.advance_to(target);
+    }
+
+    /// Settles every tile's sleep span up to the current cycle, so the
+    /// core stall counters are complete.
+    fn settle_tiles(&mut self) {
+        let now = self.engine.now();
+        for t in self.tiles.iter_mut() {
+            t.settle(now);
+        }
     }
 
     /// One scheduler step: when the next interesting cycle is in the
@@ -445,6 +446,8 @@ impl System {
             return;
         }
         let kind = f.spec.kind;
+        // A landing fault may touch a sleeping core.
+        self.settle_tiles();
         let sel = self
             .fault
             .as_mut()
@@ -670,6 +673,7 @@ impl System {
                 self.dump_state();
             }
         }
+        self.settle_tiles();
         for t in self.tiles.iter_mut() {
             t.warmup_retired = t.core.as_ref().expect("core present").retired();
             t.finish_cycle = None;
@@ -714,6 +718,7 @@ impl System {
             }
         }
 
+        self.settle_tiles();
         Ok(self.assemble(snap, measure))
     }
 }
@@ -724,6 +729,7 @@ mod tests {
     use crate::{
         run_mix_checked, set_step_override, FaultKind, FaultSpec, NocChoice, RunOptions, Scheme,
     };
+    use clip_cpu::CoreStats;
     use clip_trace::{catalog, Mix};
     use clip_types::{CheckLevel, Cycle, DramKind, Fnv64, PrefetcherKind, SimConfig};
 
@@ -884,6 +890,45 @@ mod tests {
                 sys.engine.dram_parked() > 0
             });
             assert!(parked, "{label}: nothing parked in {REACH_CYCLES} cycles");
+        }
+    }
+
+    /// Every tile's core counters at the end of a run on the wheel or
+    /// stepped.
+    fn core_stats(cfg: &SimConfig, mix: &Mix, noc: NocChoice, step: bool) -> Vec<CoreStats> {
+        set_step_override(Some(step));
+        let mut sys = System::new(cfg, &Scheme::with_clip(), mix, SEED, noc);
+        let r = sys.run_checked(200, 600, 2_000_000);
+        set_step_override(None);
+        r.expect("run completes");
+        sys.tiles
+            .iter()
+            .map(|t| *t.core.as_ref().expect("core present").stats())
+            .collect()
+    }
+
+    /// The stall counters a sleeping tile settles lazily are not in the
+    /// report, so a dropped sleep span would only show here: wheel and
+    /// step must agree on every tile's `CoreStats` at run end.
+    #[test]
+    fn core_stats_match_between_wheel_and_step() {
+        for (cores, channels, noc) in [(16, 1, NocChoice::Analytic), (8, 2, NocChoice::Mesh)] {
+            let cfg = SimConfig::builder()
+                .cores(cores)
+                .dram_channels(channels)
+                .l1_prefetcher(PrefetcherKind::Berti)
+                .build()
+                .expect("valid config");
+            let mix = clip_trace::heterogeneous_mixes(1, cores, 3).remove(0);
+            let label = format!("{cores}c/{channels}ch {noc:?}");
+            let wheel = core_stats(&cfg, &mix, noc, false);
+            assert_eq!(wheel, core_stats(&cfg, &mix, noc, true), "{label}");
+            assert!(
+                wheel
+                    .iter()
+                    .any(|s| s.head_stall_cycles_beyond_l1 > 0 && s.dispatch_blocked_mem > 0),
+                "{label}: no tile stalled on memory"
+            );
         }
     }
 }

@@ -101,6 +101,9 @@ pub(crate) struct Tile {
     /// ([`System::handle_event`]) or a landed fault can change the
     /// answer, and each of those clears the cache.
     pub wake: Option<Option<Cycle>>,
+    /// The first cycle whose per-cycle core accounting is not yet done:
+    /// a sleeping tile is settled lazily (see [`Tile::settle`]).
+    pub settled: Cycle,
 }
 
 impl Tile {
@@ -244,6 +247,21 @@ impl Tile {
         wake
     }
 
+    /// Settles the cycles `[settled, now)` this tile slept through in one
+    /// [`Core::skip_stalled`] call. The core's state was constant over
+    /// the span: only the tile's own tick, a tile-facing event or a
+    /// landed fault changes it, and each settles first. So does anything
+    /// that reads the stall counters (the warmup snapshot, the result).
+    pub(crate) fn settle(&mut self, now: Cycle) {
+        if now > self.settled {
+            self.core
+                .as_mut()
+                .expect("core present")
+                .skip_stalled(self.settled, now - self.settled);
+            self.settled = now;
+        }
+    }
+
     /// The tile state a tick may only change when the tile was due:
     /// everything but the stall counters [`Core::skip_stalled`] settles.
     /// The step-mode contract check compares it across the tick of a
@@ -360,9 +378,12 @@ pub(crate) struct TileTick<'a> {
 
 impl Tick for TileTick<'_> {
     fn tick(&mut self, now: Cycle) {
+        self.sys.tiles[self.t].settle(now);
         self.sys.issue_prefetches(self.t, now);
         self.sys.tick_core(self.t, now);
-        self.sys.tiles[self.t].wake = None;
+        let tile = &mut self.sys.tiles[self.t];
+        tile.wake = None;
+        tile.settled = now + 1;
     }
 }
 
