@@ -160,15 +160,6 @@ impl ExperimentData<'_> {
         base_ok && self.results[row][cell].iter().all(|r| r.is_ok())
     }
 
-    /// True when `(row, cell)` failed *only* through fingerprint-baseline
-    /// verification: every failing mix (and baseline) of the cell is a
-    /// [`SimErrorKind::Divergence`]. Such cells render `DIV` rather than
-    /// `ERR` — the simulation completed, but its behaviour moved away
-    /// from the recorded known-good stream.
-    pub fn cell_diverged(&self, row: usize, cell: usize) -> bool {
-        self.cell_failure_kind(row, cell) == Some(SimErrorKind::Divergence)
-    }
-
     /// The uniform failure kind of `(row, cell)`: when the cell failed
     /// and every failing mix (and baseline) shares one [`SimErrorKind`],
     /// that kind; `None` when the cell is clean or its failures are
@@ -358,8 +349,6 @@ fn collect<'a>(exp: &'a Experiment) -> ExperimentData<'a> {
             .collect();
     }
 
-    // Baseline jobs share memo keys with [`crate::baselines_for`], so a
-    // figure sharing a platform still shares one baseline run per mix.
     let flat = run_cached_checked(&jobs, &exp.opts);
     let base_flat = run_cached_checked(&base_jobs, &exp.opts);
 
@@ -407,15 +396,6 @@ pub(crate) fn job_key(job: &SweepJob, opts: &RunOptions) -> String {
         "{:?}\u{1}{:?}\u{1}{:?}\u{1}{:?}",
         job.cfg, job.scheme, job.mix, opts
     )
-}
-
-/// Like [`run_cached_checked`], but panics on the first failed job —
-/// the legacy entry point for callers that predate error isolation.
-pub(crate) fn run_cached(jobs: &[SweepJob], opts: &RunOptions) -> Vec<SimResult> {
-    run_cached_checked(jobs, opts)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("simulation integrity failure: {e}")))
-        .collect()
 }
 
 /// Runs jobs through the memoized parallel driver: outcomes come from the

@@ -60,11 +60,10 @@ pub mod figures;
 pub mod fp_store;
 pub mod retry;
 mod store_util;
-pub mod timing;
 
 pub use cache::{stats as cache_stats, CacheStats};
 
-use clip_sim::{NocChoice, RunOptions, Scheme, SimResult, SweepJob};
+use clip_sim::{NocChoice, RunOptions};
 use clip_trace::Mix;
 use clip_types::{DramKind, PrefetcherKind, SimConfig};
 
@@ -193,26 +192,6 @@ pub fn strip_prefetchers(cfg: &SimConfig) -> SimConfig {
     base.l1_prefetcher = PrefetcherKind::None;
     base.l2_prefetcher = PrefetcherKind::None;
     base
-}
-
-/// Returns the no-prefetch baselines for every mix on `cfg`'s platform
-/// (prefetchers stripped), in mix order.
-///
-/// Results are memoized in-process and on disk (see [`cache`]) under
-/// the same keys the experiment executor uses for its normalization
-/// baselines, so every figure sharing a platform shares one baseline
-/// run per mix. Panics if a baseline run fails an integrity check.
-pub fn baselines_for(cfg: &SimConfig, opts: &RunOptions, mixes: &[Mix]) -> Vec<SimResult> {
-    let base = strip_prefetchers(cfg);
-    let jobs: Vec<SweepJob> = mixes
-        .iter()
-        .map(|m| SweepJob {
-            cfg: base.clone(),
-            scheme: Scheme::plain(),
-            mix: m.clone(),
-        })
-        .collect();
-    experiment::run_cached(&jobs, opts)
 }
 
 /// Geometric-mean aggregation of normalized weighted speedups over mixes.

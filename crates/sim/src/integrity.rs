@@ -164,9 +164,9 @@ impl System {
             || self.engine.pending_events() > 0
     }
 
-    /// A structured report of what is stuck: the oldest live transactions
-    /// (tile, line, level, age) and every queue's occupancy, mirroring
-    /// the `CLIP_DEBUG_STALL` dump.
+    /// A structured report of what is stuck: how long nothing has
+    /// progressed, then [`Self::queue_snapshot`] (every queue's occupancy
+    /// and the oldest live transactions).
     fn deadlock_report(&self, now: Cycle) -> String {
         format!(
             "no forward progress for {} cycles with {}",

@@ -134,30 +134,6 @@ impl System {
         }
     }
 
-    /// Prints a one-line stall diagnostic (enabled by `CLIP_DEBUG_STALL`).
-    pub(crate) fn dump_state(&self) {
-        let retired: u64 = self
-            .tiles
-            .iter()
-            .map(|t| t.core.as_ref().expect("core present").retired())
-            .sum();
-        let l1m: usize = self.tiles.iter().map(|t| t.l1_mshr.len()).sum();
-        let l2m: usize = self.tiles.iter().map(|t| t.l2_mshr.len()).sum();
-        let llcm: usize = self.engine.llc.mshr_occupancy();
-        let outbox = self.engine.outbox_backlog();
-        let pfq: usize = self.tiles.iter().map(|t| t.pf_queue.len()).sum();
-        let live = self.engine.live_txns();
-        let rq: usize = (0..self.cfg.dram.channels)
-            .map(|c| self.engine.dram.mem.read_queue_len(c))
-            .sum();
-        let parked = self.engine.dram_parked();
-        let ring = self.engine.pending_events();
-        eprintln!(
-            "[stall] cyc={} retired={retired} l1m={l1m} l2m={l2m} llcm={llcm} outbox={outbox} pfq={pfq} txn={live} dram_rq={rq} dram_parked={parked} ring_ev={ring}",
-            self.engine.now()
-        );
-    }
-
     pub(crate) fn assemble(&mut self, snap: Snapshot, measure: u64) -> SimResult {
         let end_cycle = self.engine.now();
         let elapsed = end_cycle.saturating_sub(snap.cycle).max(1);

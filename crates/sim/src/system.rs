@@ -333,7 +333,7 @@ impl System {
     /// Always finite — the DSPatch epoch recurs every `DSPATCH_EPOCH`
     /// cycles and mutates controller state unconditionally, so no skip
     /// ever exceeds one epoch.
-    fn next_interesting(&mut self, in_measure: bool, debug_stall: bool) -> Cycle {
+    fn next_interesting(&mut self, in_measure: bool) -> Cycle {
         let now = self.engine.now();
         // Periodic controllers fire on every positive multiple of
         // DSPATCH_EPOCH (THROTTLE_EPOCH is a multiple of it).
@@ -366,10 +366,6 @@ impl System {
                 self.tl_start + rel.next_multiple_of(self.timeline_interval) - 1,
                 &mut next,
             );
-        }
-        // CLIP_DEBUG_STALL dumps post-advance every 100k cycles.
-        if debug_stall {
-            fold((now + 1).next_multiple_of(100_000) - 1, &mut next);
         }
         // An armed, unfired fault must attempt injection at its trigger
         // cycle and then on *every* later cycle until it lands: the
@@ -424,11 +420,9 @@ impl System {
     /// One scheduler step: when the next interesting cycle is in the
     /// future, skip straight to it (capped at `max_cycles`) and report
     /// `true`; otherwise the current cycle must be ticked.
-    fn try_skip(&mut self, max_cycles: Cycle, in_measure: bool, debug_stall: bool) -> bool {
+    fn try_skip(&mut self, max_cycles: Cycle, in_measure: bool) -> bool {
         let now = self.engine.now();
-        let target = self
-            .next_interesting(in_measure, debug_stall)
-            .min(max_cycles);
+        let target = self.next_interesting(in_measure).min(max_cycles);
         if target > now {
             self.skip_to(target);
             true
@@ -653,7 +647,6 @@ impl System {
         max_cycles: Cycle,
     ) -> Result<SimResult, SimError> {
         // Warmup phase.
-        let debug_stall = std::env::var("CLIP_DEBUG_STALL").is_ok();
         let step = crate::step_mode();
         while self.cycle() < max_cycles {
             if self
@@ -663,15 +656,12 @@ impl System {
             {
                 break;
             }
-            if !step && self.try_skip(max_cycles, false, debug_stall) {
+            if !step && self.try_skip(max_cycles, false) {
                 continue;
             }
             self.tick(step)?;
             self.integrity_tick(self.cycle())?;
             self.deadline_tick(self.cycle())?;
-            if debug_stall && self.cycle().is_multiple_of(100_000) {
-                self.dump_state();
-            }
         }
         self.settle_tiles();
         for t in self.tiles.iter_mut() {
@@ -705,7 +695,7 @@ impl System {
             if all_done {
                 break;
             }
-            if !step && self.try_skip(max_cycles, true, false) {
+            if !step && self.try_skip(max_cycles, true) {
                 continue;
             }
             self.tick(step)?;

@@ -95,9 +95,22 @@ fn lost_deliveries_trip_the_forward_progress_watchdog() {
     assert_eq!(err.component, "watchdog");
     assert_eq!(err.kind, SimErrorKind::Deadlock);
     assert!(err.cycle >= 2_000, "detected at cycle {}", err.cycle);
-    assert!(err.detail.contains("live txns"), "{err}");
-    assert!(err.detail.contains("dram_parked="), "{err}");
-    assert!(err.detail.contains("oldest"), "{err}");
+    // The report is the one stall diagnostic: every queue's occupancy
+    // and the oldest stuck transactions.
+    for field in [
+        "live txns",
+        "l1_mshr=",
+        "l2_mshr=",
+        "llc_mshr=",
+        "outbox=",
+        "pf_queue=",
+        "dram_read_q=",
+        "dram_parked=",
+        "pending_events=",
+        "oldest",
+    ] {
+        assert!(err.detail.contains(field), "missing {field}: {err}");
+    }
 }
 
 /// One row of the fault → auditor table: how to provoke the fault and
