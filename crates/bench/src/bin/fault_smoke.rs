@@ -178,7 +178,7 @@ fn main() -> ExitCode {
     let outcome = if fp_mode == FpMode::Off {
         run_jobs_localized(&jobs, &opts).remove(0)
     } else {
-        let raw = run_jobs_checked(&jobs, &opts).remove(0);
+        let raw = run_jobs_checked(&jobs, &opts, |_, r| r).remove(0);
         fp_store::apply(&jobs[0], &opts, raw)
     };
     match outcome {

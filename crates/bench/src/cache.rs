@@ -9,12 +9,15 @@
 //! re-simulating; the determinism contract makes a replayed result
 //! byte-identical to a fresh one.
 //!
-//! The cache is also how an interrupted sweep resumes: re-running it
-//! serves every completed cell from disk and simulates only the missing
-//! ones. That holds while one sweep's entries fit under the size cap
-//! below — the GC evicts oldest first, so it reaches a sweep's own
-//! entries only when that sweep alone outgrows `CLIP_CACHE_MAX_MB`
-//! (an entry is about 1 KB at 4 cores, against a 256 MiB default).
+//! The cache is also how an interrupted sweep resumes: the executor
+//! stores each cell on its worker as soon as the cell finishes, so
+//! re-running a killed sweep serves every completed cell from disk and
+//! simulates only the missing ones. That holds while one sweep's
+//! entries fit under the size cap below — the GC evicts oldest first,
+//! so it reaches a sweep's own entries only when that sweep alone
+//! outgrows `CLIP_CACHE_MAX_MB` (an entry is about 1 KB at 4 cores,
+//! against a 256 MiB default). Concurrent workers store safely: each
+//! writes its own entry through a temp file and a rename.
 //!
 //! Each entry wraps the result payload with an FNV-1a checksum of its
 //! rendered form: `{"checksum":"<16 hex>","result":{...}}`. An entry

@@ -18,17 +18,12 @@
 //! (`CLIP_FP_BASELINE=verify`, see [`crate::fp_store`]) renders as
 //! `DIV` instead, with the same structured error records.
 //!
-//! Execution is resilient: environmental failures (panic, internal,
-//! wall-clock timeout) earn bounded retries with deterministic backoff
-//! (`CLIP_RETRY`, see [`crate::retry`]) while audit verdicts never do; a
-//! cell that blew its wall-clock deadline renders `TMO` and one never
-//! dispatched because the sweep budget (`CLIP_SWEEP_BUDGET_MS`) ran out
-//! renders `PEND`, and either marks the artifact `"partial": true`.
-//! Resuming such a sweep is re-running it: completed cells come back
-//! from the disk cache, only the missing ones simulate, and the result
-//! is the byte-identical complete artifact — as long as the sweep's
-//! own entries fit under `CLIP_CACHE_MAX_MB`, since the size-cap GC
-//! evicts oldest first.
+//! Each simulated cell is written to the disk cache on its worker as
+//! soon as it finishes, so resuming an interrupted sweep is re-running
+//! it: completed cells come back from the disk cache, only the missing
+//! ones simulate, and the result is the byte-identical complete artifact
+//! — as long as the sweep's own entries fit under `CLIP_CACHE_MAX_MB`,
+//! since the size-cap GC evicts oldest first.
 
 use clip_sim::{run_jobs_checked, RunOptions, Scheme, SimError, SimErrorKind, SimResult, SweepJob};
 use clip_stats::{normalized_weighted_speedup, Json};
@@ -163,9 +158,8 @@ impl ExperimentData<'_> {
     /// The uniform failure kind of `(row, cell)`: when the cell failed
     /// and every failing mix (and baseline) shares one [`SimErrorKind`],
     /// that kind; `None` when the cell is clean or its failures are
-    /// mixed. Drives the cell glyphs — `DIV` (divergence), `TMO`
-    /// (wall-clock timeout), `PEND` (cancelled by the sweep budget, the
-    /// cell a resumed sweep will simulate), `ERR` (everything else).
+    /// mixed. Drives the cell glyphs — `DIV` (divergence), `ERR`
+    /// (everything else).
     pub fn cell_failure_kind(&self, row: usize, cell: usize) -> Option<SimErrorKind> {
         let mut kind: Option<SimErrorKind> = None;
         let sides = [
@@ -303,8 +297,6 @@ fn geomean_body(d: &ExperimentData) -> TableBody {
             } else {
                 match d.cell_failure_kind(r, c) {
                     Some(SimErrorKind::Divergence) => "DIV",
-                    Some(SimErrorKind::Timeout) => "TMO",
-                    Some(SimErrorKind::Cancelled) => "PEND",
                     _ => "ERR",
                 }
                 .to_string()
@@ -405,16 +397,11 @@ pub(crate) fn job_key(job: &SweepJob, opts: &RunOptions) -> String {
 /// Returns outcomes in job order, identical to a serial `run_mix_checked`
 /// map.
 ///
-/// Failed jobs go through the [`crate::retry`] policy: environmental
-/// kinds (panic, internal, wall-clock timeout) are re-run up to
-/// `CLIP_RETRY` times with deterministic backoff, deterministic audit
-/// verdicts never are, and retrying stops the moment the sweep budget is
-/// exhausted. The surviving error carries its attempt count. Failures
-/// are memoized too — except *transient* ones (timeout, cancelled),
-/// which are returned but never remembered: the deadline and budget are
-/// deliberately absent from the job key, so memoizing one would serve a
-/// stale failure to a later same-key run with a healthier budget.
-/// Failures are never written to the disk cache.
+/// Each simulated job is finished on its worker as it ends: the
+/// fingerprint-baseline step runs first, then a success is written to
+/// the disk cache. A sweep killed mid-batch therefore keeps every cell
+/// that completed, and a diverged result is never stored. Failures are
+/// memoized in-process but never written to the disk cache.
 pub(crate) fn run_cached_checked(
     jobs: &[SweepJob],
     opts: &RunOptions,
@@ -447,69 +434,27 @@ pub(crate) fn run_cached_checked(
         missing.push(i);
     }
 
-    // Transient failures stay out of the memo (see above); they live here
-    // for the duration of this call so every job sharing the key still
-    // gets an outcome.
-    let mut fresh: HashMap<&str, Result<SimResult, SimError>> = HashMap::new();
-    if !missing.is_empty() {
-        let batch: Vec<SweepJob> = missing.iter().map(|&i| jobs[i].clone()).collect();
-        let mut outcomes = run_jobs_checked(&batch, opts);
-        let mut attempts: Vec<u32> = vec![1; batch.len()];
-
-        let policy = crate::retry::RetryPolicy::from_env();
-        for round in 1..=policy.max_retries {
-            let failing: Vec<usize> = outcomes
-                .iter()
-                .enumerate()
-                .filter(
-                    |(_, r)| matches!(r, Err(e) if crate::retry::RetryPolicy::retryable(e.kind)),
-                )
-                .map(|(j, _)| j)
-                .collect();
-            if failing.is_empty() || clip_sim::sweep_budget_exhausted() {
-                break;
-            }
-            std::thread::sleep(crate::retry::RetryPolicy::backoff(round));
-            let retry: Vec<SweepJob> = failing.iter().map(|&j| batch[j].clone()).collect();
-            for (&j, r) in failing.iter().zip(run_jobs_checked(&retry, opts)) {
-                // A retry that comes back Cancelled means the budget ran
-                // out mid-round: keep the original, more informative
-                // error rather than overwriting it with "never ran".
-                if matches!(&r, Err(e) if e.kind == SimErrorKind::Cancelled) {
-                    continue;
-                }
-                attempts[j] += 1;
-                outcomes[j] = r;
-            }
+    let batch: Vec<SweepJob> = missing.iter().map(|&i| jobs[i].clone()).collect();
+    let outcomes = run_jobs_checked(&batch, opts, |b, r| {
+        let i = missing[b];
+        // Fingerprint baselines see only freshly simulated outcomes:
+        // results served from the in-process memo carry no fingerprint
+        // stream to record or verify (the disk cache is bypassed above
+        // when a baseline mode is active). Inert unless
+        // CLIP_FP_BASELINE is set; a verify failure replaces the outcome
+        // with its Divergence error (rendered DIV).
+        let r = crate::fp_store::apply(&jobs[i], opts, r);
+        if let Ok(res) = &r {
+            crate::cache::store(&keys[i], &jobs[i].mix.name, res);
         }
-
-        for ((&i, r), n) in missing.iter().zip(outcomes).zip(attempts) {
-            // Fingerprint baselines see only freshly simulated outcomes:
-            // results served from the in-process memo carry no
-            // fingerprint stream to record or verify (the disk cache is
-            // bypassed above when a baseline mode is active). Inert
-            // unless CLIP_FP_BASELINE is set; a verify failure replaces
-            // the outcome with its Divergence error (rendered DIV).
-            let r = crate::fp_store::apply(&jobs[i], opts, r).map_err(|e| e.with_attempts(n));
-            match &r {
-                Ok(res) => {
-                    crate::cache::store(&keys[i], &jobs[i].mix.name, res);
-                    put(keys[i].clone(), r);
-                }
-                Err(e) if matches!(e.kind, SimErrorKind::Timeout | SimErrorKind::Cancelled) => {
-                    fresh.insert(&keys[i], r);
-                }
-                Err(_) => put(keys[i].clone(), r),
-            }
-        }
+        r
+    });
+    for (&i, r) in missing.iter().zip(outcomes) {
+        put(keys[i].clone(), r);
     }
 
     keys.iter()
-        .map(|k| {
-            cached(k)
-                .or_else(|| fresh.get(k.as_str()).cloned())
-                .expect("every job key was filled above")
-        })
+        .map(|k| cached(k).expect("every job key was filled above"))
         .collect()
 }
 
@@ -542,19 +487,6 @@ fn artifact_json(exp: &Experiment, body: &TableBody, errors: &[CellError]) -> Js
     // Only present when something failed, so clean artifacts stay
     // byte-identical across harness versions.
     if !errors.is_empty() {
-        // A timed-out or budget-cancelled cell means the sweep did not
-        // finish: mark the artifact partial so consumers (and CI) can
-        // tell "incomplete, resume me" from "complete with bad cells".
-        // Re-running the sweep with the cache on fills those cells in
-        // and the flag disappears.
-        if errors.iter().any(|e| {
-            matches!(
-                e.error.kind,
-                SimErrorKind::Timeout | SimErrorKind::Cancelled
-            )
-        }) {
-            fields.push(("partial", Json::from(true)));
-        }
         fields.push((
             "errors",
             Json::array(errors.iter().map(|e| {
@@ -566,7 +498,6 @@ fn artifact_json(exp: &Experiment, body: &TableBody, errors: &[CellError]) -> Js
                     ("cycle", Json::from(e.error.cycle)),
                     ("component", Json::from(e.error.component.clone())),
                     ("kind", Json::from(e.error.kind.to_string())),
-                    ("attempts", Json::from(u64::from(e.error.attempts))),
                     ("detail", Json::from(e.error.detail.clone())),
                 ])
             })),

@@ -39,26 +39,11 @@
 //!   every fresh job against its stored baseline and renders divergent
 //!   cells as `DIV`; unset/`off` is completely inert (see [`fp_store`]).
 //! * `CLIP_FP_DIR` — overrides the fingerprint-baseline directory.
-//! * `CLIP_JOB_DEADLINE_MS` — per-job wall-clock budget in milliseconds
-//!   (`0..=86400000`; `0` forces a timeout at the first audit-cadence
-//!   boundary). A blown deadline surfaces as a `timeout` error and
-//!   renders `TMO`; unset means unlimited.
-//! * `CLIP_SWEEP_BUDGET_MS` — whole-sweep wall-clock budget (same
-//!   range, counted from the first batch this process runs). Once
-//!   exhausted, new cells are cancelled (`PEND`) while in-flight ones
-//!   drain; the artifact is marked `"partial": true`. Re-running the
-//!   sweep with the cache on resumes it: completed cells are cache hits
-//!   and only the missing ones simulate.
-//! * `CLIP_RETRY` — extra attempts for environmental failures — panic,
-//!   internal, timeout — with deterministic backoff (`0..=8`, default
-//!   1). Audit failures are never retried. Invalid values warn once and
-//!   fall back to the default.
 
 mod cache;
 pub mod experiment;
 pub mod figures;
 pub mod fp_store;
-pub mod retry;
 mod store_util;
 
 pub use cache::{stats as cache_stats, CacheStats};

@@ -1,63 +1,95 @@
 //! Resuming an interrupted sweep is re-running it with the result cache
-//! on, end to end through the executor: a sweep interrupted mid-flight
-//! (here simulated with an already-exhausted `CLIP_SWEEP_BUDGET_MS=0`
-//! budget and a cache with holes) marks the artifact partial and renders
-//! unstarted cells as `PEND`; re-running with the budget lifted serves
-//! the cached cells, simulates only the missing ones, and produces
-//! output **byte-identical** to an uninterrupted run. A damaged entry is
+//! on, end to end through the executor: each cell is stored as it
+//! finishes, so a sweep killed mid-flight leaves every completed cell on
+//! disk (simulated here by deleting entries); re-running it serves the
+//! cached cells, simulates only the missing ones, and produces output
+//! **byte-identical** to an uninterrupted run. A damaged entry is
 //! quarantined and re-simulated, never trusted. Every step pins the
 //! exact cache traffic, so a cell that silently re-simulated (or never
 //! reached the disk) fails here.
 //!
-//! Env-mutating (`CLIP_CACHE*`, `CLIP_SWEEP_BUDGET_MS`) and reading the
+//! Env-mutating (`CLIP_CACHE*`, `CLIP_THREADS`) and reading the
 //! process-wide cache counters, so this lives in its own integration
 //! binary with a single `#[test]`.
 
 use clip_bench::experiment::{clear_result_cache, execute_experiment, CellSpec, Experiment};
-use clip_bench::experiment::{Normalization, Render, RowSpec};
+use clip_bench::experiment::{ExperimentData, Normalization, Render, RowSpec, TableBody};
 use clip_bench::{cache_stats, CacheStats};
 use clip_sim::{NocChoice, RunOptions, Scheme};
 use clip_stats::Json;
 use clip_trace::Mix;
 use clip_types::{PrefetcherKind, SimConfig};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-fn experiment() -> Experiment {
+fn opts() -> RunOptions {
+    RunOptions {
+        warmup_instrs: 100,
+        sim_instrs: 500,
+        seed: 5,
+        noc: NocChoice::Analytic,
+        ..RunOptions::default()
+    }
+}
+
+/// One single-cell row: `cores` copies of workload `name` on a
+/// one-channel Berti platform of that size.
+fn row(name: &str, cores: usize) -> RowSpec {
     let cfg = SimConfig::builder()
-        .cores(2)
+        .cores(cores)
         .dram_channels(1)
         .l1_prefetcher(PrefetcherKind::Berti)
         .build()
         .expect("valid config");
-    let rows = ["605.mcf_s-1554B", "619.lbm_s-4268B"]
-        .iter()
-        .map(|name| {
-            let workload = clip_trace::catalog::by_name(name).expect("known workload");
-            RowSpec {
-                labels: vec![name.to_string()],
-                extra: Vec::new(),
-                mixes: vec![Mix::homogeneous(&workload, 2)],
-                cells: vec![CellSpec {
-                    cfg: cfg.clone(),
-                    scheme: Scheme::plain(),
-                }],
-            }
-        })
-        .collect();
+    let workload = clip_trace::catalog::by_name(name).expect("known workload");
+    RowSpec {
+        labels: vec![name.to_string()],
+        extra: Vec::new(),
+        mixes: vec![Mix::homogeneous(&workload, cores)],
+        cells: vec![CellSpec {
+            cfg,
+            scheme: Scheme::plain(),
+        }],
+    }
+}
+
+fn experiment() -> Experiment {
     Experiment {
         name: "cache-resume".to_string(),
         title: "# Cache resume".to_string(),
         columns: vec!["mix".to_string(), "ws".to_string()],
-        rows,
-        opts: RunOptions {
-            warmup_instrs: 100,
-            sim_instrs: 500,
-            seed: 5,
-            noc: NocChoice::Analytic,
-            ..RunOptions::default()
-        },
+        rows: vec![row("605.mcf_s-1554B", 2), row("619.lbm_s-4268B", 2)],
+        opts: opts(),
         normalization: Normalization::NoPrefetch,
         render: Render::GeomeanWs,
+    }
+}
+
+/// Raw IPC per row: the table of a spec without normalization baselines.
+fn ipc_table(d: &ExperimentData) -> TableBody {
+    TableBody {
+        rows: (0..d.rows())
+            .map(|r| {
+                let mut cells = d.spec.rows[r].labels.clone();
+                cells.push(clip_bench::fmt(d.result(r, 0, 0).mean_ipc()));
+                cells
+            })
+            .collect(),
+        notes: Vec::new(),
+    }
+}
+
+/// A short cell, then one many times longer, with no baseline runs: on
+/// one worker thread the short cell finishes long before the batch does.
+fn short_then_long() -> Experiment {
+    Experiment {
+        name: "cache-store-on-finish".to_string(),
+        title: "# Store on finish".to_string(),
+        columns: vec!["mix".to_string(), "ipc".to_string()],
+        rows: vec![row("602.gcc_s-734B", 1), row("605.mcf_s-1554B", 16)],
+        opts: opts(),
+        normalization: Normalization::None,
+        render: Render::Table(ipc_table),
     }
 }
 
@@ -80,14 +112,18 @@ fn sweep(exp: &Experiment) -> (String, Json, CacheStats) {
     clear_result_cache();
     let before = cache_stats();
     let (text, artifact) = execute_experiment(exp);
+    (text, artifact, traffic_since(before))
+}
+
+/// The cache traffic since the `before` snapshot.
+fn traffic_since(before: CacheStats) -> CacheStats {
     let after = cache_stats();
-    let delta = CacheStats {
+    CacheStats {
         hits: after.hits - before.hits,
         misses: after.misses - before.misses,
         stores: after.stores - before.stores,
         evictions: after.evictions - before.evictions,
-    };
-    (text, artifact, delta)
+    }
 }
 
 fn traffic(hits: u64, misses: u64, stores: u64) -> CacheStats {
@@ -128,9 +164,8 @@ fn interrupted_sweep_resumes_byte_identically() {
     let recorded = cache_entries(&dir);
     assert_eq!(recorded.len(), 4);
 
-    // Re-run a complete sweep under an exhausted sweep budget: every
-    // cell is a cache hit, nothing simulates, nothing pends.
-    std::env::set_var("CLIP_SWEEP_BUDGET_MS", "0");
+    // Replay a complete sweep: every cell is a cache hit and nothing
+    // simulates.
     let (text, artifact, delta) = sweep(&exp);
     assert_eq!(
         text, ref_text,
@@ -139,32 +174,12 @@ fn interrupted_sweep_resumes_byte_identically() {
     assert_eq!(artifact.render(), ref_artifact);
     assert_eq!(delta, traffic(4, 0, 0), "served from disk, never stored");
 
-    // Punch holes: delete every other entry, keep the budget exhausted.
-    // The surviving cells hit; the holes cannot be dispatched and
-    // render PEND in a partial artifact.
+    // Punch holes, as a sweep killed mid-flight leaves them, and re-run:
+    // the holes simulate, everything else hits, and the final output is
+    // byte-identical to the reference.
     for p in recorded.iter().step_by(2) {
         std::fs::remove_file(p).expect("delete cache entry");
     }
-    let (text, artifact, delta) = sweep(&exp);
-    assert_eq!(delta, traffic(2, 2, 0), "holes miss and never simulate");
-    assert!(text.contains("PEND"), "unstarted cells render PEND: {text}");
-    let partial = artifact
-        .get("partial")
-        .expect("interrupted sweep is partial");
-    assert_eq!(partial.render(), "true");
-    for e in artifact
-        .get("errors")
-        .and_then(|v| v.as_array())
-        .expect("cancelled cells are recorded as errors")
-    {
-        assert_eq!(e.get("kind").and_then(|v| v.as_str()), Some("cancelled"));
-        let detail = e.get("detail").and_then(|v| v.as_str()).unwrap_or("");
-        assert!(detail.contains("CLIP_SWEEP_BUDGET_MS"), "{detail}");
-    }
-
-    // Lift the budget and re-run: the holes simulate, everything else
-    // hits, and the final output is byte-identical to the reference.
-    std::env::remove_var("CLIP_SWEEP_BUDGET_MS");
     let (text, artifact, delta) = sweep(&exp);
     assert_eq!(text, ref_text, "resumed sweep matches the reference");
     assert_eq!(
@@ -191,6 +206,51 @@ fn interrupted_sweep_resumes_byte_identically() {
         .filter(|p| p.extension().is_some_and(|x| x == "corrupt"))
         .collect();
     assert_eq!(quarantined.len(), 1, "the damaged entry is moved aside");
+
+    // Each cell is stored the moment it finishes, not when its batch
+    // returns: on one worker thread the short cell's entry is on disk
+    // while the long cell is still simulating. A sweep killed at that
+    // point keeps the short cell.
+    let _ = std::fs::remove_dir_all(&dir);
+    std::env::set_var("CLIP_THREADS", "1");
+    let before = cache_stats();
+    let exp = short_then_long();
+    let started = Instant::now();
+    let worker = std::thread::spawn(move || {
+        let out = execute_experiment(&exp);
+        (out, Instant::now())
+    });
+    let mut short_stored: Option<Instant> = None;
+    while short_stored.is_none() && !worker.is_finished() {
+        let stored = cache_entries(&dir).iter().any(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("602.gcc_s-734B-"))
+        });
+        if stored {
+            short_stored = Some(Instant::now());
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let ((text, artifact), returned) = worker.join().expect("sweep thread");
+    std::env::remove_var("CLIP_THREADS");
+    assert!(artifact.get("errors").is_none(), "clean sweep: {text}");
+    assert_eq!(traffic_since(before), traffic(0, 2, 2), "both cells stored");
+    assert_eq!(cache_entries(&dir).len(), 2);
+    let short_stored = short_stored.unwrap_or_else(|| {
+        panic!(
+            "the short cell's entry did not appear before the sweep returned \
+             ({:?} after the start)",
+            returned - started
+        )
+    });
+    let lead = returned - short_stored;
+    assert!(
+        lead >= Duration::from_millis(100),
+        "the short cell's entry landed only {lead:?} before the sweep returned \
+         ({:?} after the start)",
+        short_stored - started
+    );
 
     std::env::remove_var("CLIP_CACHE_DIR");
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,5 +1,5 @@
 //! The executor renders identical output whether the job batch runs
-//! serially or across threads (the simulator and `run_jobs_parallel`
+//! serially or across threads (the simulator and `run_jobs_checked`
 //! guarantee bit-identical results; this pins the whole pipeline:
 //! expansion order, dedup, normalization, rendering).
 //!

@@ -315,7 +315,7 @@ pub fn run_jobs_localized(
     jobs: &[SweepJob],
     opts: &RunOptions,
 ) -> Vec<Result<SimResult, SimError>> {
-    let outcomes = run_jobs_checked(jobs, opts);
+    let outcomes = run_jobs_checked(jobs, opts, |_, r| r);
     if opts.fault.is_none() {
         return outcomes;
     }
@@ -323,7 +323,7 @@ pub fn run_jobs_localized(
         fault: None,
         ..opts.clone()
     };
-    let clean = run_jobs_checked(jobs, &clean_opts);
+    let clean = run_jobs_checked(jobs, &clean_opts, |_, r| r);
     outcomes
         .into_iter()
         .zip(clean)

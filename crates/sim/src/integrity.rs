@@ -19,7 +19,6 @@ use crate::tile::TileTick;
 use clip_dram::DramModel;
 use clip_noc::NocModel;
 use clip_types::{CheckLevel, Cycle, SimError, SimErrorKind, Tick};
-use std::time::{Duration, Instant};
 
 /// Default audit cadence in cycles.
 pub(crate) const DEFAULT_CHECK_CADENCE: Cycle = 2048;
@@ -53,18 +52,6 @@ impl Integrity {
             signature: (0, 0, 0, 0),
         }
     }
-}
-
-/// An armed wall-clock budget for one run (see `RunOptions::deadline`).
-///
-/// The clock is the *host's*, so which cadence boundary trips it depends
-/// on machine speed — but the error itself is deterministic at any given
-/// boundary: the detail is built only from simulated state. A zero budget
-/// (the forced-timeout test knob) trips at the first boundary on every
-/// host, making full `SimError` equality testable serial vs parallel.
-pub(crate) struct JobDeadline {
-    pub(crate) start: Instant,
-    pub(crate) budget: Duration,
 }
 
 impl System {
@@ -175,10 +162,10 @@ impl System {
         )
     }
 
-    /// The shared diagnostic core of the deadlock and timeout reports:
-    /// live-transaction count, every queue's occupancy, and the oldest
-    /// in-flight transactions (tile, line, level, age). Built from
-    /// simulated state only, so it is deterministic at any given cycle.
+    /// The diagnostic core of the deadlock report: live-transaction
+    /// count, every queue's occupancy, and the oldest in-flight
+    /// transactions (tile, line, level, age). Built from simulated state
+    /// only, so it is deterministic at any given cycle.
     fn queue_snapshot(&self, now: Cycle) -> String {
         let mut live: Vec<(Cycle, usize)> = self
             .engine
@@ -253,30 +240,6 @@ impl System {
             format!(
                 "tile ticked at cycle {now} before its declared wake ({declared}) \
                  did work: {what} moved {was} -> {is}"
-            ),
-        ))
-    }
-
-    /// Trips [`SimErrorKind::Timeout`] once the armed wall-clock budget is
-    /// spent. Checked only at audit-cadence boundaries so the skip-ahead
-    /// scheduler, the step oracle, and the parallel driver all observe the
-    /// deadline at the same simulated cycle; runs independently of the
-    /// [`CheckLevel`] (a watchdog for the *host*, not the model).
-    pub(crate) fn deadline_tick(&self, now: Cycle) -> Result<(), SimError> {
-        let Some(d) = self.deadline.as_ref() else {
-            return Ok(());
-        };
-        if !now.is_multiple_of(self.integrity.cadence) || d.start.elapsed() < d.budget {
-            return Ok(());
-        }
-        Err(SimError::new(
-            now,
-            "deadline",
-            SimErrorKind::Timeout,
-            format!(
-                "wall-clock deadline of {}ms exceeded at cycle {now} with {}",
-                d.budget.as_millis(),
-                self.queue_snapshot(now),
             ),
         ))
     }

@@ -53,7 +53,6 @@ pub use system::System;
 use clip_trace::Mix;
 use clip_types::{knob, Cycle, SimConfig};
 use std::cell::Cell;
-use std::time::{Duration, Instant};
 
 thread_local! {
     /// Per-thread override of the tick-scheduling mode (see
@@ -87,7 +86,10 @@ pub(crate) fn step_mode() -> bool {
 }
 
 /// Options controlling one simulation run.
-#[derive(Clone)]
+///
+/// The `Debug` form doubles as the sweep cache and fingerprint key (see
+/// `clip-bench`'s `job_key`): adding a field changes every key.
+#[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Instructions per core to warm caches/predictors before measuring.
     pub warmup_instrs: u64,
@@ -114,35 +116,6 @@ pub struct RunOptions {
     pub watchdog_window: Cycle,
     /// Deterministic fault to inject, if any (see [`fault`]).
     pub fault: Option<FaultSpec>,
-    /// Wall-clock budget for this run. `None` (the default) reads
-    /// `CLIP_JOB_DEADLINE_MS` at run time (unset there too = no
-    /// deadline). The budget is checked cooperatively at audit-cadence
-    /// boundaries; exceeding it surfaces [`SimErrorKind::Timeout`].
-    /// Like `check`, this field is excluded from the `Debug` form so
-    /// sweep cache keys never depend on how patient the host was.
-    pub deadline: Option<Duration>,
-}
-
-/// `RunOptions`' `Debug` form doubles as the sweep cache / fingerprint
-/// key (see `clip-bench`'s `job_key`), so it must stay byte-stable
-/// as execution-policy fields are added. This hand-written impl emits
-/// exactly what `#[derive(Debug)]` produced before `deadline` existed;
-/// result-affecting fields added later must be appended here too.
-impl std::fmt::Debug for RunOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("warmup_instrs", &self.warmup_instrs)
-            .field("sim_instrs", &self.sim_instrs)
-            .field("seed", &self.seed)
-            .field("noc", &self.noc)
-            .field("max_cycles", &self.max_cycles)
-            .field("timeline_interval", &self.timeline_interval)
-            .field("check", &self.check)
-            .field("check_cadence", &self.check_cadence)
-            .field("watchdog_window", &self.watchdog_window)
-            .field("fault", &self.fault)
-            .finish()
-    }
 }
 
 impl Default for RunOptions {
@@ -158,7 +131,6 @@ impl Default for RunOptions {
             check_cadence: 0,
             watchdog_window: 0,
             fault: None,
-            deadline: None,
         }
     }
 }
@@ -171,37 +143,6 @@ impl RunOptions {
             // IPC floors around 0.01 in the worst bandwidth-starved mixes.
             200_000 + (self.warmup_instrs + self.sim_instrs) * 150
         }
-    }
-
-    /// The effective per-job wall-clock budget: the explicit field, else
-    /// `CLIP_JOB_DEADLINE_MS` (validated, warn-once; `0` is legal and
-    /// times out at the first cadence boundary — the forced-timeout knob
-    /// the determinism tests use). `None` = unlimited.
-    fn resolved_deadline(&self) -> Option<Duration> {
-        self.deadline.or_else(|| {
-            knob::env_u64("CLIP_JOB_DEADLINE_MS", 0, 86_400_000).map(Duration::from_millis)
-        })
-    }
-}
-
-/// The process-wide sweep epoch: the instant resilience bookkeeping first
-/// ran. `CLIP_SWEEP_BUDGET_MS` counts from here.
-fn sweep_epoch() -> Instant {
-    static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// True when the whole-sweep wall-clock budget (`CLIP_SWEEP_BUDGET_MS`,
-/// validated warn-once, counted from the first batch this process ran) is
-/// exhausted. Executors consult this before dispatching each cell: once
-/// it trips, new cells are cancelled ([`SimErrorKind::Cancelled`]) while
-/// in-flight cells drain normally — graceful degradation, not abort.
-/// Always `false` when the knob is unset; `0` cancels every dispatch
-/// (the deterministic "resume everything" setting).
-pub fn sweep_budget_exhausted() -> bool {
-    match knob::env_u64("CLIP_SWEEP_BUDGET_MS", 0, 86_400_000) {
-        None => false,
-        Some(ms) => sweep_epoch().elapsed() >= Duration::from_millis(ms),
     }
 }
 
@@ -243,7 +184,6 @@ pub fn run_mix_checked(
         opts.check_cadence,
         opts.watchdog_window,
     );
-    sys.set_deadline(opts.resolved_deadline());
     if let Some(spec) = opts.fault {
         sys.set_fault(spec, opts.seed);
     }
@@ -296,7 +236,20 @@ fn thread_count(job_count: usize) -> usize {
 /// other job's result is unaffected. Thread count is resolved as
 /// documented on `CLIP_THREADS` (see the crate docs): host parallelism by
 /// default, overridable within `1..=1024`.
-pub fn run_jobs_checked(jobs: &[SweepJob], opts: &RunOptions) -> Vec<Result<SimResult, SimError>> {
+///
+/// `finish` runs on the worker as each job ends, with the job's index
+/// and outcome; what it returns is that job's outcome in the returned
+/// vector. The experiment executor stores each result there, so a sweep
+/// killed mid-batch keeps every job that completed. Callers with
+/// nothing to do per job pass the identity, `|_, r| r`.
+pub fn run_jobs_checked<F>(
+    jobs: &[SweepJob],
+    opts: &RunOptions,
+    finish: F,
+) -> Vec<Result<SimResult, SimError>>
+where
+    F: Fn(usize, Result<SimResult, SimError>) -> Result<SimResult, SimError> + Sync,
+{
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -304,20 +257,9 @@ pub fn run_jobs_checked(jobs: &[SweepJob], opts: &RunOptions) -> Vec<Result<SimR
     if jobs.is_empty() {
         return Vec::new();
     }
-    // Pin the sweep epoch no later than the first batch so the budget
-    // counts execution time, not process startup.
-    let _ = sweep_epoch();
-    let run_one = |j: &SweepJob| -> Result<SimResult, SimError> {
-        if sweep_budget_exhausted() {
-            return Err(SimError::new(
-                0,
-                "driver",
-                SimErrorKind::Cancelled,
-                "sweep wall-clock budget (CLIP_SWEEP_BUDGET_MS) exhausted \
-                 before dispatch; cell left pending for a resumed sweep",
-            ));
-        }
-        catch_unwind(AssertUnwindSafe(|| {
+    let run_one = |i: usize| -> Result<SimResult, SimError> {
+        let j = &jobs[i];
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_mix_checked(&j.cfg, &j.scheme, &j.mix, opts)
         }))
         .unwrap_or_else(|payload| {
@@ -327,12 +269,13 @@ pub fn run_jobs_checked(jobs: &[SweepJob], opts: &RunOptions) -> Vec<Result<SimR
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "non-string panic payload".to_string());
             Err(SimError::new(0, "job", SimErrorKind::Panic, msg))
-        })
+        });
+        finish(i, outcome)
     };
 
     let threads = thread_count(jobs.len());
     if threads <= 1 {
-        return jobs.iter().map(run_one).collect();
+        return (0..jobs.len()).map(run_one).collect();
     }
 
     // Thread-locals do not propagate into spawned workers: resolve the
@@ -354,7 +297,7 @@ pub fn run_jobs_checked(jobs: &[SweepJob], opts: &RunOptions) -> Vec<Result<SimR
                     // A poisoned slot is recoverable: the panic that
                     // poisoned it was already converted into this job's
                     // outcome.
-                    *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(run_one(&jobs[i]));
+                    *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(run_one(i));
                 }
             });
         }
@@ -374,43 +317,6 @@ pub fn run_jobs_checked(jobs: &[SweepJob], opts: &RunOptions) -> Vec<Result<SimR
                 })
         })
         .collect()
-}
-
-/// Runs a batch of independent jobs across threads and returns their
-/// results in job order, panicking on the first failed job.
-///
-/// See [`run_jobs_checked`] for the isolation-preserving variant and the
-/// `CLIP_THREADS` contract.
-///
-/// # Panics
-///
-/// Panics when any job fails an integrity check or panics itself.
-pub fn run_jobs_parallel(jobs: &[SweepJob], opts: &RunOptions) -> Vec<SimResult> {
-    run_jobs_checked(jobs, opts)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("simulation integrity failure: {e}")))
-        .collect()
-}
-
-/// Runs one scheme over many mixes in parallel; results follow mix order.
-///
-/// Identical output to a serial `mixes.iter().map(|m| run_mix(..))` loop
-/// (see [`run_jobs_parallel`]).
-pub fn run_mixes_parallel(
-    cfg: &SimConfig,
-    scheme: &Scheme,
-    mixes: &[Mix],
-    opts: &RunOptions,
-) -> Vec<SimResult> {
-    let jobs: Vec<SweepJob> = mixes
-        .iter()
-        .map(|mix| SweepJob {
-            cfg: cfg.clone(),
-            scheme: scheme.clone(),
-            mix: mix.clone(),
-        })
-        .collect();
-    run_jobs_parallel(&jobs, opts)
 }
 
 /// Convenience: label helper picking the active prefetcher.
@@ -702,6 +608,55 @@ mod tests {
             dyn_clip.prefetch.issued,
             clip.prefetch.issued
         );
+    }
+
+    #[test]
+    fn finish_step_runs_once_per_job_on_its_worker() {
+        let cfg = small_cfg(PrefetcherKind::None, 1);
+        let jobs: Vec<SweepJob> = ["605.mcf_s-1554B", "619.lbm_s-4268B", "603.bwaves_s-891B"]
+            .iter()
+            .map(|name| SweepJob {
+                cfg: cfg.clone(),
+                scheme: Scheme::plain(),
+                mix: mix_of(name, 4),
+            })
+            .collect();
+        let opts = RunOptions {
+            warmup_instrs: 100,
+            sim_instrs: 400,
+            noc: NocChoice::Analytic,
+            ..quick()
+        };
+        let caller = std::thread::current().id();
+        for threads in ["1", "2"] {
+            std::env::set_var("CLIP_THREADS", threads);
+            let seen = std::sync::Mutex::new(Vec::new());
+            let out = run_jobs_checked(&jobs, &opts, |i, r| {
+                seen.lock().unwrap().push((i, std::thread::current().id()));
+                // Tag each outcome so the driver's return is provably the
+                // finish step's.
+                r.map(|mut res| {
+                    res.label = format!("finished {i}");
+                    res
+                })
+            });
+            std::env::remove_var("CLIP_THREADS");
+
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|&(i, _)| i);
+            let indices: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, [0, 1, 2], "{threads} thread(s): once per job");
+            let on_caller = seen.iter().filter(|&&(_, t)| t == caller).count();
+            let expect_on_caller = if threads == "1" { 3 } else { 0 };
+            assert_eq!(
+                on_caller, expect_on_caller,
+                "{threads} thread(s): the step runs where the job ran"
+            );
+            for (i, r) in out.iter().enumerate() {
+                let label = &r.as_ref().expect("clean run").label;
+                assert_eq!(label, &format!("finished {i}"), "{threads} thread(s)");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::engine::{DramImpl, Engine, EngineParams, Ev, NocChoice, NocImpl};
 use crate::fault::{FaultHarness, FaultKind, FaultSpec};
-use crate::integrity::{Integrity, JobDeadline, DEFAULT_CHECK_CADENCE, DEFAULT_WATCHDOG_WINDOW};
+use crate::integrity::{Integrity, DEFAULT_CHECK_CADENCE, DEFAULT_WATCHDOG_WINDOW};
 use crate::result::SimResult;
 use crate::scheme::Scheme;
 use crate::tile::{Tile, TileTick, PF_QUEUE_CAP};
@@ -52,8 +52,6 @@ pub struct System {
     pub(crate) tl_start: Cycle,
     /// Watchdog + auditor state (see [`crate::integrity`]).
     pub(crate) integrity: Integrity,
-    /// Armed wall-clock budget, if any (see [`crate::integrity`]).
-    pub(crate) deadline: Option<JobDeadline>,
     /// Armed fault, if any (see [`crate::fault`]).
     pub(crate) fault: Option<FaultHarness>,
     /// Per-window state fingerprints, captured under `CLIP_CHECK=full`
@@ -166,7 +164,6 @@ impl System {
                 DEFAULT_WATCHDOG_WINDOW,
             ),
             fault: None,
-            deadline: None,
             fingerprints: Vec::new(),
         }
     }
@@ -191,15 +188,6 @@ impl System {
     /// Arms a fault for this run.
     pub(crate) fn set_fault(&mut self, spec: FaultSpec, seed: u64) {
         self.fault = Some(FaultHarness::new(spec, seed));
-    }
-
-    /// Arms (or clears) the wall-clock budget for this run; the clock
-    /// starts now, not at the first tick.
-    pub(crate) fn set_deadline(&mut self, budget: Option<std::time::Duration>) {
-        self.deadline = budget.map(|budget| JobDeadline {
-            start: std::time::Instant::now(),
-            budget,
-        });
     }
 
     /// Current cycle.
@@ -349,10 +337,8 @@ impl System {
         };
         // Audits + watchdog + fingerprints run post-advance at cadence
         // multiples: simulating cycle `m - 1` makes `integrity_tick(m)`
-        // fire exactly as in a cycle-by-cycle run. An armed deadline
-        // shares those boundaries (even at `CLIP_CHECK=off`), so it trips
-        // at the same simulated cycle under skip-ahead and stepping.
-        if self.integrity.level.audits_enabled() || self.deadline.is_some() {
+        // fire exactly as in a cycle-by-cycle run.
+        if self.integrity.level.audits_enabled() {
             fold(
                 (now + 1).next_multiple_of(self.integrity.cadence) - 1,
                 &mut next,
@@ -661,7 +647,6 @@ impl System {
             }
             self.tick(step)?;
             self.integrity_tick(self.cycle())?;
-            self.deadline_tick(self.cycle())?;
         }
         self.settle_tiles();
         for t in self.tiles.iter_mut() {
@@ -700,7 +685,6 @@ impl System {
             }
             self.tick(step)?;
             self.integrity_tick(self.cycle())?;
-            self.deadline_tick(self.cycle())?;
             if self.timeline_interval > 0
                 && (self.cycle() - self.tl_start).is_multiple_of(self.timeline_interval)
             {

@@ -188,9 +188,9 @@ fn composite_is_byte_identical_serial_vs_two_threads() {
             mix: mix(),
         })
         .collect();
-    let serial = run_jobs_checked(&jobs, &opts());
+    let serial = run_jobs_checked(&jobs, &opts(), |_, r| r);
     std::env::set_var("CLIP_THREADS", "2");
-    let parallel = run_jobs_checked(&jobs, &opts());
+    let parallel = run_jobs_checked(&jobs, &opts(), |_, r| r);
     std::env::remove_var("CLIP_THREADS");
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {

@@ -3,10 +3,10 @@
 //!
 //! * run-to-run — accidental `HashMap` iteration-order dependence, global
 //!   state, or time-based seeding would break bit-identical reruns;
-//! * serial vs parallel — `run_jobs_parallel` must return exactly what
+//! * serial vs parallel — `run_jobs_checked` must return exactly what
 //!   the serial loop returns, independent of thread scheduling.
 
-use clip_sim::{run_jobs_parallel, run_mix, run_mixes_parallel, RunOptions, Scheme, SweepJob};
+use clip_sim::{run_jobs_checked, run_mix, RunOptions, Scheme, SimResult, SweepJob};
 use clip_trace::Mix;
 use clip_types::{PrefetcherKind, SimConfig};
 
@@ -36,9 +36,17 @@ fn mixes() -> Vec<Mix> {
         .collect()
 }
 
+/// Runs a batch through the parallel driver, panicking on any failed job.
+fn run_parallel(jobs: &[SweepJob], opts: &RunOptions) -> Vec<SimResult> {
+    run_jobs_checked(jobs, opts, |_, r| r)
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect()
+}
+
 /// Every observable counter must match, not just IPC: a divergence in any
 /// of them means nondeterminism crept into the cycle loop.
-fn assert_identical(a: &clip_sim::SimResult, b: &clip_sim::SimResult, what: &str) {
+fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.per_core_ipc, b.per_core_ipc, "{what}: per-core IPC");
     assert_eq!(a.cycles, b.cycles, "{what}: cycles");
     assert_eq!(a.dram_transfers, b.dram_transfers, "{what}: DRAM transfers");
@@ -72,7 +80,15 @@ fn parallel_driver_matches_serial() {
         .iter()
         .map(|m| run_mix(&cfg, &Scheme::plain(), m, &opts))
         .collect();
-    let parallel = run_mixes_parallel(&cfg, &Scheme::plain(), &mixes, &opts);
+    let jobs: Vec<SweepJob> = mixes
+        .iter()
+        .map(|mix| SweepJob {
+            cfg: cfg.clone(),
+            scheme: Scheme::plain(),
+            mix: mix.clone(),
+        })
+        .collect();
+    let parallel = run_parallel(&jobs, &opts);
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_identical(s, p, &format!("serial vs parallel, mix {i}"));
@@ -97,7 +113,7 @@ fn parallel_driver_keeps_job_order_with_mixed_schemes() {
         mix: mix.clone(),
     })
     .collect();
-    let results = run_jobs_parallel(&jobs, &opts);
+    let results = run_parallel(&jobs, &opts);
     let serial: Vec<_> = jobs
         .iter()
         .map(|j| run_mix(&j.cfg, &j.scheme, &j.mix, &opts))

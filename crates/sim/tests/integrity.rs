@@ -461,7 +461,7 @@ fn fault_injection_is_deterministic_serial_vs_parallel() {
             mix: m.clone(),
         })
         .collect();
-    for outcome in run_jobs_checked(&jobs, &opts) {
+    for outcome in run_jobs_checked(&jobs, &opts, |_, r| r) {
         assert_eq!(outcome.unwrap_err(), serial_a, "parallel must match serial");
     }
 }
@@ -503,7 +503,7 @@ fn failing_job_leaves_other_jobs_byte_identical() {
             mix: good_mix.clone(),
         },
     ];
-    let outcomes = run_jobs_checked(&jobs, &opts);
+    let outcomes = run_jobs_checked(&jobs, &opts, |_, r| r);
     assert_eq!(outcomes.len(), 3);
 
     let bad = outcomes[1].as_ref().expect_err("mismatched mix must fail");

@@ -54,9 +54,9 @@ type Outcomes = Vec<Result<SimResult, SimError>>;
 /// cycle-by-cycle stepping, returning both outcome vectors.
 fn wheel_and_step(jobs: &[SweepJob], opts: &RunOptions) -> (Outcomes, Outcomes) {
     set_step_override(Some(false));
-    let wheel = run_jobs_checked(jobs, opts);
+    let wheel = run_jobs_checked(jobs, opts, |_, r| r);
     set_step_override(Some(true));
-    let step = run_jobs_checked(jobs, opts);
+    let step = run_jobs_checked(jobs, opts, |_, r| r);
     set_step_override(None);
     (wheel, step)
 }

@@ -82,15 +82,6 @@ pub enum SimErrorKind {
     /// or faulted vs clean) produced different state fingerprints; the
     /// detail names the first divergent cadence window and component.
     Divergence,
-    /// The job's wall-clock deadline expired before the run completed;
-    /// the detail names the cycle reached and every queue's occupancy.
-    /// Unlike [`SimErrorKind::Deadlock`], the simulated system may be
-    /// perfectly healthy — the host was just too slow for the budget.
-    Timeout,
-    /// The job was never dispatched: the whole-sweep wall-clock budget
-    /// was already exhausted when its turn came. The cell is pending,
-    /// not broken — a resumed sweep simulates it.
-    Cancelled,
 }
 
 impl fmt::Display for SimErrorKind {
@@ -102,8 +93,6 @@ impl fmt::Display for SimErrorKind {
             SimErrorKind::Panic => "panic",
             SimErrorKind::Internal => "internal error",
             SimErrorKind::Divergence => "state divergence",
-            SimErrorKind::Timeout => "timeout",
-            SimErrorKind::Cancelled => "cancelled",
         })
     }
 }
@@ -122,14 +111,10 @@ pub struct SimError {
     /// Human-readable diagnostic: the failed invariant and a dump of the
     /// relevant occupancies / stuck transactions.
     pub detail: String,
-    /// How many executions ended in this error (1 = first attempt; retry
-    /// layers bump it via [`SimError::with_attempts`] so artifacts record
-    /// how hard the sweep tried before giving up).
-    pub attempts: u32,
 }
 
 impl SimError {
-    /// Builds an error (one attempt).
+    /// Builds an error.
     pub fn new(
         cycle: Cycle,
         component: impl Into<String>,
@@ -141,14 +126,7 @@ impl SimError {
             component: component.into(),
             kind,
             detail: detail.into(),
-            attempts: 1,
         }
-    }
-
-    /// The same error stamped with its attempt count.
-    pub fn with_attempts(mut self, attempts: u32) -> SimError {
-        self.attempts = attempts;
-        self
     }
 }
 
@@ -176,19 +154,6 @@ mod tests {
         assert!(CheckLevel::Cheap.audits_enabled());
         assert!(!CheckLevel::Cheap.full());
         assert!(CheckLevel::Full.full());
-    }
-
-    #[test]
-    fn new_kinds_display_and_attempts_stamp() {
-        assert_eq!(SimErrorKind::Timeout.to_string(), "timeout");
-        assert_eq!(SimErrorKind::Cancelled.to_string(), "cancelled");
-        let e = SimError::new(9, "deadline", SimErrorKind::Timeout, "budget spent");
-        assert_eq!(e.attempts, 1, "a fresh error is one attempt");
-        let e = e.with_attempts(3);
-        assert_eq!(e.attempts, 3);
-        // The attempt count is bookkeeping, not diagnostics: Display stays
-        // stable so log-grepping tests and tools keep working.
-        assert!(!e.to_string().contains('3'), "{e}");
     }
 
     #[test]

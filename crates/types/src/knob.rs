@@ -1,7 +1,7 @@
 //! Validated environment knobs with warn-once rejection.
 //!
-//! Every runtime knob (`CLIP_THREADS`, `CLIP_RETRY`, `CLIP_CHECK`,
-//! `CLIP_TICK`, the store-directory overrides, …) follows the contract
+//! Every runtime knob (`CLIP_THREADS`, `CLIP_CHECK`, `CLIP_TICK`, the
+//! store-directory overrides, …) follows the contract
 //! `CLIP_THREADS` established: a value in its documented domain is
 //! honoured, anything else — garbage, out of range, empty — is rejected
 //! with a **single** stderr warning per knob and the caller's default
@@ -10,8 +10,8 @@
 //!
 //! Three knob shapes cover the workspace:
 //!
-//! * [`env_u64`] — integers in a range (`CLIP_THREADS`, `CLIP_RETRY`,
-//!   the millisecond budgets).
+//! * [`env_u64`] — integers in a range (`CLIP_THREADS`, the scale
+//!   knobs, `CLIP_CACHE_MAX_MB`).
 //! * [`env_choice`] — one of an allowed word list, matched
 //!   case-insensitively after trimming (`CLIP_CHECK`, `CLIP_TICK`,
 //!   `CLIP_NOC`, `CLIP_DRAM`, the fingerprint-baseline mode).

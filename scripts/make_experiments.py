@@ -177,6 +177,57 @@ memory backend (`ddr4`, default, or `hbm`); see DESIGN.md §5d. The
 `backends` figure ignores both and sweeps its own fabric x memory
 grid.
 
+**Failed cells.** A cell whose simulation panics or trips an integrity
+audit (see DESIGN.md §6) renders as `ERR` in the text table instead of
+aborting the sweep, and the artifact gains a top-level `errors` array —
+one object per failed run with `row`/`cell`/`mix` grid indices (the
+row's baseline run is flagged `"baseline": true`), plus the `cycle`,
+`component`, `kind` (`deadlock`, `conservation violation`, `illegal
+state`, `state divergence`, `panic`, `internal error`), and `detail`
+of the underlying error. The `errors` key, and everything it brings
+with it, is present **only** when something failed, so clean artifacts
+are byte-identical to earlier versions.
+
+**Diverged cells.** Under `CLIP_FP_BASELINE=verify` (DESIGN.md §6), a
+cell whose every failure is a `state divergence` against its recorded
+fingerprint baseline renders as `DIV` instead of `ERR`: the simulation
+completed, but its per-window state-hash stream moved away from the
+known-good recording — the `detail` of each error names the first
+divergent audit window and component. Any non-divergence failure in
+the same cell takes precedence and renders `ERR`. With
+`CLIP_FP_BASELINE` unset, `DIV` can never appear and artifacts are
+byte-identical to earlier versions.
+
+**Result cache.** Every successful run is cached on disk under
+`target/clip-cache/` (DESIGN.md §5c) and repeat cells — any scheme,
+within or across processes — are served from it without re-simulating.
+`CLIP_CACHE=0` disables it, `CLIP_CACHE_DIR` relocates it, and
+`CLIP_CACHE_MAX_MB` caps its size (default 256 MiB, `0` = unlimited;
+oldest entries are evicted first). Cached results are byte-identical
+to fresh ones, so nothing in this document depends on cache state.
+Each cell is stored as soon as it finishes, so re-running an
+interrupted sweep simulates only the missing cells and produces an
+artifact byte-identical to an uninterrupted run (CI's `resume-smoke`
+job pins this against the fig02 golden), as long as one sweep's
+entries fit under the size cap.
+
+**One process per run.** Every figure, table and `clipsim` cell runs
+in the local process that asked for it; there is no service mode.
+Processes that share a `CLIP_CACHE_DIR` share its entries safely:
+writes are atomic (write-then-rename), so a concurrent reader sees a
+whole entry or none.
+
+**Wall-clock timing.** Simulation *results* are deterministic and
+scheduler-independent: the event-wheel skip-ahead driver (DESIGN.md
+§5b) and forced cycle-by-cycle stepping (`CLIP_TICK=step`) produce
+byte-identical artifacts, so nothing in this document depends on which
+scheduler ran. Host speed is measured by `perfbench`, a package of its
+own (see `perfbench/README.md`): it reports the median and quartiles of
+back-to-back runs per workload, splits a traced run's time across the
+simulator's layers, and checks the simulator's outputs in every run.
+Its `quiet-1c` workload is the wheel's home ground; CI runs it and only
+gates on the wheel not being slower than stepping.
+
 ---
 """
 

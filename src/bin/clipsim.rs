@@ -37,8 +37,6 @@ struct RunSpec {
     seed: u64,
     noc: NocChoice,
     dram: DramKind,
-    /// Per-run wall-clock budget, wired into [`RunOptions::deadline`].
-    deadline_ms: Option<u64>,
 }
 
 impl Default for RunSpec {
@@ -59,7 +57,6 @@ impl Default for RunSpec {
             seed: 42,
             noc: NocChoice::Mesh,
             dram: DramKind::Ddr4,
-            deadline_ms: None,
         }
     }
 }
@@ -112,14 +109,13 @@ impl RunSpec {
         scheme
     }
 
-    /// The run options, deadline included.
+    /// The run options.
     fn options(&self) -> RunOptions {
         RunOptions {
             warmup_instrs: self.warmup,
             sim_instrs: self.instrs,
             seed: self.seed,
             noc: self.noc,
-            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
             ..RunOptions::default()
         }
     }
@@ -204,8 +200,6 @@ OPTIONS:
   --seed <N>             workload seed                    [default: 42]
   --noc <MODEL>          mesh|analytic|chiplet            [default: mesh]
   --dram <BACKEND>       ddr4|hbm                         [default: ddr4]
-  --deadline-ms <N>      wall-clock budget per run in milliseconds
-                         (default: CLIP_JOB_DEADLINE_MS, else unlimited)
   --list-workloads       print the workload catalog and exit
   --help                 this text
 ";
@@ -232,7 +226,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => spec.seed = number(&flag, value()?)?,
             "--noc" => spec.noc = noc_from(&value()?)?,
             "--dram" => spec.dram = dram_from(&value()?)?,
-            "--deadline-ms" => spec.deadline_ms = Some(number(&flag, value()?)?),
             "--list-workloads" => args.list = true,
             "--help" | "-h" => {
                 print!("{USAGE}");

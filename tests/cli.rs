@@ -56,10 +56,7 @@ fn clipsim_rejects_unknown_flags() {
         (&["--noc", "torus"], "torus"),
         (&["--dram", "ddr9"], "ddr9"),
         (&["--cores", "many"], "--cores: invalid value \"many\""),
-        (
-            &["--deadline-ms", "-5"],
-            "--deadline-ms: invalid value \"-5\"",
-        ),
+        (&["--seed", "-5"], "--seed: invalid value \"-5\""),
         (&["--cores", "4", "--instrs"], "--instrs needs a value"),
     ];
     for (args, named) in rows {
