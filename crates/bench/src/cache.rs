@@ -15,9 +15,9 @@
 //! simulates only the missing ones. That holds while one sweep's
 //! entries fit under the size cap below — the GC evicts oldest first,
 //! so it reaches a sweep's own entries only when that sweep alone
-//! outgrows `CLIP_CACHE_MAX_MB` (an entry is about 1 KB at 4 cores,
-//! against a 256 MiB default). Concurrent workers store safely: each
-//! writes its own entry through a temp file and a rename.
+//! outgrows the 256 MiB cap (an entry is about 1 KB at 4 cores).
+//! Concurrent workers store safely: each writes its own entry through a
+//! temp file and a rename.
 //!
 //! Each entry wraps the result payload with an FNV-1a checksum of its
 //! rendered form: `{"checksum":"<16 hex>","result":{...}}`. An entry
@@ -34,17 +34,15 @@
 //! [`crate::store_util`].
 //!
 //! A universal cache grows without bound, so stores run a garbage
-//! collector: when the directory's `.json` entries exceed the size cap
-//! (`CLIP_CACHE_MAX_MB`, default 256; `0` disables the cap), the oldest
-//! entries — by modification time, file name as the tiebreaker — are
-//! deleted until the directory fits. Eviction is plain `remove_file`
-//! against atomically-renamed entries, so a concurrent reader sees
-//! either an intact entry (hit) or none (miss), never a torn one.
+//! collector: when the directory's `.json` entries exceed the fixed
+//! 256 MiB cap ([`CAP_BYTES`]), the oldest entries — by modification
+//! time, file name as the tiebreaker — are deleted until the directory
+//! fits. Eviction is plain `remove_file` against atomically-renamed
+//! entries, so a concurrent reader sees either an intact entry (hit) or
+//! none (miss), never a torn one.
 //!
 //! * `CLIP_CACHE=0` (or `off`/`false`/`no`) disables the cache entirely.
 //! * `CLIP_CACHE_DIR` overrides the directory.
-//! * `CLIP_CACHE_MAX_MB` caps the directory size (default 256, `0` =
-//!   unlimited).
 //! * Unparseable, corrupt, or stale entries are treated as misses.
 //!
 //! Hit/miss/store/eviction counts are kept in process-wide counters
@@ -68,8 +66,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// valid — new schemes simply add entries alongside them.)
 pub(crate) const CACHE_VERSION: u32 = 2;
 
-/// Default size cap for the cache directory, in mebibytes.
-const DEFAULT_CAP_MB: u64 = 256;
+/// Size cap for the cache directory's entries, in bytes.
+const CAP_BYTES: u64 = 256 * 1024 * 1024;
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -106,13 +104,6 @@ fn enabled() -> bool {
 
 fn cache_dir() -> PathBuf {
     knob::env_dir("CLIP_CACHE_DIR").unwrap_or_else(|| store_util::target_dir().join("clip-cache"))
-}
-
-/// The active size cap in bytes (`0` = unlimited).
-fn cap_bytes() -> u64 {
-    knob::env_u64("CLIP_CACHE_MAX_MB", 0, 1 << 20)
-        .unwrap_or(DEFAULT_CAP_MB)
-        .saturating_mul(1024 * 1024)
 }
 
 fn entry_path(dir: &Path, key: &str, mix_name: &str) -> PathBuf {
@@ -166,21 +157,17 @@ pub(crate) fn store_in(dir: &Path, key: &str, mix_name: &str, result: &SimResult
     let entry = store_util::wrap_checksummed("result", result.to_json());
     store_util::write_entry(dir, &path, &entry);
     STORES.fetch_add(1, Ordering::Relaxed);
-    gc_in(dir, cap_bytes());
+    gc_in(dir, CAP_BYTES);
 }
 
 /// Deletes the oldest `.json` entries — by modification time, then file
 /// name for entries sharing a timestamp — until the directory's entries
-/// total at most `cap` bytes. `cap == 0` disables the collector.
-/// Quarantined `.corrupt` files (pruned separately, see
-/// [`store_util::prune_quarantine`]) and in-flight `.tmp.<pid>` files
-/// are never counted or touched. Best effort: an unreadable directory
-/// skips the pass; a concurrently-vanished entry is simply not
-/// re-deleted. Returns how many entries this pass deleted.
+/// total at most `cap` bytes. Quarantined `.corrupt` files (pruned
+/// separately, see [`store_util::prune_quarantine`]) and in-flight
+/// `.tmp.<pid>` files are never counted or touched. Best effort: an
+/// unreadable directory skips the pass; a concurrently-vanished entry
+/// is simply not re-deleted. Returns how many entries this pass deleted.
 pub(crate) fn gc_in(dir: &Path, cap: u64) -> u64 {
-    if cap == 0 {
-        return 0;
-    }
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
@@ -394,20 +381,6 @@ mod tests {
             dir.join("dead.json.corrupt").exists(),
             "quarantine files belong to prune_quarantine, not the GC"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_zero_cap_means_unlimited() {
-        let dir = temp_dir("gc-unlimited");
-        for i in 0..5 {
-            std::fs::write(dir.join(format!("entry-{i:02}.json")), vec![b'x'; 1000])
-                .expect("seed entry");
-        }
-        assert_eq!(gc_in(&dir, 0), 0, "a zero cap evicts nothing");
-        for i in 0..5 {
-            assert!(dir.join(format!("entry-{i:02}.json")).exists());
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,8 +22,8 @@
 //! soon as it finishes, so resuming an interrupted sweep is re-running
 //! it: completed cells come back from the disk cache, only the missing
 //! ones simulate, and the result is the byte-identical complete artifact
-//! — as long as the sweep's own entries fit under `CLIP_CACHE_MAX_MB`,
-//! since the size-cap GC evicts oldest first.
+//! — as long as the sweep's own entries fit under the cache's 256 MiB
+//! cap, since the size-cap GC evicts oldest first.
 
 use clip_sim::{run_jobs_checked, RunOptions, Scheme, SimError, SimErrorKind, SimResult, SweepJob};
 use clip_stats::{normalized_weighted_speedup, Json};

@@ -23,9 +23,8 @@
 //! * `CLIP_DRAM` — memory backend: `ddr4` (default) or `hbm`.
 //! * `CLIP_CACHE` — `0`/`off` disables the universal on-disk result
 //!   cache (every completed cell, all schemes — see [`mod@cache`]).
-//! * `CLIP_CACHE_DIR` — overrides the result-cache directory.
-//! * `CLIP_CACHE_MAX_MB` — result-cache size cap in MiB before the
-//!   oldest entries are garbage-collected (default 256; `0` unlimited).
+//! * `CLIP_CACHE_DIR` — overrides the result-cache directory (the cache
+//!   holds at most 256 MiB; the oldest entries are garbage-collected).
 //! * `CLIP_ARTIFACT_DIR` — overrides the JSON artifact directory.
 //! * `CLIP_THREADS` — worker threads for job batches (accepted range
 //!   1..=1024; anything else warns once on stderr and falls back to the
@@ -35,9 +34,10 @@
 //!   read-only, so results are identical at every level.
 //! * `CLIP_FP_BASELINE` — fingerprint-baseline mode: `record` persists
 //!   each freshly simulated job's per-window state-hash stream under
-//!   `target/clip-fp/` (requires `CLIP_CHECK=full`), `verify` diffs
-//!   every fresh job against its stored baseline and renders divergent
-//!   cells as `DIV`; unset/`off` is completely inert (see [`fp_store`]).
+//!   `target/clip-fp/` (requires audits: `CLIP_CHECK=cheap` or `full`,
+//!   whose streams are keyed apart), `verify` diffs every fresh job
+//!   against its stored baseline and renders divergent cells as `DIV`;
+//!   unset/`off` is completely inert (see [`fp_store`]).
 //! * `CLIP_FP_DIR` — overrides the fingerprint-baseline directory.
 
 mod cache;

@@ -541,9 +541,8 @@ impl Core {
         self.next_activity_with_port(now, |_| true)
     }
 
-    /// Quiescence hook (see `clip_types::engine::Tick::next_activity`):
-    /// the earliest cycle `>= now` at which ticking this core does
-    /// anything beyond the bulk-accountable stall counters that
+    /// Quiescence hook: the earliest cycle `>= now` at which ticking this
+    /// core does anything beyond the bulk-accountable stall counters that
     /// [`Core::skip_stalled`] settles, or `None` when only an external
     /// event — a load completion, or the port freeing up — can wake it.
     ///

@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use clip_dram::DramSystem;
+//! use clip_dram::{DramModel, DramSystem};
 //! use clip_types::{DramConfig, LineAddr, Priority, ReqId};
 //!
 //! let mut dram = DramSystem::new(&DramConfig::default());
@@ -38,7 +38,7 @@
 use clip_types::{Cycle, DramConfig, Fnv64, LineAddr, Priority, ReqId};
 use std::fmt;
 
-/// A completed read returned by [`DramSystem::tick`].
+/// A completed read returned by [`DramModel::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramCompletion {
     /// The request that completed.
@@ -302,17 +302,6 @@ impl DramSystem {
         }
     }
 
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Maps a line to its channel (hash-interleaved).
-    #[inline]
-    pub fn channel_for(&self, line: LineAddr) -> usize {
-        (clip_types::hash64(line.raw()) as usize) & (self.channels.len() - 1)
-    }
-
     /// The bank (within its channel) and global row a line maps to.
     #[inline]
     fn bank_row(&self, line: LineAddr) -> (usize, u64) {
@@ -321,78 +310,6 @@ impl DramSystem {
             (clip_types::hash64(row) as usize) % self.cfg.banks_per_channel,
             row,
         )
-    }
-
-    /// True when the channel's read queue can accept another request.
-    pub fn read_queue_has_room(&self, channel: usize) -> bool {
-        self.channels[channel].read_q.len() < self.cfg.read_queue
-    }
-
-    /// Current read-queue occupancy of a channel.
-    pub fn read_queue_len(&self, channel: usize) -> usize {
-        self.channels[channel].read_q.len()
-    }
-
-    /// Enqueues a read (demand, prefetch, or critical prefetch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFullError`] when the read queue is full; the caller
-    /// must retry (this is the back-pressure path).
-    pub fn enqueue_read(
-        &mut self,
-        channel: usize,
-        id: ReqId,
-        line: LineAddr,
-        priority: Priority,
-        now: Cycle,
-    ) -> Result<(), QueueFullError> {
-        if !self.read_queue_has_room(channel) {
-            return Err(QueueFullError);
-        }
-        let (bank, row) = self.bank_row(line);
-        let ch = &mut self.channels[channel];
-        if priority == Priority::Prefetch {
-            ch.stats.prefetch_reads += 1;
-        }
-        ch.read_q.push(PendingRead {
-            id,
-            line,
-            priority,
-            arrive: now,
-            bank,
-            row,
-        });
-        ch.banks[bank].queued_reads += 1;
-        ch.reads_enqueued += 1;
-        Ok(())
-    }
-
-    /// Enqueues a writeback.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFullError`] when the write queue is full.
-    pub fn enqueue_write(&mut self, line: LineAddr, _now: Cycle) -> Result<(), QueueFullError> {
-        let channel = self.channel_for(line);
-        if self.channels[channel].write_q.len() >= self.cfg.write_queue {
-            return Err(QueueFullError);
-        }
-        let (bank, row) = self.bank_row(line);
-        let ch = &mut self.channels[channel];
-        ch.write_q.push(PendingWrite { line, bank, row });
-        ch.banks[bank].queued_writes += 1;
-        Ok(())
-    }
-
-    /// Advances all channels by one cycle, returning reads whose data is
-    /// now available.
-    pub fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        let mut done = Vec::new();
-        for ci in 0..self.channels.len() {
-            self.tick_channel(ci, now, &mut done);
-        }
-        done
     }
 
     fn tick_channel(&mut self, ci: usize, now: Cycle, done: &mut Vec<DramCompletion>) {
@@ -513,8 +430,126 @@ impl DramSystem {
         });
     }
 
+    fn access_latency(cfg: &DramConfig, bank: &Bank, row: u64) -> Cycle {
+        match bank.open_row {
+            Some(open) if open == row => cfg.t_cas,
+            Some(_) => cfg.t_rp + cfg.t_rcd + cfg.t_cas,
+            None => cfg.t_rcd + cfg.t_cas,
+        }
+    }
+
+    /// The full audit's cache check for one channel (see
+    /// [`DramModel::audit`]).
+    fn audit_bank_index(&self, ci: usize, ch: &Channel) -> Result<(), String> {
+        let mut counts = vec![(0u32, 0u32); ch.banks.len()];
+        let entries = ch.read_q.iter().map(|r| (r.line, r.bank, r.row, true));
+        let entries = entries.chain(ch.write_q.iter().map(|w| (w.line, w.bank, w.row, false)));
+        for (line, bank, row, is_read) in entries {
+            let (want_bank, want_row) = self.bank_row(line);
+            if (bank, row) != (want_bank, want_row) {
+                return Err(format!(
+                    "channel {ci} queued entry for line {:#x} indexed to bank {bank} row \
+                     {row:#x}, but the line maps to bank {want_bank} row {want_row:#x}",
+                    line.raw()
+                ));
+            }
+            if is_read {
+                counts[bank].0 += 1;
+            } else {
+                counts[bank].1 += 1;
+            }
+        }
+        for (bi, (b, &(reads, writes))) in ch.banks.iter().zip(&counts).enumerate() {
+            if (b.queued_reads, b.queued_writes) != (reads, writes) {
+                return Err(format!(
+                    "channel {ci} bank {bi} queue index drifted: counts {} reads + {} \
+                     writes but {reads} + {writes} queued",
+                    b.queued_reads, b.queued_writes
+                ));
+            }
+        }
+        let earliest = ch.inflight.iter().map(|c| c.done_cycle).min();
+        if ch.next_done != earliest.unwrap_or(Cycle::MAX) {
+            return Err(format!(
+                "channel {ci} earliest-completion cache drifted: cached {} but the \
+                 earliest in-flight read completes at {earliest:?}",
+                ch.next_done
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl DramModel for DramSystem {
+    fn channels(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// Hash-interleaved.
+    #[inline]
+    fn channel_for(&self, line: LineAddr) -> usize {
+        (clip_types::hash64(line.raw()) as usize) & (self.channels.len() - 1)
+    }
+
+    fn read_queue_has_room(&self, channel: usize) -> bool {
+        self.channels[channel].read_q.len() < self.cfg.read_queue
+    }
+
+    fn read_queue_len(&self, channel: usize) -> usize {
+        self.channels[channel].read_q.len()
+    }
+
+    fn enqueue_read(
+        &mut self,
+        channel: usize,
+        id: ReqId,
+        line: LineAddr,
+        priority: Priority,
+        now: Cycle,
+    ) -> Result<(), QueueFullError> {
+        if !self.read_queue_has_room(channel) {
+            return Err(QueueFullError);
+        }
+        let (bank, row) = self.bank_row(line);
+        let ch = &mut self.channels[channel];
+        if priority == Priority::Prefetch {
+            ch.stats.prefetch_reads += 1;
+        }
+        ch.read_q.push(PendingRead {
+            id,
+            line,
+            priority,
+            arrive: now,
+            bank,
+            row,
+        });
+        ch.banks[bank].queued_reads += 1;
+        ch.reads_enqueued += 1;
+        Ok(())
+    }
+
+    fn enqueue_write(&mut self, line: LineAddr, _now: Cycle) -> Result<(), QueueFullError> {
+        let channel = self.channel_for(line);
+        if self.channels[channel].write_q.len() >= self.cfg.write_queue {
+            return Err(QueueFullError);
+        }
+        let (bank, row) = self.bank_row(line);
+        let ch = &mut self.channels[channel];
+        ch.write_q.push(PendingWrite { line, bank, row });
+        ch.banks[bank].queued_writes += 1;
+        Ok(())
+    }
+
+    fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
+        let mut done = Vec::new();
+        for ci in 0..self.channels.len() {
+            self.tick_channel(ci, now, &mut done);
+        }
+        done
+    }
+
     /// Quiescence hook: the earliest cycle `>= now` at which `tick` does
-    /// anything beyond counting bus-busy cycles (which [`DramSystem::skip_idle`]
+    /// anything beyond counting bus-busy cycles (which [`DramModel::skip_idle`]
     /// settles in bulk), or `None` when every channel is empty.
     ///
     /// A queued read or write can only turn into a command once the data
@@ -522,7 +557,7 @@ impl DramSystem {
     /// queue frees — while a burst occupies the bus or every candidate
     /// bank is mid-access, a tick delivers completions (folded below),
     /// updates the write-drain hysteresis (constant-queue idempotent;
-    /// settled by [`DramSystem::skip_idle`]), and counts the cycle busy,
+    /// settled by [`DramModel::skip_idle`]), and counts the cycle busy,
     /// nothing else. During a skipped span nothing enqueues (external
     /// traffic only arrives on ticked cycles), so queue contents — and
     /// therefore the serve-writes decision and the candidate bank set —
@@ -533,7 +568,7 @@ impl DramSystem {
     /// The per-bank queue counts and the cached earliest completion give
     /// the answer in O(banks) per channel, without visiting a queued
     /// entry.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut fold = |c: Cycle| next = Some(next.map_or(c, |n: Cycle| n.min(c)));
         for ch in &self.channels {
@@ -561,13 +596,13 @@ impl DramSystem {
     }
 
     /// Bulk accounting for a skipped idle span `[from, to)` during which
-    /// [`DramSystem::next_activity`] reported no work: each channel whose
+    /// [`DramModel::next_activity`] reported no work: each channel whose
     /// data bus was still draining a burst counts those cycles busy, and
     /// the write-drain hysteresis settles exactly as a run of ticks over
     /// a constant-length queue would (enter at the watermark, leave
     /// empty — idempotent, so once equals many). After this, channel
     /// state is bit-identical to having ticked every cycle of the span.
-    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         for ch in self.channels.iter_mut() {
             if ch.bus_free_at > from {
                 ch.stats.busy_cycles += ch.bus_free_at.min(to) - from;
@@ -576,21 +611,11 @@ impl DramSystem {
         }
     }
 
-    fn access_latency(cfg: &DramConfig, bank: &Bank, row: u64) -> Cycle {
-        match bank.open_row {
-            Some(open) if open == row => cfg.t_cas,
-            Some(_) => cfg.t_rp + cfg.t_rcd + cfg.t_cas,
-            None => cfg.t_rcd + cfg.t_cas,
-        }
-    }
-
-    /// Per-channel statistics.
-    pub fn stats(&self, channel: usize) -> &ChannelStats {
+    fn stats(&self, channel: usize) -> &ChannelStats {
         &self.channels[channel].stats
     }
 
-    /// Aggregate statistics across channels.
-    pub fn total_stats(&self) -> ChannelStats {
+    fn total_stats(&self) -> ChannelStats {
         let mut t = ChannelStats::default();
         for ch in &self.channels {
             t.reads += ch.stats.reads;
@@ -616,7 +641,7 @@ impl DramSystem {
     ///
     /// Returns a description of the first violated invariant, naming the
     /// channel.
-    pub fn audit(&self, now: Cycle, full: bool) -> Result<(), String> {
+    fn audit(&self, now: Cycle, full: bool) -> Result<(), String> {
         for (ci, ch) in self.channels.iter().enumerate() {
             let outstanding = (ch.read_q.len() + ch.inflight.len()) as u64;
             if ch.reads_enqueued != ch.reads_delivered + outstanding {
@@ -671,54 +696,13 @@ impl DramSystem {
         Ok(())
     }
 
-    /// The full audit's cache check for one channel (see
-    /// [`DramSystem::audit`]).
-    fn audit_bank_index(&self, ci: usize, ch: &Channel) -> Result<(), String> {
-        let mut counts = vec![(0u32, 0u32); ch.banks.len()];
-        let entries = ch.read_q.iter().map(|r| (r.line, r.bank, r.row, true));
-        let entries = entries.chain(ch.write_q.iter().map(|w| (w.line, w.bank, w.row, false)));
-        for (line, bank, row, is_read) in entries {
-            let (want_bank, want_row) = self.bank_row(line);
-            if (bank, row) != (want_bank, want_row) {
-                return Err(format!(
-                    "channel {ci} queued entry for line {:#x} indexed to bank {bank} row \
-                     {row:#x}, but the line maps to bank {want_bank} row {want_row:#x}",
-                    line.raw()
-                ));
-            }
-            if is_read {
-                counts[bank].0 += 1;
-            } else {
-                counts[bank].1 += 1;
-            }
-        }
-        for (bi, (b, &(reads, writes))) in ch.banks.iter().zip(&counts).enumerate() {
-            if (b.queued_reads, b.queued_writes) != (reads, writes) {
-                return Err(format!(
-                    "channel {ci} bank {bi} queue index drifted: counts {} reads + {} \
-                     writes but {reads} + {writes} queued",
-                    b.queued_reads, b.queued_writes
-                ));
-            }
-        }
-        let earliest = ch.inflight.iter().map(|c| c.done_cycle).min();
-        if ch.next_done != earliest.unwrap_or(Cycle::MAX) {
-            return Err(format!(
-                "channel {ci} earliest-completion cache drifted: cached {} but the \
-                 earliest in-flight read completes at {earliest:?}",
-                ch.next_done
-            ));
-        }
-        Ok(())
-    }
-
     /// Fault injection: silently discards one in-flight completion, as a
     /// controller that loses a response would — the requesting MSHR never
-    /// fills and the read is never counted delivered, so [`DramSystem::audit`]
+    /// fills and the read is never counted delivered, so [`DramModel::audit`]
     /// reports the loss. The victim is picked by `selector` over all
     /// channels' in-flight entries in (channel, queue-position) order.
     /// Returns false when nothing is in flight.
-    pub fn inject_swallow_completion(&mut self, selector: u64) -> bool {
+    fn inject_swallow_completion(&mut self, selector: u64) -> bool {
         let total: usize = self.channels.iter().map(|c| c.inflight.len()).sum();
         if total == 0 {
             return false;
@@ -744,7 +728,7 @@ impl DramSystem {
     /// This is the *overall* utilization across channels — the signal
     /// DSPatch samples (per-controller in the original; see the paper's
     /// critique).
-    pub fn bandwidth_utilization(&self, elapsed: Cycle) -> f64 {
+    fn bandwidth_utilization(&self, elapsed: Cycle) -> f64 {
         if elapsed == 0 {
             return 0.0;
         }
@@ -756,58 +740,7 @@ impl DramSystem {
         let peak = self.channels.len() as f64 * elapsed as f64 / self.cfg.burst_cycles as f64;
         (transfers as f64 / peak).min(1.0)
     }
-}
 
-impl DramModel for DramSystem {
-    fn channels(&self) -> usize {
-        DramSystem::channels(self)
-    }
-    fn channel_for(&self, line: LineAddr) -> usize {
-        DramSystem::channel_for(self, line)
-    }
-    fn read_queue_has_room(&self, channel: usize) -> bool {
-        DramSystem::read_queue_has_room(self, channel)
-    }
-    fn read_queue_len(&self, channel: usize) -> usize {
-        DramSystem::read_queue_len(self, channel)
-    }
-    fn enqueue_read(
-        &mut self,
-        channel: usize,
-        id: ReqId,
-        line: LineAddr,
-        priority: Priority,
-        now: Cycle,
-    ) -> Result<(), QueueFullError> {
-        DramSystem::enqueue_read(self, channel, id, line, priority, now)
-    }
-    fn enqueue_write(&mut self, line: LineAddr, now: Cycle) -> Result<(), QueueFullError> {
-        DramSystem::enqueue_write(self, line, now)
-    }
-    fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        DramSystem::tick(self, now)
-    }
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        DramSystem::next_activity(self, now)
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        DramSystem::skip_idle(self, from, to)
-    }
-    fn stats(&self, channel: usize) -> &ChannelStats {
-        DramSystem::stats(self, channel)
-    }
-    fn total_stats(&self) -> ChannelStats {
-        DramSystem::total_stats(self)
-    }
-    fn audit(&self, now: Cycle, full: bool) -> Result<(), String> {
-        DramSystem::audit(self, now, full)
-    }
-    fn inject_swallow_completion(&mut self, selector: u64) -> bool {
-        DramSystem::inject_swallow_completion(self, selector)
-    }
-    fn bandwidth_utilization(&self, elapsed: Cycle) -> f64 {
-        DramSystem::bandwidth_utilization(self, elapsed)
-    }
     fn fingerprint(&self, h: &mut Fnv64, full: bool) {
         for ch in &self.channels {
             h.write_u64(ch.reads_enqueued)

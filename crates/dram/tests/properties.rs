@@ -1,7 +1,7 @@
 //! Randomized invariant tests: DRAM conservation and latency bounds,
 //! driven by the workspace's deterministic [`SimRng`].
 
-use clip_dram::DramSystem;
+use clip_dram::{DramModel, DramSystem};
 use clip_types::{DramConfig, LineAddr, Priority, ReqId, SimRng};
 
 /// Every accepted read completes exactly once, within a bounded time,

@@ -64,7 +64,7 @@ impl fmt::Display for NocFullError {
 
 impl std::error::Error for NocFullError {}
 
-/// Common interface of the two NoC implementations.
+/// Common interface of the three NoC implementations.
 pub trait NocModel {
     /// Injects a packet of `flits` flits from `src` to `dst`.
     ///
@@ -84,14 +84,12 @@ pub trait NocModel {
     /// Advances one cycle; returns packets fully delivered this cycle.
     fn tick(&mut self, now: Cycle) -> Vec<Delivered>;
 
-    /// Quiescence hook (see `clip_types::engine::Tick::next_activity`):
-    /// the earliest cycle `>= now` at which `tick` would do anything, or
-    /// `None` when nothing is in flight. Implementations may answer
-    /// conservatively (`Some(now)` whenever anything is buffered); they
-    /// must never claim a later cycle than the true next state change.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
-    }
+    /// Quiescence hook: the earliest cycle `>= now` at which `tick` would
+    /// do anything, or `None` when nothing is in flight. Implementations
+    /// may answer conservatively (`Some(now)` whenever anything is
+    /// buffered); they must never claim a later cycle than the true next
+    /// state change.
+    fn next_activity(&self, now: Cycle) -> Option<Cycle>;
 
     /// Number of nodes in the network.
     fn nodes(&self) -> usize;

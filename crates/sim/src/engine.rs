@@ -1,22 +1,19 @@
-//! The engine: transaction slab, event wheel, clock, and the clocked
-//! NoC/DRAM components, plus the memory-controller message handlers.
+//! The engine: transaction slab, event wheel, clock, the NoC, DRAM and
+//! LLC, plus the memory-controller message handlers.
 //!
 //! [`Engine`] owns everything that is *shared* between tiles — the NoC,
 //! the DRAM channels, the LLC, the in-flight transaction slab, the event
-//! ring and the [`SimClock`] — so tile-side code can borrow one tile and
-//! the engine simultaneously (disjoint `System` fields). The NoC, DRAM
-//! and LLC are wrapped in [`ClockedNoc`] / [`ClockedDram`] /
-//! [`crate::llc::ClockedLlc`], which implement the [`Tick`] contract and
-//! emit their outputs into typed [`Channel`]s the cycle loop drains.
+//! ring and the current cycle — so tile-side code can borrow one tile and
+//! the engine simultaneously (disjoint `System` fields). The NoC and DRAM
+//! are trait objects built by [`build_noc`] / [`build_dram`];
+//! [`Engine::tick_uncore`] ticks them and the [`ClockedLlc`] and hands
+//! what they return to the uncore handlers.
 
 use crate::llc::ClockedLlc;
 use crate::ports::{NocPayload, OutMsg, TxnId};
-use clip_dram::{ChannelStats, DramCompletion, DramModel, DramSystem, HbmDram, QueueFullError};
-use clip_noc::{AnalyticNoc, ChipletNoc, Delivered, MeshNoc, NocFullError, NocModel};
-use clip_types::{
-    Channel, Cycle, DramConfig, DramKind, Ip, LineAddr, MemLevel, Priority, ReqId, SimClock,
-    SimConfig, Tick,
-};
+use clip_dram::{DramModel, DramSystem, HbmDram};
+use clip_noc::{AnalyticNoc, ChipletNoc, MeshNoc, NocModel};
+use clip_types::{Cycle, DramConfig, DramKind, Ip, LineAddr, MemLevel, Priority, ReqId, SimConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -39,207 +36,21 @@ pub enum NocChoice {
     Chiplet,
 }
 
-/// The fabric a run actually drives, dispatched behind [`NocModel`].
-pub(crate) enum NocImpl {
-    Mesh(MeshNoc),
-    Analytic(AnalyticNoc),
-    Chiplet(ChipletNoc),
-}
-
-impl NocImpl {
-    /// Topology factory: builds the fabric `choice` selects over the
-    /// configured node space.
-    pub(crate) fn build(choice: NocChoice, cfg: &SimConfig) -> NocImpl {
-        match choice {
-            NocChoice::Mesh => NocImpl::Mesh(MeshNoc::new(&cfg.noc)),
-            NocChoice::Analytic => NocImpl::Analytic(AnalyticNoc::new(&cfg.noc)),
-            NocChoice::Chiplet => NocImpl::Chiplet(ChipletNoc::new(&cfg.noc)),
-        }
-    }
-
-    fn as_model(&mut self) -> &mut dyn NocModel {
-        match self {
-            NocImpl::Mesh(m) => m,
-            NocImpl::Analytic(a) => a,
-            NocImpl::Chiplet(c) => c,
-        }
-    }
-
-    fn as_model_ref(&self) -> &dyn NocModel {
-        match self {
-            NocImpl::Mesh(m) => m,
-            NocImpl::Analytic(a) => a,
-            NocImpl::Chiplet(c) => c,
-        }
+/// Topology factory: builds the fabric `choice` selects over the
+/// configured node space.
+fn build_noc(choice: NocChoice, cfg: &SimConfig) -> Box<dyn NocModel> {
+    match choice {
+        NocChoice::Mesh => Box::new(MeshNoc::new(&cfg.noc)),
+        NocChoice::Analytic => Box::new(AnalyticNoc::new(&cfg.noc)),
+        NocChoice::Chiplet => Box::new(ChipletNoc::new(&cfg.noc)),
     }
 }
 
-impl NocModel for NocImpl {
-    fn send(
-        &mut self,
-        src: usize,
-        dst: usize,
-        flits: usize,
-        priority: Priority,
-        payload: u64,
-        now: Cycle,
-    ) -> Result<(), NocFullError> {
-        self.as_model()
-            .send(src, dst, flits, priority, payload, now)
-    }
-    fn tick(&mut self, now: Cycle) -> Vec<Delivered> {
-        self.as_model().tick(now)
-    }
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.as_model_ref().next_activity(now)
-    }
-    fn nodes(&self) -> usize {
-        self.as_model_ref().nodes()
-    }
-    fn delivered_count(&self) -> u64 {
-        self.as_model_ref().delivered_count()
-    }
-    fn total_latency(&self) -> u64 {
-        self.as_model_ref().total_latency()
-    }
-    fn flit_hops(&self) -> u64 {
-        self.as_model_ref().flit_hops()
-    }
-    fn audit(&self, full: bool) -> Result<(), String> {
-        self.as_model_ref().audit(full)
-    }
-    fn inject_drop_flit(&mut self, selector: u64) -> bool {
-        self.as_model().inject_drop_flit(selector)
-    }
-    fn fingerprint(&self, h: &mut clip_types::Fnv64, full: bool) {
-        self.as_model_ref().fingerprint(h, full);
-    }
-}
-
-/// The memory backend a run actually drives, dispatched behind
-/// [`DramModel`].
-pub(crate) enum DramImpl {
-    Ddr4(DramSystem),
-    Hbm(HbmDram),
-}
-
-impl DramImpl {
-    /// Memory factory: builds the backend `cfg.kind` selects.
-    pub(crate) fn build(cfg: &DramConfig) -> DramImpl {
-        match cfg.kind {
-            DramKind::Ddr4 => DramImpl::Ddr4(DramSystem::new(cfg)),
-            DramKind::Hbm => DramImpl::Hbm(HbmDram::new(cfg)),
-        }
-    }
-
-    fn as_model(&mut self) -> &mut dyn DramModel {
-        match self {
-            DramImpl::Ddr4(d) => d,
-            DramImpl::Hbm(h) => h,
-        }
-    }
-
-    fn as_model_ref(&self) -> &dyn DramModel {
-        match self {
-            DramImpl::Ddr4(d) => d,
-            DramImpl::Hbm(h) => h,
-        }
-    }
-}
-
-impl DramModel for DramImpl {
-    fn channels(&self) -> usize {
-        self.as_model_ref().channels()
-    }
-    fn channel_for(&self, line: LineAddr) -> usize {
-        self.as_model_ref().channel_for(line)
-    }
-    fn read_queue_has_room(&self, channel: usize) -> bool {
-        self.as_model_ref().read_queue_has_room(channel)
-    }
-    fn read_queue_len(&self, channel: usize) -> usize {
-        self.as_model_ref().read_queue_len(channel)
-    }
-    fn enqueue_read(
-        &mut self,
-        channel: usize,
-        id: ReqId,
-        line: LineAddr,
-        priority: Priority,
-        now: Cycle,
-    ) -> Result<(), QueueFullError> {
-        self.as_model()
-            .enqueue_read(channel, id, line, priority, now)
-    }
-    fn enqueue_write(&mut self, line: LineAddr, now: Cycle) -> Result<(), QueueFullError> {
-        self.as_model().enqueue_write(line, now)
-    }
-    fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        self.as_model().tick(now)
-    }
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.as_model_ref().next_activity(now)
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.as_model().skip_idle(from, to);
-    }
-    fn stats(&self, channel: usize) -> &ChannelStats {
-        self.as_model_ref().stats(channel)
-    }
-    fn total_stats(&self) -> ChannelStats {
-        self.as_model_ref().total_stats()
-    }
-    fn audit(&self, now: Cycle, full: bool) -> Result<(), String> {
-        self.as_model_ref().audit(now, full)
-    }
-    fn inject_swallow_completion(&mut self, selector: u64) -> bool {
-        self.as_model().inject_swallow_completion(selector)
-    }
-    fn bandwidth_utilization(&self, elapsed: Cycle) -> f64 {
-        self.as_model_ref().bandwidth_utilization(elapsed)
-    }
-    fn fingerprint(&self, h: &mut clip_types::Fnv64, full: bool) {
-        self.as_model_ref().fingerprint(h, full);
-    }
-}
-
-/// The NoC as a clocked component: each [`Tick::tick`] advances the
-/// network one cycle and pushes completed deliveries into `delivered`.
-/// Generic over the fabric so any [`NocModel`] slots in.
-pub(crate) struct ClockedNoc<N: NocModel> {
-    pub(crate) model: N,
-    pub(crate) delivered: Channel<Delivered>,
-}
-
-impl<N: NocModel> Tick for ClockedNoc<N> {
-    fn tick(&mut self, now: Cycle) {
-        for d in self.model.tick(now) {
-            self.delivered.push(d);
-        }
-    }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        merge_activity(self.delivered.activity(now), self.model.next_activity(now))
-    }
-}
-
-/// The DRAM channels as a clocked component: each [`Tick::tick`]
-/// advances every channel one cycle and pushes finished reads into
-/// `completed`. Generic over the backend so any [`DramModel`] slots in.
-pub(crate) struct ClockedDram<D: DramModel> {
-    pub(crate) mem: D,
-    pub(crate) completed: Channel<DramCompletion>,
-}
-
-impl<D: DramModel> Tick for ClockedDram<D> {
-    fn tick(&mut self, now: Cycle) {
-        for c in self.mem.tick(now) {
-            self.completed.push(c);
-        }
-    }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        merge_activity(self.completed.activity(now), self.mem.next_activity(now))
+/// Memory factory: builds the backend `cfg.kind` selects.
+fn build_dram(cfg: &DramConfig) -> Box<dyn DramModel> {
+    match cfg.kind {
+        DramKind::Ddr4 => Box::new(DramSystem::new(cfg)),
+        DramKind::Hbm => Box::new(HbmDram::new(cfg)),
     }
 }
 
@@ -250,7 +61,7 @@ fn phase(cycle: Cycle) -> usize {
 }
 
 /// Minimum over two optional wake-up cycles (`None` = no wake-up).
-pub(crate) fn merge_activity(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+fn merge_activity(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, y) => x.or(y),
@@ -333,7 +144,7 @@ pub(crate) struct EngineParams {
 }
 
 impl EngineParams {
-    pub(crate) fn from_config(cfg: &SimConfig) -> Self {
+    fn from_config(cfg: &SimConfig) -> Self {
         EngineParams {
             cores: cfg.cores,
             nodes: cfg.noc.mesh_cols * cfg.noc.mesh_rows,
@@ -351,9 +162,11 @@ impl EngineParams {
 /// the next interesting uncore cycle?" for the skip-ahead scheduler.
 pub(crate) struct Engine {
     pub(crate) params: EngineParams,
-    pub(crate) clock: SimClock,
-    pub(crate) noc: ClockedNoc<NocImpl>,
-    pub(crate) dram: ClockedDram<DramImpl>,
+    /// The current cycle. Only `System` advances it, by one per tick or
+    /// straight to a skip target.
+    pub(crate) now: Cycle,
+    pub(crate) noc: Box<dyn NocModel>,
+    pub(crate) dram: Box<dyn DramModel>,
     pub(crate) llc: ClockedLlc,
     pub(crate) txns: Vec<Txn>,
     free_txns: Vec<TxnId>,
@@ -371,7 +184,7 @@ pub(crate) struct Engine {
     /// Transactions across all `dram_wait` FIFOs.
     dram_parked: usize,
     /// Per-node injection outboxes (FIFO behind a refused packet).
-    outbox: Vec<Channel<OutMsg>>,
+    outbox: Vec<VecDeque<OutMsg>>,
     /// Messages across all `outbox` FIFOs.
     spilled: usize,
     next_req: u64,
@@ -385,19 +198,15 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(noc: NocImpl, dram: DramImpl, llc: ClockedLlc, params: EngineParams) -> Self {
+    /// Builds the uncore of `cfg` on the fabric `noc` selects.
+    pub(crate) fn new(cfg: &SimConfig, noc: NocChoice) -> Self {
+        let params = EngineParams::from_config(cfg);
         Engine {
             params,
-            clock: SimClock::new(),
-            noc: ClockedNoc {
-                model: noc,
-                delivered: Channel::new(),
-            },
-            dram: ClockedDram {
-                mem: dram,
-                completed: Channel::new(),
-            },
-            llc,
+            now: 0,
+            noc: build_noc(noc, cfg),
+            dram: build_dram(&cfg.dram),
+            llc: ClockedLlc::new(cfg),
             txns: Vec::with_capacity(4096),
             free_txns: Vec::new(),
             ring: (0..EVENT_RING).map(|_| Vec::new()).collect(),
@@ -407,17 +216,12 @@ impl Engine {
                 .map(|_| std::array::from_fn(|_| VecDeque::new()))
                 .collect(),
             dram_parked: 0,
-            outbox: (0..params.nodes).map(|_| Channel::new()).collect(),
+            outbox: (0..params.nodes).map(|_| VecDeque::new()).collect(),
             spilled: 0,
             next_req: 1,
             probe_map: HashMap::new(),
             next_probe: 0,
         }
-    }
-
-    #[inline]
-    pub(crate) fn now(&self) -> Cycle {
-        self.clock.now()
     }
 
     #[inline]
@@ -453,7 +257,7 @@ impl Engine {
 
     #[inline]
     pub(crate) fn schedule(&mut self, at: Cycle, ev: Ev) {
-        let now = self.clock.now();
+        let now = self.now;
         let at = at.max(now + 1);
         debug_assert!(at - now < EVENT_RING as u64, "event beyond ring horizon");
         self.ring[(at as usize) % EVENT_RING].push(ev);
@@ -465,7 +269,7 @@ impl Engine {
     /// their heap entries: at every cycle boundary the heap holds exactly
     /// one entry per pending event, whether or not a scheduler peeks it.
     pub(crate) fn take_events(&mut self) -> Vec<Ev> {
-        let now = self.clock.now();
+        let now = self.now;
         let evs = std::mem::take(&mut self.ring[(now as usize) % EVENT_RING]);
         self.events_pending -= evs.len();
         while self.event_heap.peek().is_some_and(|&Reverse(c)| c <= now) {
@@ -501,7 +305,7 @@ impl Engine {
         }
         let mut next = None;
         for (ch, fifos) in self.dram_wait.iter().enumerate() {
-            if !self.dram.mem.read_queue_has_room(ch) {
+            if !self.dram.read_queue_has_room(ch) {
                 continue;
             }
             let due = (now..now + RETRY_DELAY).find(|&c| !fifos[phase(c)].is_empty());
@@ -675,17 +479,16 @@ impl Engine {
         prio: Priority,
         pl: NocPayload,
     ) {
-        let now = self.clock.now();
+        let now = self.now;
         if self.outbox[src].is_empty()
             && self
                 .noc
-                .model
                 .send(src, dst, flits, prio, pl.encode(), now)
                 .is_ok()
         {
             return;
         }
-        self.outbox[src].push(OutMsg {
+        self.outbox[src].push_back(OutMsg {
             dst,
             flits,
             priority: prio,
@@ -698,7 +501,7 @@ impl Engine {
         if self.spilled == 0 {
             return;
         }
-        let now = self.clock.now();
+        let now = self.now;
         // Rotate the starting node each cycle: a fixed order would let
         // low-index tiles win saturated links every cycle and starve the
         // memory controllers' response packets (livelock under flood).
@@ -708,11 +511,10 @@ impl Engine {
             while let Some(m) = self.outbox[node].front() {
                 let ok = self
                     .noc
-                    .model
                     .send(node, m.dst, m.flits, m.priority, m.payload.encode(), now)
                     .is_ok();
                 if ok {
-                    self.outbox[node].pop();
+                    self.outbox[node].pop_front();
                     self.spilled -= 1;
                 } else {
                     break;
@@ -740,21 +542,25 @@ impl Engine {
         (channel * nodes / self.params.channels) % nodes
     }
 
-    /// Drains the clocked components' output channels into the uncore
-    /// handlers: NoC deliveries, DRAM completions, due LLC lookups. The
+    /// Ticks the NoC, the DRAM and the LLC, then hands what they return
+    /// to the uncore handlers: NoC deliveries, DRAM completions, due LLC
+    /// lookups. All three tick before any handler runs. The
     /// `lose_deliveries` flag is the `LoseDelivery` fault: packets arrive
     /// and vanish.
-    pub(crate) fn drain_uncore(&mut self, now: Cycle, lose_deliveries: bool) {
-        while let Some(d) = self.noc.delivered.pop() {
-            if lose_deliveries {
-                continue;
+    pub(crate) fn tick_uncore(&mut self, lose_deliveries: bool) {
+        let now = self.now;
+        let delivered = self.noc.tick(now);
+        let completed = self.dram.tick(now);
+        let due = self.llc.tick(now);
+        if !lose_deliveries {
+            for d in delivered {
+                self.handle_delivery(d.node, d.payload, now);
             }
-            self.handle_delivery(d.node, d.payload, now);
         }
-        while let Some(c) = self.dram.completed.pop() {
+        for c in completed {
             self.handle_dram_completion(c.id);
         }
-        while let Some(txn) = self.llc.ready.pop() {
+        for txn in due {
             self.llc_lookup(txn, now);
         }
     }
@@ -777,7 +583,7 @@ impl Engine {
             }
             _ => {}
         }
-        let channel = self.dram.mem.channel_for(self.txns[txn as usize].line);
+        let channel = self.dram.channel_for(self.txns[txn as usize].line);
         if !self.try_enqueue_read(channel, txn, now) {
             self.dram_wait[channel][phase(now)].push_back(txn);
             self.dram_parked += 1;
@@ -790,7 +596,6 @@ impl Engine {
         let prio = self.txn_priority(txn);
         let line = self.txns[txn as usize].line;
         self.dram
-            .mem
             .enqueue_read(channel, ReqId(txn as u64), line, prio, now)
             .is_ok()
     }
@@ -819,7 +624,7 @@ impl Engine {
         }
         let p = phase(now);
         for ch in 0..self.dram_wait.len() {
-            if !self.dram.mem.read_queue_has_room(ch) {
+            if !self.dram.read_queue_has_room(ch) {
                 continue;
             }
             while let Some(&txn) = self.dram_wait[ch][p].front() {
@@ -835,7 +640,7 @@ impl Engine {
     /// Enqueues a dirty-line write at its controller, retrying through
     /// the event wheel when the write queue is full.
     pub(crate) fn wb_dram(&mut self, line: LineAddr, now: Cycle) {
-        if self.dram.mem.enqueue_write(line, now).is_err() {
+        if self.dram.enqueue_write(line, now).is_err() {
             self.schedule(now + RETRY_DELAY * 2, Ev::WbDram { line });
         }
     }
@@ -843,7 +648,7 @@ impl Engine {
     /// Sends the DRAM response packet toward the LLC home slice.
     fn data_from_mc(&mut self, txn: TxnId) {
         let tx = self.txns[txn as usize];
-        let channel = self.dram.mem.channel_for(tx.line);
+        let channel = self.dram.channel_for(tx.line);
         let mc = self.mc_node(channel);
         let home = self.home_of(tx.line);
         let prio = self.txn_priority(txn);
@@ -903,7 +708,7 @@ impl Engine {
     }
 
     pub(crate) fn writeback_to_dram(&mut self, from_node: usize, line: LineAddr) {
-        let channel = self.dram.mem.channel_for(line);
+        let channel = self.dram.channel_for(line);
         let mc = self.mc_node(channel);
         self.send_msg(
             from_node,
@@ -929,12 +734,7 @@ mod tests {
             .dram_channels(1)
             .build()
             .expect("valid config");
-        let mut e = Engine::new(
-            NocImpl::build(NocChoice::Analytic, &cfg),
-            DramImpl::build(&cfg.dram),
-            ClockedLlc::new(&cfg),
-            EngineParams::from_config(&cfg),
-        );
+        let mut e = Engine::new(&cfg, NocChoice::Analytic);
         for c in 0..5_000u64 {
             for k in 0..c % 3 {
                 let line = LineAddr::new(c * 4 + k);
@@ -942,7 +742,7 @@ mod tests {
             }
             e.take_events();
             assert_eq!(e.event_heap.len(), e.pending_events(), "cycle {c}");
-            e.clock.advance();
+            e.now += 1;
         }
         assert!(e.pending_events() > 0, "events stay pending past the loop");
     }
@@ -955,12 +755,7 @@ mod tests {
             .dram_channels(1)
             .build()
             .expect("valid config");
-        let mut e = Engine::new(
-            NocImpl::build(NocChoice::Mesh, &cfg),
-            DramImpl::build(&cfg.dram),
-            ClockedLlc::new(&cfg),
-            EngineParams::from_config(&cfg),
-        );
+        let mut e = Engine::new(&cfg, NocChoice::Mesh);
         // Flood one node until its injection queue refuses and messages
         // spill.
         for _ in 0..200 {

@@ -110,8 +110,6 @@ impl System {
     /// are never comparable to each other (the baseline store keys them
     /// apart).
     pub(crate) fn capture_fingerprint(&mut self, now: Cycle, full: bool) {
-        use clip_dram::DramModel;
-        use clip_noc::NocModel;
         let cadence = self.integrity.cadence.max(1);
         let mut hashes = Vec::with_capacity(self.tiles.len() + 4);
         for t in &self.tiles {
@@ -138,10 +136,10 @@ impl System {
         }
         hashes.push(h.finish());
         let mut h = Fnv64::new();
-        self.engine.noc.model.fingerprint(&mut h, full);
+        self.engine.noc.fingerprint(&mut h, full);
         hashes.push(h.finish());
         let mut h = Fnv64::new();
-        self.engine.dram.mem.fingerprint(&mut h, full);
+        self.engine.dram.fingerprint(&mut h, full);
         hashes.push(h.finish());
         self.fingerprints.push(WindowFingerprint {
             window: now / cadence,
@@ -153,9 +151,9 @@ impl System {
 
 /// Diffs two same-seed runs' fingerprint streams window by window.
 ///
-/// Both runs must have been captured under `CLIP_CHECK=full` with the
-/// same `check_cadence`; when either side recorded no fingerprints there
-/// is nothing to compare and the result is `Ok`.
+/// Both runs must have been captured at the same check level and
+/// `check_cadence`; when either side recorded no fingerprints there is
+/// nothing to compare and the result is `Ok`.
 ///
 /// # Errors
 ///

@@ -1,13 +1,13 @@
 //! The integrity auditor: forward-progress watchdog + conservation
-//! audits over the whole Tick stack.
+//! audits over every component of the system.
 //!
 //! The cycle loop calls [`System::integrity_tick`] after every tick; at
 //! the configured cadence it runs the component audits (NoC flit
 //! conservation, DRAM command legality, LLC lookup-ring occupancy, every
 //! MSHR file's allocation/release balance, every core's ROB/load-queue
 //! balance, and every tile's prefetch-queue conservation + address
-//! legality), captures a per-component state fingerprint under
-//! `CLIP_CHECK=full` (see [`crate::fingerprint`]), and samples a global
+//! legality), captures a per-component state fingerprint at every
+//! enabled level (see [`crate::fingerprint`]), and samples a global
 //! progress signature. If the signature does not change for a whole
 //! watchdog window while work is still in flight, the run is declared
 //! deadlocked with a report naming the stuck transactions and every
@@ -15,10 +15,7 @@
 //! bit-identical across [`CheckLevel`]s.
 
 use crate::system::System;
-use crate::tile::TileTick;
-use clip_dram::DramModel;
-use clip_noc::NocModel;
-use clip_types::{CheckLevel, Cycle, SimError, SimErrorKind, Tick};
+use clip_types::{CheckLevel, Cycle, SimError, SimErrorKind};
 
 /// Default audit cadence in cycles.
 pub(crate) const DEFAULT_CHECK_CADENCE: Cycle = 2048;
@@ -68,12 +65,10 @@ impl System {
 
         self.engine
             .noc
-            .model
             .audit(full)
             .map_err(|e| component_error(now, "noc", e))?;
         self.engine
             .dram
-            .mem
             .audit(now, full)
             .map_err(|e| component_error(now, "dram", e))?;
         self.engine
@@ -136,10 +131,10 @@ impl System {
             .iter()
             .map(|t| t.core.as_ref().expect("core present").retired())
             .sum();
-        let ds = self.engine.dram.mem.total_stats();
+        let ds = self.engine.dram.total_stats();
         (
             retired,
-            self.engine.noc.model.delivered_count(),
+            self.engine.noc.delivered_count(),
             ds.reads + ds.writes,
             self.engine.llc.fired(),
         )
@@ -190,7 +185,7 @@ impl System {
         let l1m: usize = self.tiles.iter().map(|t| t.l1_mshr.len()).sum();
         let l2m: usize = self.tiles.iter().map(|t| t.l2_mshr.len()).sum();
         let rq: usize = (0..self.cfg.dram.channels)
-            .map(|c| self.engine.dram.mem.read_queue_len(c))
+            .map(|c| self.engine.dram.read_queue_len(c))
             .sum();
         format!(
             "{} live txns \
@@ -224,7 +219,7 @@ impl System {
         wake: Option<Cycle>,
     ) -> Result<(), SimError> {
         let before = self.tiles[t].wake_probe();
-        TileTick { sys: self, t }.tick(now);
+        self.tick_tile(t, now);
         let after = self.tiles[t].wake_probe();
         let Some(((what, was), (_, is))) = before.iter().zip(&after).find(|(b, a)| b.1 != a.1)
         else {

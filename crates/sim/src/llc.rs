@@ -1,18 +1,16 @@
 //! The shared LLC as a clocked component.
 //!
 //! [`ClockedLlc`] owns the address-interleaved LLC slices and their MSHR
-//! files, mirroring [`crate::engine::ClockedNoc`] / `ClockedDram`: each
-//! [`Tick::tick`] moves lookups whose slice-access latency has elapsed
-//! into the `ready` channel, which the cycle loop drains into
-//! [`System::llc_lookup`]. Slice state is only reachable through this
+//! files. Each [`ClockedLlc::tick`] returns the lookups whose
+//! slice-access latency has elapsed, which [`Engine::tick_uncore`] hands
+//! to [`Engine::llc_lookup`]. Slice state is only reachable through this
 //! component's API — `tile.rs` and `system.rs` never see a `Cache` or
 //! `MshrFile` of the LLC directly.
 
 use crate::engine::{Engine, Txn, TxnKind, RETRY_DELAY};
 use crate::ports::{NocPayload, TxnId};
 use clip_cache::{AllocOutcome, Cache, Evicted, LookupOutcome, MshrFile};
-use clip_dram::DramModel;
-use clip_types::{Channel, Cycle, LineAddr, MemLevel, ReqId, SimConfig, Tick};
+use clip_types::{Cycle, LineAddr, MemLevel, ReqId, SimConfig};
 
 /// Ring horizon for pending slice lookups. Slice latency (default 20)
 /// plus retry delays stay far below this.
@@ -25,11 +23,9 @@ pub(crate) struct ClockedLlc {
     /// Lookup wheel: slot `c % LLC_RING` holds transactions whose slice
     /// access completes at cycle `c`.
     ring: Vec<Vec<TxnId>>,
-    /// Lookups whose slice latency elapsed this cycle.
-    pub(crate) ready: Channel<TxnId>,
     /// Lookups ever placed on the ring (conservation audit).
     scheduled: u64,
-    /// Lookups ever moved off the ring into `ready` (conservation audit).
+    /// Lookups ever taken off the ring by a tick (conservation audit).
     fired: u64,
 }
 
@@ -41,7 +37,6 @@ impl ClockedLlc {
                 .map(|_| MshrFile::new(cfg.llc_slice.mshrs))
                 .collect(),
             ring: (0..LLC_RING).map(|_| Vec::new()).collect(),
-            ready: Channel::new(),
             scheduled: 0,
             fired: 0,
         }
@@ -120,8 +115,7 @@ impl ClockedLlc {
 
     /// Lookup-ring + MSHR audit: every scheduled lookup must either still
     /// sit on the ring or have fired, and every slice's MSHR file must
-    /// pass its own balance check. The `ready` channel is expected to be
-    /// empty between cycles (the loop drains it each tick).
+    /// pass its own balance check.
     ///
     /// # Errors
     ///
@@ -135,12 +129,6 @@ impl ClockedLlc {
                 self.fired,
                 on_ring,
                 self.scheduled as i64 - (self.fired + on_ring) as i64
-            ));
-        }
-        if !self.ready.is_empty() {
-            return Err(format!(
-                "{} ready lookups left undrained between cycles",
-                self.ready.len()
             ));
         }
         for (slice, m) in self.mshrs.iter().enumerate() {
@@ -180,20 +168,18 @@ impl ClockedLlc {
         }
         false
     }
-}
 
-impl Tick for ClockedLlc {
-    fn tick(&mut self, now: Cycle) {
-        for txn in std::mem::take(&mut self.ring[(now as usize) % LLC_RING]) {
-            self.ready.push(txn);
-            self.fired += 1;
-        }
+    /// Takes the lookups whose slice latency elapses at `now` off the
+    /// ring.
+    pub(crate) fn tick(&mut self, now: Cycle) -> Vec<TxnId> {
+        let due = std::mem::take(&mut self.ring[(now as usize) % LLC_RING]);
+        self.fired += due.len() as u64;
+        due
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if !self.ready.is_empty() {
-            return Some(now);
-        }
+    /// The earliest cycle `>= now` with a lookup due, or `None` when the
+    /// ring is empty.
+    pub(crate) fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         if self.scheduled == self.fired {
             return None; // nothing on the lookup ring
         }
@@ -243,7 +229,7 @@ impl Engine {
                     .mshr_alloc(home, tx.line, ReqId(txn as u64), is_pf, now)
                 {
                     Ok(AllocOutcome::New) => {
-                        let channel = self.dram.mem.channel_for(tx.line);
+                        let channel = self.dram.channel_for(tx.line);
                         let mc = self.mc_node(channel);
                         let prio = self.txn_priority(txn);
                         self.send_msg(

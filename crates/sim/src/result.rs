@@ -237,11 +237,11 @@ pub struct SimResult {
     /// Per-interval time series (empty unless requested via
     /// `RunOptions::timeline_interval`).
     pub timeline: Vec<TimelinePoint>,
-    /// Per-window state fingerprints (empty unless the run was audited
-    /// under `CLIP_CHECK=full`; see [`crate::fingerprint`]). Deliberately
-    /// excluded from [`SimResult::to_json`] — artifacts stay byte-identical
-    /// whether or not fingerprints were captured — so they do not survive
-    /// a disk-cache round trip. Cross-run persistence goes through the
+    /// Per-window state fingerprints, captured at every enabled check
+    /// level (empty with audits off; see [`crate::fingerprint`]).
+    /// Deliberately excluded from [`SimResult::to_json`] — artifacts stay
+    /// byte-identical whether or not fingerprints were captured — so they
+    /// do not survive a disk-cache round trip. Cross-run persistence goes through the
     /// separate `clip-bench` fingerprint-baseline store (`target/clip-fp/`,
     /// gated by `CLIP_FP_BASELINE`), which serializes this stream via
     /// [`crate::fingerprint::stream_to_json`] instead.

@@ -1,13 +1,11 @@
 //! Delta-based reporting: counters are snapshotted at the end of warmup
 //! and the measurement-phase report is the difference. Also holds the
-//! timeline sampler and the stall diagnostic dump.
+//! timeline sampler.
 
 use crate::result::{ClipReport, LatencyReport, MissReport, PrefetchReport, SimResult};
 use crate::system::System;
 use crate::tile::Tile;
 use clip_crit::EvalCounts;
-use clip_dram::DramModel;
-use clip_noc::NocModel;
 use clip_stats::energy::EnergyCounts;
 use clip_types::Cycle;
 
@@ -49,7 +47,7 @@ impl System {
             .iter()
             .map(|t| t.core.as_ref().expect("core present").retired())
             .sum();
-        let ds = self.engine.dram.mem.total_stats();
+        let ds = self.engine.dram.total_stats();
         let pf: u64 = self.tiles.iter().map(|t| t.pf_issued).sum();
         (retired, ds.reads + ds.writes, pf)
     }
@@ -116,11 +114,11 @@ impl System {
                 .iter()
                 .map(|c| c.stats().demand_misses())
                 .sum(),
-            dram_reads: self.engine.dram.mem.total_stats().reads,
-            dram_writes: self.engine.dram.mem.total_stats().writes,
-            dram_row_hits: self.engine.dram.mem.total_stats().row_hits,
-            noc_hops: self.engine.noc.model.flit_hops(),
-            cycle: self.engine.now(),
+            dram_reads: self.engine.dram.total_stats().reads,
+            dram_writes: self.engine.dram.total_stats().writes,
+            dram_row_hits: self.engine.dram.total_stats().row_hits,
+            noc_hops: self.engine.noc.flit_hops(),
+            cycle: self.engine.now,
             clip_eval: self.tiles.iter().map(|t| t.clip_eval).collect(),
             l1_fills: self.tiles.iter().map(|t| t.l1d.stats().fills).collect(),
             l2_fills: self.tiles.iter().map(|t| t.l2.stats().fills).collect(),
@@ -135,7 +133,7 @@ impl System {
     }
 
     pub(crate) fn assemble(&mut self, snap: Snapshot, measure: u64) -> SimResult {
-        let end_cycle = self.engine.now();
+        let end_cycle = self.engine.now;
         let elapsed = end_cycle.saturating_sub(snap.cycle).max(1);
         let per_core_ipc: Vec<f64> = self
             .tiles
@@ -199,14 +197,14 @@ impl System {
                 .saturating_sub(snap.llc_miss),
         };
 
-        let ds = self.engine.dram.mem.total_stats();
+        let ds = self.engine.dram.total_stats();
         let dram_transfers = (ds.reads + ds.writes) - (snap.dram_reads + snap.dram_writes);
         let dram_row_hits = ds.row_hits - snap.dram_row_hits;
         let peak_transfers =
             self.cfg.dram.channels as f64 * elapsed as f64 / self.cfg.dram.burst_cycles as f64;
         let mut max_ch = 0.0f64;
         for ch in 0..self.cfg.dram.channels {
-            let s = self.engine.dram.mem.stats(ch);
+            let s = self.engine.dram.stats(ch);
             let u =
                 (s.reads + s.writes) as f64 / (elapsed as f64 / self.cfg.dram.burst_cycles as f64);
             max_ch = max_ch.max(u);
@@ -351,7 +349,7 @@ impl System {
                 - snap.llc_fills,
             dram_row_hits,
             dram_row_misses: dram_transfers - dram_row_hits,
-            noc_flit_hops: self.engine.noc.model.flit_hops() - snap.noc_hops,
+            noc_flit_hops: self.engine.noc.flit_hops() - snap.noc_hops,
             clip_lookups: clip.map(|c| c.stats.candidates).unwrap_or(0),
         };
 

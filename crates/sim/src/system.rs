@@ -10,26 +10,24 @@
 //!
 //! The subsystem logic lives next to its state: core-side paths in
 //! `tile.rs`, uncore message flow in `engine.rs`, delta reporting in
-//! `snapshot.rs`. This file only builds the parts and drives them
-//! through the [`Tick`] contract each cycle.
+//! `snapshot.rs`. This file only builds the parts and drives them each
+//! cycle.
 
-use crate::engine::{DramImpl, Engine, EngineParams, Ev, NocChoice, NocImpl};
+use crate::engine::{Engine, Ev, NocChoice};
 use crate::fault::{FaultHarness, FaultKind, FaultSpec};
 use crate::integrity::{Integrity, DEFAULT_CHECK_CADENCE, DEFAULT_WATCHDOG_WINDOW};
 use crate::result::SimResult;
 use crate::scheme::Scheme;
-use crate::tile::{Tile, TileTick, PF_QUEUE_CAP};
+use crate::tile::{Port, Tile, PF_QUEUE_CAP};
 use clip_cache::{Cache, MshrFile};
 use clip_core::DynamicClip;
 use clip_cpu::Core;
 use clip_crit::{EvalCounts, PredictorEvaluator};
-use clip_dram::DramModel;
-use clip_noc::NocModel;
 use clip_offchip::{DsPatch, Hermes};
 use clip_prefetch::PrefetchCandidate;
 use clip_throttle::EpochFeedback;
 use clip_trace::Mix;
-use clip_types::{CheckLevel, Cycle, MemLevel, Port, PrefetcherKind, SimConfig, SimError, Tick};
+use clip_types::{CheckLevel, Cycle, MemLevel, PrefetcherKind, SimConfig, SimError};
 use std::collections::HashMap;
 
 const THROTTLE_EPOCH: Cycle = 8192;
@@ -54,8 +52,8 @@ pub struct System {
     pub(crate) integrity: Integrity,
     /// Armed fault, if any (see [`crate::fault`]).
     pub(crate) fault: Option<FaultHarness>,
-    /// Per-window state fingerprints, captured under `CLIP_CHECK=full`
-    /// (see [`crate::fingerprint`]).
+    /// Per-window state fingerprints, captured whenever audits run (see
+    /// [`crate::fingerprint`]).
     pub(crate) fingerprints: Vec<crate::fingerprint::WindowFingerprint>,
 }
 
@@ -145,12 +143,7 @@ impl System {
             cfg: cfg.clone(),
             scheme: scheme.clone(),
             tiles,
-            engine: Engine::new(
-                NocImpl::build(noc, cfg),
-                DramImpl::build(&cfg.dram),
-                crate::llc::ClockedLlc::new(cfg),
-                EngineParams::from_config(cfg),
-            ),
+            engine: Engine::new(cfg, noc),
             cand_scratch: Vec::with_capacity(32),
             branch_scratch: Vec::with_capacity(16),
             dspatch_prev_channel: vec![0; cfg.dram.channels],
@@ -192,7 +185,7 @@ impl System {
 
     /// Current cycle.
     pub fn cycle(&self) -> Cycle {
-        self.engine.now()
+        self.engine.now
     }
 
     // ------------------------------------------------------------------
@@ -200,9 +193,9 @@ impl System {
     // ------------------------------------------------------------------
 
     /// Advances the whole system one cycle: spilled packets re-inject,
-    /// the clocked NoC, DRAM and LLC components tick and their output
-    /// channels drain into the uncore handlers, parked DRAM reads retry,
-    /// the event wheel fires, and the tiles tick (prefetch issue + core).
+    /// the NoC, DRAM and LLC tick and their outputs go to the uncore
+    /// handlers, parked DRAM reads retry, the event wheel fires, and the
+    /// tiles tick (prefetch issue + core).
     ///
     /// On the event wheel only the tiles whose [`Tile::next_activity`]
     /// is due tick; every other tile sleeps untouched, its stall counters
@@ -221,22 +214,16 @@ impl System {
     ///
     /// [`SimErrorKind::IllegalState`]: clip_types::SimErrorKind::IllegalState
     pub(crate) fn tick(&mut self, step: bool) -> Result<(), SimError> {
-        let now = self.engine.now();
+        let now = self.engine.now;
 
         self.apply_faults(now);
         self.engine.drain_outboxes();
 
-        // Clocked components produce into their output channels...
-        self.engine.noc.tick(now);
-        self.engine.dram.tick(now);
-        self.engine.llc.tick(now);
-
-        // ...which drain into the engine-owned uncore handlers.
         let lose_deliveries = self
             .fault
             .as_ref()
             .is_some_and(|f| f.spec.kind == FaultKind::LoseDelivery && now >= f.spec.at);
-        self.engine.drain_uncore(now, lose_deliveries);
+        self.engine.tick_uncore(lose_deliveries);
 
         // Parked DRAM reads retrying this cycle go before the events: a
         // retry precedes every first attempt of its cycle (see
@@ -253,11 +240,11 @@ impl System {
         let audit = step && self.integrity.level.full();
         for t in 0..self.tiles.len() {
             if step && !audit {
-                TileTick { sys: self, t }.tick(now);
+                self.tick_tile(t, now);
                 continue;
             }
             match self.tiles[t].cached_next_activity(now) {
-                Some(wake) if wake <= now => TileTick { sys: self, t }.tick(now),
+                Some(wake) if wake <= now => self.tick_tile(t, now),
                 wake if step => self.tick_asleep_tile_audited(t, now, wake)?,
                 _ => {}
             }
@@ -271,7 +258,7 @@ impl System {
             self.dspatch_epoch();
             // Dynamic CLIP samples *overall* utilization (not the myopic
             // per-controller view).
-            let bw = self.engine.dram.mem.bandwidth_utilization(now.max(1));
+            let bw = self.engine.dram.bandwidth_utilization(now.max(1));
             for tile in self.tiles.iter_mut() {
                 if let Some(clip) = tile.clip.as_mut() {
                     clip.on_bandwidth_sample(bw);
@@ -279,7 +266,7 @@ impl System {
             }
         }
 
-        self.engine.clock.advance();
+        self.engine.now += 1;
         Ok(())
     }
 
@@ -287,7 +274,7 @@ impl System {
     /// L2 lookups, data returns) need tile state and stay here; the
     /// uncore events forward to the [`Engine`], which owns those paths.
     pub(crate) fn handle_event(&mut self, ev: Ev) {
-        let now = self.engine.now();
+        let now = self.engine.now;
         let tile = match ev {
             Ev::L1Respond { tile, .. } => Some(tile as usize),
             Ev::L2Lookup { txn } | Ev::TileData { txn } => {
@@ -315,14 +302,14 @@ impl System {
     // ------------------------------------------------------------------
 
     /// The earliest cycle `>= now` that must actually be simulated: the
-    /// minimum over every component's [`Tick::next_activity`] answer and
+    /// minimum over every component's `next_activity` answer and
     /// the engine-level wheel constraints (periodic controllers, audit
     /// cadence, timeline sampling, the armed fault's trigger cycle).
     /// Always finite — the DSPatch epoch recurs every `DSPATCH_EPOCH`
     /// cycles and mutates controller state unconditionally, so no skip
     /// ever exceeds one epoch.
     fn next_interesting(&mut self, in_measure: bool) -> Cycle {
-        let now = self.engine.now();
+        let now = self.engine.now;
         // Periodic controllers fire on every positive multiple of
         // DSPATCH_EPOCH (THROTTLE_EPOCH is a multiple of it).
         let mut next = if now == 0 {
@@ -388,16 +375,16 @@ impl System {
     /// Only sound when every cycle in `now..target` is quiescent per
     /// [`System::next_interesting`].
     fn skip_to(&mut self, target: Cycle) {
-        let now = self.engine.now();
+        let now = self.engine.now;
         debug_assert!(target > now);
-        self.engine.dram.mem.skip_idle(now, target);
-        self.engine.clock.advance_to(target);
+        self.engine.dram.skip_idle(now, target);
+        self.engine.now = target;
     }
 
     /// Settles every tile's sleep span up to the current cycle, so the
     /// core stall counters are complete.
     fn settle_tiles(&mut self) {
-        let now = self.engine.now();
+        let now = self.engine.now;
         for t in self.tiles.iter_mut() {
             t.settle(now);
         }
@@ -407,7 +394,7 @@ impl System {
     /// future, skip straight to it (capped at `max_cycles`) and report
     /// `true`; otherwise the current cycle must be ticked.
     fn try_skip(&mut self, max_cycles: Cycle, in_measure: bool) -> bool {
-        let now = self.engine.now();
+        let now = self.engine.now;
         let target = self.next_interesting(in_measure).min(max_cycles);
         if target > now {
             self.skip_to(target);
@@ -434,8 +421,8 @@ impl System {
             .expect("checked present above")
             .selector();
         let landed = match kind {
-            FaultKind::DropFlit => self.engine.noc.model.inject_drop_flit(sel),
-            FaultKind::SwallowDramCompletion => self.engine.dram.mem.inject_swallow_completion(sel),
+            FaultKind::DropFlit => self.engine.noc.inject_drop_flit(sel),
+            FaultKind::SwallowDramCompletion => self.engine.dram.inject_swallow_completion(sel),
             FaultKind::LeakLlcMshr => self.engine.llc.inject_mshr_leak(sel),
             FaultKind::LoseDelivery => true,
             FaultKind::FlipCriticality => self.engine.flip_prefetch_criticality(sel),
@@ -514,10 +501,9 @@ impl System {
         let bw = self
             .engine
             .dram
-            .mem
             .bandwidth_utilization(THROTTLE_EPOCH.max(now));
         let total_transfers: u64 = {
-            let s = self.engine.dram.mem.total_stats();
+            let s = self.engine.dram.total_stats();
             s.reads + s.writes
         };
         let cores = self.cfg.cores as f64;
@@ -584,7 +570,7 @@ impl System {
         // signal DSPatch uses.
         let mut max_util = 0.0f64;
         for ch in 0..self.cfg.dram.channels {
-            let s = self.engine.dram.mem.stats(ch);
+            let s = self.engine.dram.stats(ch);
             let transfers = s.reads + s.writes;
             let delta = transfers - self.dspatch_prev_channel[ch];
             self.dspatch_prev_channel[ch] = transfers;

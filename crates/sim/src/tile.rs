@@ -5,9 +5,9 @@
 //!
 //! Tile-side methods live as `impl System` blocks so they can borrow one
 //! tile and the shared [`crate::engine::Engine`] through disjoint
-//! `System` fields. The core is driven through the [`Tick`] contract via
-//! [`TileTick`], with [`TilePort`] implementing the CPU's
-//! [`MemIssuePort`] against the memory hierarchy.
+//! `System` fields. [`System::tick_tile`] drives the core, with
+//! [`TilePort`] implementing the CPU's [`MemIssuePort`] against the
+//! memory hierarchy.
 
 use crate::engine::{Ev, ProbeState, Txn, TxnKind, PROBE_BIT, RETRY_DELAY};
 use crate::ports::TxnId;
@@ -17,13 +17,12 @@ use clip_cache::{Cache, LookupOutcome, MshrFile};
 use clip_core::{Decision, DynamicClip};
 use clip_cpu::{Core, MemIssuePort};
 use clip_crit::{CriticalityPredictor, EvalCounts, PredictorEvaluator};
-use clip_dram::DramModel;
 use clip_offchip::{DsPatch, Hermes};
 use clip_prefetch::{AccessInfo, PrefetchCandidate, Prefetcher};
 use clip_throttle::Throttler;
 use clip_trace::{InstrKind, TraceGenerator};
-use clip_types::{Addr, Cycle, Ip, LineAddr, MemLevel, Port, Priority, ReqId, Tick};
-use std::collections::HashMap;
+use clip_types::{Addr, Cycle, Ip, LineAddr, MemLevel, Priority, ReqId};
+use std::collections::{HashMap, VecDeque};
 
 use crate::ports::NocPayload;
 
@@ -32,6 +31,64 @@ const PF_ISSUE_PER_CYCLE: usize = 2;
 /// L2 MSHR entries kept free for demand misses; prefetches beyond this
 /// occupancy are dropped.
 const L2_MSHR_PF_RESERVE: usize = 8;
+
+/// A bounded FIFO modelling a finite hardware queue: a push into a full
+/// port is refused (back-pressure).
+pub(crate) struct Port<T> {
+    queue: VecDeque<T>,
+    capacity: usize,
+}
+
+impl<T> Port<T> {
+    /// Creates a port holding at most `capacity` messages.
+    pub(crate) fn bounded(capacity: usize) -> Self {
+        Port {
+            queue: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Attempts to enqueue; returns `Err(msg)` when the port is full so
+    /// the sender can retry.
+    pub(crate) fn try_push(&mut self, msg: T) -> Result<(), T> {
+        if self.is_full() {
+            Err(msg)
+        } else {
+            self.queue.push_back(msg);
+            Ok(())
+        }
+    }
+
+    /// Dequeues the oldest message, if any.
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        self.queue.pop_front()
+    }
+
+    /// Peeks at the oldest message.
+    pub(crate) fn front(&self) -> Option<&T> {
+        self.queue.front()
+    }
+
+    /// Messages currently queued.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// True when no message is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// True when the port cannot accept another message.
+    pub(crate) fn is_full(&self) -> bool {
+        self.queue.len() >= self.capacity
+    }
+
+    /// Iterates queued messages oldest-first without removing them.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.queue.iter()
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedPrefetch {
@@ -369,24 +426,6 @@ pub(crate) fn line_in_address_space(line: LineAddr) -> bool {
     line.byte_addr().raw() >> 54 == 0
 }
 
-/// One tile viewed as a clocked component: a [`Tick::tick`] issues the
-/// tile's queued prefetches and advances its core one cycle.
-pub(crate) struct TileTick<'a> {
-    pub sys: &'a mut System,
-    pub t: usize,
-}
-
-impl Tick for TileTick<'_> {
-    fn tick(&mut self, now: Cycle) {
-        self.sys.tiles[self.t].settle(now);
-        self.sys.issue_prefetches(self.t, now);
-        self.sys.tick_core(self.t, now);
-        let tile = &mut self.sys.tiles[self.t];
-        tile.wake = None;
-        tile.settled = now + 1;
-    }
-}
-
 /// The memory hierarchy as seen by one core: loads and stores enter the
 /// L1D here.
 struct TilePort<'a> {
@@ -567,14 +606,13 @@ impl System {
         if !predicted {
             return;
         }
-        let channel = self.engine.dram.mem.channel_for(line);
+        let channel = self.engine.dram.channel_for(line);
         self.engine.next_probe += 1;
         let pid = self.engine.next_probe;
         let id = ReqId(pid | PROBE_BIT);
         if self
             .engine
             .dram
-            .mem
             .enqueue_read(channel, id, line, Priority::Demand, now)
             .is_ok()
         {
@@ -692,7 +730,7 @@ impl System {
     }
 
     /// Issues queued prefetches into the hierarchy.
-    pub(crate) fn issue_prefetches(&mut self, t: usize, now: Cycle) {
+    fn issue_prefetches(&mut self, t: usize, now: Cycle) {
         for _ in 0..PF_ISSUE_PER_CYCLE {
             let Some(&q) = self.tiles[t].pf_queue.front() else {
                 return;
@@ -1019,7 +1057,18 @@ impl System {
         }
     }
 
-    pub(crate) fn tick_core(&mut self, t: usize, now: Cycle) {
+    /// Ticks tile `t`: settles its sleep span, issues its queued
+    /// prefetches and advances its core one cycle.
+    pub(crate) fn tick_tile(&mut self, t: usize, now: Cycle) {
+        self.tiles[t].settle(now);
+        self.issue_prefetches(t, now);
+        self.tick_core(t, now);
+        let tile = &mut self.tiles[t];
+        tile.wake = None;
+        tile.settled = now + 1;
+    }
+
+    fn tick_core(&mut self, t: usize, now: Cycle) {
         let mut core = self.tiles[t].core.take().expect("core present");
         let mut gen = self.tiles[t].gen.take().expect("generator present");
         let base = self.tiles[t].addr_base;
@@ -1047,5 +1096,22 @@ impl System {
         self.branch_scratch = branches;
         self.tiles[t].core = Some(core);
         self.tiles[t].gen = Some(gen);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Port;
+
+    #[test]
+    fn port_applies_backpressure() {
+        let mut p = Port::bounded(2);
+        assert!(p.try_push(1).is_ok());
+        assert!(p.try_push(2).is_ok());
+        assert!(p.is_full());
+        assert_eq!(p.try_push(3), Err(3));
+        assert_eq!(p.pop(), Some(1));
+        assert!(p.try_push(3).is_ok());
+        assert_eq!(p.iter().copied().collect::<Vec<_>>(), [2, 3]);
     }
 }

@@ -11,7 +11,7 @@
 //! Three knob shapes cover the workspace:
 //!
 //! * [`env_u64`] — integers in a range (`CLIP_THREADS`, the scale
-//!   knobs, `CLIP_CACHE_MAX_MB`).
+//!   knobs).
 //! * [`env_choice`] — one of an allowed word list, matched
 //!   case-insensitively after trimming (`CLIP_CHECK`, `CLIP_TICK`,
 //!   `CLIP_NOC`, `CLIP_DRAM`, the fingerprint-baseline mode).

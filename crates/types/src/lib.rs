@@ -17,7 +17,6 @@
 
 pub mod check;
 pub mod config;
-pub mod engine;
 pub mod knob;
 pub mod request;
 pub mod rng;
@@ -27,7 +26,6 @@ pub use config::{
     CacheLevelConfig, CoreConfig, DramConfig, DramKind, NocConfig, PrefetcherKind, ReplacementKind,
     SimConfig, SimConfigBuilder,
 };
-pub use engine::{Channel, Port, SimClock, Tick};
 pub use request::{AccessKind, MemLevel, MemRequest, MemResponse, Priority, ReqId};
 pub use rng::SimRng;
 

@@ -201,10 +201,10 @@ byte-identical to earlier versions.
 **Result cache.** Every successful run is cached on disk under
 `target/clip-cache/` (DESIGN.md §5c) and repeat cells — any scheme,
 within or across processes — are served from it without re-simulating.
-`CLIP_CACHE=0` disables it, `CLIP_CACHE_DIR` relocates it, and
-`CLIP_CACHE_MAX_MB` caps its size (default 256 MiB, `0` = unlimited;
-oldest entries are evicted first). Cached results are byte-identical
-to fresh ones, so nothing in this document depends on cache state.
+`CLIP_CACHE=0` disables it and `CLIP_CACHE_DIR` relocates it. Its
+size is capped at 256 MiB, oldest entries evicted first. Cached
+results are byte-identical to fresh ones, so nothing in this document
+depends on cache state.
 Each cell is stored as soon as it finishes, so re-running an
 interrupted sweep simulates only the missing cells and produces an
 artifact byte-identical to an uninterrupted run (CI's `resume-smoke`
