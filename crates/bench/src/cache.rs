@@ -3,7 +3,8 @@
 //! Every completed simulation cell — any scheme, any prefetcher, not
 //! just the no-prefetch normalization baselines — persists as JSON
 //! under `target/clip-cache/`, keyed by a hash of the full job identity
-//! (config, scheme, mix, run options — their `Debug` forms) plus
+//! (config, scheme, mix, run options — their `Debug` forms, which the
+//! executor formats once per sweep row or cell and joins per job) plus
 //! [`CACHE_VERSION`]. Repeat queries (a re-run figure binary, a second
 //! figure sharing cells with the first) are served from disk without
 //! re-simulating; the determinism contract makes a replayed result
@@ -212,7 +213,7 @@ pub(crate) fn gc_in(dir: &Path, cap: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::store_util::QUARANTINE_CAP;
-    use clip_sim::{run_mix, NocChoice, RunOptions, Scheme};
+    use clip_sim::{run_mix, NocChoice, RunOptions, Scheme, SweepJob};
     use clip_trace::Mix;
     use clip_types::{PrefetcherKind, SimConfig};
 
@@ -242,6 +243,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).expect("temp dir");
         d
+    }
+
+    #[test]
+    fn entry_name_of_a_fixed_job_is_pinned() {
+        // The name hashes the job key, which holds the `Debug` forms of
+        // config, scheme, mix and run options. A change to any of them
+        // renames every entry and turns every user's cache cold, so it
+        // must fail here and be acknowledged.
+        let job = SweepJob {
+            cfg: SimConfig::builder()
+                .cores(4)
+                .dram_channels(1)
+                .l1_prefetcher(PrefetcherKind::Berti)
+                .build()
+                .expect("valid config"),
+            scheme: Scheme::plain(),
+            mix: Mix::homogeneous(
+                &clip_trace::catalog::by_name("605.mcf_s-1554B").expect("known workload"),
+                4,
+            ),
+        };
+        let key = crate::experiment::job_key(&job, &RunOptions::default());
+        assert_eq!(
+            entry_path(Path::new(""), &key, &job.mix.name),
+            Path::new("605.mcf_s-1554B-06928197b3176b18.json")
+        );
     }
 
     #[test]

@@ -315,34 +315,73 @@ fn geomean_body(d: &ExperimentData) -> TableBody {
 // Execution: job expansion, dedup, memoization.
 // ----------------------------------------------------------------------
 
-fn collect<'a>(exp: &'a Experiment) -> ExperimentData<'a> {
-    let mut jobs = Vec::new();
+/// Jobs in grid order, each with its [`job_key`].
+#[derive(Default)]
+struct KeyedJobs {
+    jobs: Vec<SweepJob>,
+    keys: Vec<String>,
+}
+
+impl KeyedJobs {
+    /// Adds the job `(cfg, scheme, mix)`; `parts` are the `Debug` forms
+    /// of config, scheme, mix and run options, already formatted (see
+    /// [`key_of`]).
+    fn push(&mut self, cfg: &SimConfig, scheme: &Scheme, mix: &Mix, parts: [&str; 4]) {
+        self.jobs.push(SweepJob {
+            cfg: cfg.clone(),
+            scheme: scheme.clone(),
+            mix: mix.clone(),
+        });
+        self.keys.push(key_of(parts));
+    }
+}
+
+/// Expands the grid into its jobs and, when the spec normalizes, their
+/// no-prefetch baselines, both in row/cell/mix order. Key parts are
+/// formatted once per row (mixes) or cell (configs, schemes), not once
+/// per job: a mix's `Debug` form alone runs to kilobytes. The keys equal
+/// [`job_key`]'s.
+fn expand(exp: &Experiment) -> (KeyedJobs, KeyedJobs) {
+    let opts = format!("{:?}", exp.opts);
+    let plain = Scheme::plain();
+    let plain_part = format!("{plain:?}");
+    let mut cells = KeyedJobs::default();
+    let mut bases = KeyedJobs::default();
     for row in &exp.rows {
+        let mixes: Vec<String> = row.mixes.iter().map(|m| format!("{m:?}")).collect();
         for cell in &row.cells {
-            for mix in &row.mixes {
-                jobs.push(SweepJob {
-                    cfg: cell.cfg.clone(),
-                    scheme: cell.scheme.clone(),
-                    mix: mix.clone(),
-                });
+            let cfg = format!("{:?}", cell.cfg);
+            let scheme = format!("{:?}", cell.scheme);
+            let base = (exp.normalization == Normalization::NoPrefetch).then(|| {
+                let base_cfg = crate::strip_prefetchers(&cell.cfg);
+                let part = format!("{base_cfg:?}");
+                (base_cfg, part)
+            });
+            for (mix, mix_part) in row.mixes.iter().zip(&mixes) {
+                cells.push(
+                    &cell.cfg,
+                    &cell.scheme,
+                    mix,
+                    [&cfg, &scheme, mix_part, &opts],
+                );
+                if let Some((base_cfg, base_part)) = &base {
+                    bases.push(
+                        base_cfg,
+                        &plain,
+                        mix,
+                        [base_part, &plain_part, mix_part, &opts],
+                    );
+                }
             }
         }
     }
+    (cells, bases)
+}
 
-    let mut base_jobs = Vec::new();
-    if exp.normalization == Normalization::NoPrefetch {
-        base_jobs = jobs
-            .iter()
-            .map(|j| SweepJob {
-                cfg: crate::strip_prefetchers(&j.cfg),
-                scheme: Scheme::plain(),
-                mix: j.mix.clone(),
-            })
-            .collect();
-    }
-
-    let flat = run_cached_checked(&jobs, &exp.opts);
-    let base_flat = run_cached_checked(&base_jobs, &exp.opts);
+fn collect<'a>(exp: &'a Experiment) -> ExperimentData<'a> {
+    let (cells, bases) = expand(exp);
+    let flat = run_cached_checked(&cells, &exp.opts);
+    let base_flat = run_cached_checked(&bases, &exp.opts);
 
     let mut results = Vec::new();
     let mut baselines = Vec::new();
@@ -380,14 +419,24 @@ pub fn clear_result_cache() {
 }
 
 /// The full identity of one simulation: the `Debug` forms of config,
-/// scheme, mix, and run options. Memo and disk-cache key here; the
-/// fingerprint-baseline store keys the same identity with the armed
-/// fault stripped (see [`crate::fp_store::job_fp_key`]).
+/// scheme, mix, and run options. Memo and disk-cache key here (the
+/// executor joins the same parts from shared formatted copies, see
+/// `expand`); the fingerprint-baseline store keys the same identity with
+/// the armed fault stripped (see [`crate::fp_store::job_fp_key`]).
 pub(crate) fn job_key(job: &SweepJob, opts: &RunOptions) -> String {
-    format!(
-        "{:?}\u{1}{:?}\u{1}{:?}\u{1}{:?}",
-        job.cfg, job.scheme, job.mix, opts
-    )
+    key_of([
+        &format!("{:?}", job.cfg),
+        &format!("{:?}", job.scheme),
+        &format!("{:?}", job.mix),
+        &format!("{opts:?}"),
+    ])
+}
+
+/// The key layout: the formatted config, scheme, mix and run options,
+/// in that order, joined by `\u{1}`. Changing it renames every disk
+/// cache entry.
+fn key_of(parts: [&str; 4]) -> String {
+    parts.join("\u{1}")
 }
 
 /// Runs jobs through the memoized parallel driver: outcomes come from the
@@ -402,12 +451,10 @@ pub(crate) fn job_key(job: &SweepJob, opts: &RunOptions) -> String {
 /// the disk cache. A sweep killed mid-batch therefore keeps every cell
 /// that completed, and a diverged result is never stored. Failures are
 /// memoized in-process but never written to the disk cache.
-pub(crate) fn run_cached_checked(
-    jobs: &[SweepJob],
-    opts: &RunOptions,
-) -> Vec<Result<SimResult, SimError>> {
-    let keys: Vec<String> = jobs.iter().map(|j| job_key(j, opts)).collect();
+fn run_cached_checked(keyed: &KeyedJobs, opts: &RunOptions) -> Vec<Result<SimResult, SimError>> {
+    let KeyedJobs { jobs, keys } = keyed;
     let cached = |k: &str| RESULT_CACHE.with(|c| c.borrow().get(k).cloned());
+    let memoized = |k: &str| RESULT_CACHE.with(|c| c.borrow().contains_key(k));
     let put = |k: String, r: Result<SimResult, SimError>| {
         RESULT_CACHE.with(|c| c.borrow_mut().insert(k, r));
     };
@@ -416,7 +463,7 @@ pub(crate) fn run_cached_checked(
     let mut missing: Vec<usize> = Vec::new();
     let mut queued: HashSet<&str> = HashSet::new();
     for (i, key) in keys.iter().enumerate() {
-        if cached(key).is_some() || !queued.insert(key) {
+        if memoized(key) || !queued.insert(key) {
             continue;
         }
         // Disk-cache hits carry no fingerprint stream, so serving one
@@ -525,5 +572,44 @@ fn write_artifact(name: &str, value: &Json) {
     let tmp = dir.join(format!("{name}.json.tmp.{}", std::process::id()));
     if std::fs::write(&tmp, value.render()).is_ok() {
         let _ = std::fs::rename(&tmp, &path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Scale;
+    use clip_sim::NocChoice;
+    use clip_types::DramKind;
+
+    #[test]
+    fn executor_keys_equal_job_key() {
+        let scale = Scale {
+            cores: 4,
+            instrs: 300,
+            warmup: 100,
+            homo_mixes: 2,
+            hetero_mixes: 2,
+            noc: NocChoice::Analytic,
+            dram: DramKind::Ddr4,
+        };
+        let entry = crate::figures::registry()
+            .into_iter()
+            .find(|e| e.name == "fig02")
+            .expect("fig02 is registered");
+        let exp = (entry.build)(&scale).remove(0);
+        let (cells, bases) = expand(&exp);
+        assert_eq!(cells.jobs.len(), 5 * 4 * 2, "rows x cells x mixes");
+        assert_eq!(bases.jobs.len(), cells.jobs.len(), "one baseline per job");
+        for (cell, base) in cells.jobs.iter().zip(&bases.jobs) {
+            assert_eq!(base.cfg, crate::strip_prefetchers(&cell.cfg));
+            assert_eq!(base.mix, cell.mix);
+        }
+        for keyed in [&cells, &bases] {
+            assert_eq!(keyed.keys.len(), keyed.jobs.len());
+            for (job, key) in keyed.jobs.iter().zip(&keyed.keys) {
+                assert_eq!(*key, job_key(job, &exp.opts));
+            }
+        }
     }
 }

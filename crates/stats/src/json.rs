@@ -96,14 +96,11 @@ impl Json {
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -226,7 +223,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`.
     pos: usize,
 }
 
@@ -239,7 +237,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -258,7 +256,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, message: &'static str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -310,11 +308,14 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // `None` if the four bytes split a character.
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates are not produced by this emitter;
@@ -327,12 +328,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -354,8 +356,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        // Only ASCII was consumed, so the slice is on character boundaries.
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -454,6 +456,49 @@ mod tests {
         let rendered = s.render();
         assert_eq!(rendered, r#""a\"b\\c\nd\te\u0001""#);
         assert_eq!(Json::parse(&rendered).expect("parses"), s);
+    }
+
+    #[test]
+    fn strings_roundtrip_across_run_boundaries() {
+        // Plain runs meet escapes and multi-byte characters on both
+        // sides, at the start and end of strings.
+        let long_run = "plain text ".repeat(40);
+        let cases = [
+            format!("é{long_run}ü"),
+            format!("{long_run}\"é\\\n€\r𝄞\t{long_run}"),
+            "\u{1}é\u{1f}€\u{8}𝄞\u{c}".to_owned(),
+            "𝄞\"\\\n\r\t".to_owned(),
+            "\"é\"".to_owned(),
+            format!(
+                "{}é{}",
+                "x\\y\"".repeat(4_000),
+                "plain text €\n".repeat(4_000)
+            ),
+        ];
+        assert!(cases[5].len() >= 64 * 1024, "one string of at least 64 KiB");
+        for s in cases {
+            let v = Json::Str(s);
+            assert_eq!(Json::parse(&v.render()).expect("parses"), v);
+        }
+        assert_eq!(
+            Json::Str("é\"\u{1}€".to_owned()).render(),
+            r#""é\"\u0001€""#,
+            "the emitter escapes only quote, backslash and controls"
+        );
+        // `\u00e9` and `\/` are read, never written.
+        let v = Json::parse(r#"["\u00e9é\u00e9", "€\u00e9", "\u00e9𝄞\/"]"#).expect("parses");
+        let got: Vec<&str> = v
+            .as_array()
+            .expect("array")
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(got, ["ééé", "€é", "é𝄞/"]);
+        // A `\u` escape whose four bytes split a character is rejected.
+        assert_eq!(
+            Json::parse("\"\\u000é\"").map_err(|e| e.message),
+            Err("bad \\u escape")
+        );
     }
 
     #[test]
