@@ -1,10 +1,17 @@
 //! Set-associative cache structures for the CLIP many-core simulator.
 //!
 //! Provides the tag arrays, replacement policies (LRU, SRRIP, a sampled
-//! Mockingjay reuse-predictor, NRU) and miss-status holding registers used
-//! by every level of the modeled hierarchy. Data values are not modeled —
-//! only presence, dirtiness, and the prefetch provenance bits the paper's
-//! accounting needs.
+//! Mockingjay reuse-predictor, NRU, DIP) and miss-status holding registers
+//! used by every level of the modeled hierarchy. Data values are not
+//! modeled — only presence, dirtiness, and the prefetch provenance bits the
+//! paper's accounting needs.
+//!
+//! Every simulated access probes these structures, so their layout is
+//! chosen for host speed. A [`Cache`] keeps packed tag and flag arrays and
+//! a per-set count of filled ways, and a probe scans only those ways: a
+//! cold set costs one byte. Lines are never invalidated, so the filled
+//! ways stay a prefix of the set. An [`MshrFile`] scans a dense array of
+//! at most a few dozen line addresses instead of hashing.
 //!
 //! # Examples
 //!
@@ -66,15 +73,6 @@ pub struct Evicted {
     pub was_useless_prefetch: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Set when the line was filled by a prefetch and not yet demanded.
-    prefetched: bool,
-}
-
 /// Aggregate counters maintained by a [`Cache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -125,12 +123,32 @@ impl CacheStats {
     }
 }
 
+/// Tag-word bit marking a filled way. Line addresses stay below 2^58
+/// (byte addresses below 2^64), so bit 63 is free; a word of 0 is a way
+/// never filled.
+const VALID: u64 = 1 << 63;
+/// Flag bit: the line must be written back when evicted.
+const DIRTY: u8 = 1;
+/// Flag bit: the line was filled by a prefetch and not yet demanded.
+const PREFETCHED: u8 = 2;
+
 /// A set-associative tag array with a pluggable replacement policy.
+///
+/// Tags and flags sit in two packed arrays indexed by `(set, way)`, and
+/// each set counts its leading ways that have ever been filled. Nothing
+/// invalidates a line, so those ways are exactly the valid ones: a probe
+/// scans only them, and a fill takes the next unfilled way before it
+/// asks the policy for a victim.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
-    lines: Vec<Line>,
+    /// `line | VALID` per (set, way); 0 for a way never filled.
+    tags: Vec<u64>,
+    /// [`DIRTY`] and [`PREFETCHED`] bits per (set, way).
+    flags: Vec<u8>,
+    /// Per set, the number of leading ways ever filled.
+    filled: Vec<u8>,
     repl: ReplacementState,
     stats: CacheStats,
 }
@@ -141,17 +159,21 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the configuration implies zero sets or a non-power-of-two
-    /// set count (use [`clip_types::SimConfig::validate`] first).
+    /// set count (use [`clip_types::SimConfig::validate`] first), or more
+    /// than 255 ways.
     pub fn new(cfg: &CacheLevelConfig) -> Self {
         let sets = cfg.sets();
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "invalid set count {sets}"
         );
+        assert!(cfg.ways <= u8::MAX as usize, "too many ways: {}", cfg.ways);
         Cache {
             sets,
             ways: cfg.ways,
-            lines: vec![Line::default(); sets * cfg.ways],
+            tags: vec![0; sets * cfg.ways],
+            flags: vec![0; sets * cfg.ways],
+            filled: vec![0; sets],
             repl: ReplacementState::new(cfg.replacement, sets, cfg.ways),
             stats: CacheStats::default(),
         }
@@ -167,6 +189,17 @@ impl Cache {
     #[inline]
     fn slot(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
+    }
+
+    /// The way of `set` holding `line`, scanning only the filled ways.
+    #[inline]
+    fn find(&self, set: usize, line: LineAddr) -> Option<usize> {
+        let base = self.slot(set, 0);
+        let filled = self.filled[set] as usize;
+        let tag = line.raw() | VALID;
+        self.tags[base..base + filled]
+            .iter()
+            .position(|&t| t == tag)
     }
 
     /// Number of sets.
@@ -186,11 +219,7 @@ impl Cache {
 
     /// True if the line is currently present (no state update).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
-        (0..self.ways).any(|w| {
-            let l = &self.lines[self.slot(set, w)];
-            l.valid && l.tag == line.raw()
-        })
+        self.find(self.set_index(line), line).is_some()
     }
 
     /// Looks up `line`; updates replacement state and statistics.
@@ -221,30 +250,29 @@ impl Cache {
         } else {
             self.stats.demand_accesses += 1;
         }
-        for w in 0..self.ways {
+        let Some(w) = self.find(set, line) else {
+            return LookupOutcome::Miss;
+        };
+        let mut first_use = false;
+        if is_prefetch {
+            self.stats.prefetch_hits += 1;
+        } else {
+            self.stats.demand_hits += 1;
             let idx = self.slot(set, w);
-            if self.lines[idx].valid && self.lines[idx].tag == line.raw() {
-                let mut first_use = false;
-                if is_prefetch {
-                    self.stats.prefetch_hits += 1;
-                } else {
-                    self.stats.demand_hits += 1;
-                    if self.lines[idx].prefetched {
-                        self.lines[idx].prefetched = false;
-                        self.stats.useful_prefetches += 1;
-                        first_use = true;
-                    }
-                    if is_write {
-                        self.lines[idx].dirty = true;
-                    }
-                    self.repl.on_hit(set, w, now, line);
-                }
-                return LookupOutcome::Hit {
-                    first_prefetch_use: first_use,
-                };
+            let flags = &mut self.flags[idx];
+            if *flags & PREFETCHED != 0 {
+                *flags &= !PREFETCHED;
+                self.stats.useful_prefetches += 1;
+                first_use = true;
             }
+            if is_write {
+                *flags |= DIRTY;
+            }
+            self.repl.on_hit(set, w, now, line);
         }
-        LookupOutcome::Miss
+        LookupOutcome::Hit {
+            first_prefetch_use: first_use,
+        }
     }
 
     /// Fills `line`, returning any eviction. `prefetched` marks prefetch
@@ -257,6 +285,7 @@ impl Cache {
         prefetched: bool,
         now: Cycle,
     ) -> Option<Evicted> {
+        debug_assert_eq!(line.raw() & VALID, 0, "line address overlaps VALID");
         let set = self.set_index(line);
         self.stats.fills += 1;
         if prefetched {
@@ -264,65 +293,50 @@ impl Cache {
         }
 
         // Already present (races between in-flight fills): just update bits.
-        for w in 0..self.ways {
-            let idx = self.slot(set, w);
-            if self.lines[idx].valid && self.lines[idx].tag == line.raw() {
-                self.lines[idx].dirty |= dirty;
-                return None;
+        if let Some(w) = self.find(set, line) {
+            if dirty {
+                let idx = self.slot(set, w);
+                self.flags[idx] |= DIRTY;
             }
+            return None;
         }
 
-        // Find an invalid way, else ask the policy for a victim.
-        let way = (0..self.ways)
-            .find(|&w| !self.lines[self.slot(set, w)].valid)
-            .unwrap_or_else(|| self.repl.victim(set, now));
-        debug_assert!(way < self.ways);
-
-        let idx = self.slot(set, way);
-        let evicted = if self.lines[idx].valid {
-            let v = self.lines[idx];
+        // The next unfilled way, else ask the policy for a victim.
+        let filled = self.filled[set] as usize;
+        let (way, evicted) = if filled < self.ways {
+            self.filled[set] += 1;
+            (filled, None)
+        } else {
+            let way = self.repl.victim(set, now);
+            debug_assert!(way < self.ways);
+            let idx = self.slot(set, way);
+            let v = Evicted {
+                line: LineAddr::new(self.tags[idx] & !VALID),
+                dirty: self.flags[idx] & DIRTY != 0,
+                was_useless_prefetch: self.flags[idx] & PREFETCHED != 0,
+            };
             if v.dirty {
                 self.stats.dirty_evictions += 1;
             }
-            if v.prefetched {
+            if v.was_useless_prefetch {
                 self.stats.useless_prefetches += 1;
             }
-            Some(Evicted {
-                line: LineAddr::new(v.tag),
-                dirty: v.dirty,
-                was_useless_prefetch: v.prefetched,
-            })
-        } else {
-            None
+            (way, Some(v))
         };
 
-        self.lines[idx] = Line {
-            tag: line.raw(),
-            valid: true,
-            dirty,
-            prefetched,
-        };
+        let idx = self.slot(set, way);
+        self.tags[idx] = line.raw() | VALID;
+        self.flags[idx] = if dirty { DIRTY } else { 0 };
+        if prefetched {
+            self.flags[idx] |= PREFETCHED;
+        }
         self.repl.on_fill(set, way, now, line, prefetched);
         evicted
     }
 
-    /// Invalidates `line` if present; returns whether it was dirty.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let set = self.set_index(line);
-        for w in 0..self.ways {
-            let idx = self.slot(set, w);
-            if self.lines[idx].valid && self.lines[idx].tag == line.raw() {
-                let dirty = self.lines[idx].dirty;
-                self.lines[idx].valid = false;
-                return Some(dirty);
-            }
-        }
-        None
-    }
-
     /// Number of valid lines currently held (O(capacity); for tests).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -445,23 +459,21 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut c = Cache::new(&cfg(4096, 4, ReplacementKind::Lru));
-        c.fill(LineAddr::new(5), false, false, 0);
-        c.lookup(LineAddr::new(5), true, 1);
-        assert_eq!(c.invalidate(LineAddr::new(5)), Some(true));
-        assert!(!c.contains(LineAddr::new(5)));
-        assert_eq!(c.invalidate(LineAddr::new(5)), None);
-    }
-
-    #[test]
     fn double_fill_is_idempotent() {
-        let mut c = Cache::new(&cfg(4096, 4, ReplacementKind::Lru));
+        // One 4-way set, so the fourth new line evicts line 9 (LRU).
+        let mut c = Cache::new(&cfg(64 * 4, 4, ReplacementKind::Lru));
         assert!(c.fill(LineAddr::new(9), false, false, 0).is_none());
         assert!(c.fill(LineAddr::new(9), true, false, 1).is_none());
         assert_eq!(c.occupancy(), 1);
-        // Dirty bit merged.
-        assert_eq!(c.invalidate(LineAddr::new(9)), Some(true));
+        for l in 20..23u64 {
+            assert!(c.fill(LineAddr::new(l), false, false, l).is_none());
+        }
+        // Dirty bit merged: line 9 leaves dirty.
+        let ev = c
+            .fill(LineAddr::new(23), false, false, 30)
+            .expect("set is full");
+        assert_eq!(ev.line, LineAddr::new(9));
+        assert!(ev.dirty);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! inflates on-chip latencies in Figure 3.
 
 use clip_types::{Cycle, Fnv64, LineAddr, ReqId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// An outstanding miss.
@@ -57,6 +56,10 @@ impl std::error::Error for MshrFullError {}
 
 /// A fixed-capacity file of [`MshrEntry`]s indexed by line address.
 ///
+/// Entries sit in an array, with their lines in a second, dense one that
+/// lookups scan: a file holds a few dozen entries at most, so a linear
+/// scan beats hashing. Completion swap-removes from both.
+///
 /// # Examples
 ///
 /// ```
@@ -77,7 +80,9 @@ impl std::error::Error for MshrFullError {}
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    entries: HashMap<LineAddr, MshrEntry>,
+    /// `entries[i].line`, kept dense for the lookup scan.
+    lines: Vec<LineAddr>,
+    entries: Vec<MshrEntry>,
     /// Count of demand-into-prefetch merges (late prefetches).
     late_prefetch_merges: u64,
     /// Entries ever allocated (conservation audit).
@@ -91,7 +96,8 @@ impl MshrFile {
     pub fn new(capacity: usize) -> Self {
         MshrFile {
             capacity,
-            entries: HashMap::with_capacity(capacity),
+            lines: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
             late_prefetch_merges: 0,
             allocated: 0,
             completed: 0,
@@ -125,7 +131,13 @@ impl MshrFile {
 
     /// True if `line` is currently in flight.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.position(line).is_some()
+    }
+
+    /// Index of the entry for `line`, if one is in flight.
+    #[inline]
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Attempts to allocate or merge a miss on `line`.
@@ -141,7 +153,8 @@ impl MshrFile {
         is_prefetch: bool,
         now: Cycle,
     ) -> Result<AllocOutcome, MshrFullError> {
-        if let Some(e) = self.entries.get_mut(&line) {
+        if let Some(i) = self.position(line) {
+            let e = &mut self.entries[i];
             let into_prefetch = e.is_prefetch && !e.demand_merged && !is_prefetch;
             if into_prefetch {
                 e.demand_merged = true;
@@ -153,17 +166,15 @@ impl MshrFile {
         if self.is_full() {
             return Err(MshrFullError);
         }
-        self.entries.insert(
+        self.lines.push(line);
+        self.entries.push(MshrEntry {
             line,
-            MshrEntry {
-                line,
-                primary: req,
-                is_prefetch,
-                demand_merged: false,
-                waiters: Vec::new(),
-                alloc_cycle: now,
-            },
-        );
+            primary: req,
+            is_prefetch,
+            demand_merged: false,
+            waiters: Vec::new(),
+            alloc_cycle: now,
+        });
         self.allocated += 1;
         Ok(AllocOutcome::New)
     }
@@ -171,16 +182,23 @@ impl MshrFile {
     /// Completes the miss on `line`, removing and returning its entry.
     /// Returns `None` if the line was not in flight.
     pub fn complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
-        let e = self.entries.remove(&line);
-        if e.is_some() {
-            self.completed += 1;
-        }
-        e
+        let i = self.position(line)?;
+        self.completed += 1;
+        Some(self.remove(i))
     }
 
-    /// Iterates over outstanding entries (unspecified order).
-    pub fn iter(&self) -> impl Iterator<Item = &MshrEntry> {
-        self.entries.values()
+    fn remove(&mut self, i: usize) -> MshrEntry {
+        self.lines.swap_remove(i);
+        self.entries.swap_remove(i)
+    }
+
+    /// The outstanding entries in line-address order: array order depends
+    /// on the order of completions, so sorting is what keeps fingerprints
+    /// and fault victims independent of it.
+    fn sorted(&self) -> Vec<&MshrEntry> {
+        let mut sorted: Vec<&MshrEntry> = self.entries.iter().collect();
+        sorted.sort_unstable_by_key(|e| e.line.raw());
+        sorted
     }
 
     /// Conservation + legality audit: every allocation must either still
@@ -209,7 +227,7 @@ impl MshrFile {
             ));
         }
         if full {
-            for e in self.entries.values() {
+            for e in &self.entries {
                 if e.alloc_cycle > now {
                     return Err(format!(
                         "mshr entry for line {:#x} allocated in the future (cycle {} > now {})",
@@ -224,16 +242,12 @@ impl MshrFile {
     }
 
     /// Folds the file's outstanding entries into a state fingerprint, in
-    /// sorted line-address order: `HashMap` iteration order is per-instance
-    /// random, so sorting is what makes the hash comparable across runs.
+    /// sorted line-address order.
     pub fn fingerprint(&self, h: &mut Fnv64) {
-        let mut lines: Vec<LineAddr> = self.entries.keys().copied().collect();
-        lines.sort_unstable_by_key(|l| l.raw());
         h.write_u64(self.allocated)
             .write_u64(self.completed)
-            .write_usize(lines.len());
-        for line in lines {
-            let e = &self.entries[&line];
+            .write_usize(self.entries.len());
+        for e in self.sorted() {
             h.write_u64(e.line.raw())
                 .write_u64(e.primary.0)
                 .write_bool(e.is_prefetch)
@@ -245,17 +259,16 @@ impl MshrFile {
 
     /// Fault injection: silently discards one outstanding entry *without*
     /// counting a completion, as a hardware release-path bug would. The
-    /// victim is the `selector % len`-th entry in line-address order
-    /// (deterministic regardless of hash order). Returns the leaked line,
-    /// or `None` when the file is empty.
+    /// victim is the `selector % len`-th entry in line-address order.
+    /// Returns the leaked line, or `None` when the file is empty.
     pub fn leak_one(&mut self, selector: u64) -> Option<LineAddr> {
         if self.entries.is_empty() {
             return None;
         }
-        let mut lines: Vec<LineAddr> = self.entries.keys().copied().collect();
-        lines.sort_unstable_by_key(|l| l.raw());
-        let victim = lines[(selector % lines.len() as u64) as usize];
-        self.entries.remove(&victim);
+        let sorted = self.sorted();
+        let victim = sorted[(selector % sorted.len() as u64) as usize].line;
+        let i = self.position(victim).expect("victim is in flight");
+        self.remove(i);
         Some(victim)
     }
 }
@@ -370,10 +383,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_hash_order_independent() {
+    fn fingerprint_is_insertion_order_independent() {
         // Build the same logical contents through different insertion
-        // orders (and thus different HashMap layouts); the fingerprint
-        // must agree because it folds in sorted line order.
+        // orders (and thus different array layouts); the fingerprint must
+        // agree because it folds in sorted line order.
         let build = |order: &[u64]| {
             let mut m = MshrFile::new(8);
             for &l in order {

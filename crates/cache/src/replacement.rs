@@ -1,5 +1,6 @@
 //! Replacement policies: LRU, SRRIP, a sampled Mockingjay reuse predictor,
-//! and NRU.
+//! NRU and DIP. Their state is indexed by `(set, way)`; the cache calls
+//! [`ReplacementState::victim`] only for a set whose ways are all filled.
 //!
 //! The paper's baseline uses SRRIP at the L2 and Mockingjay at the LLC
 //! (Table 3). Mockingjay (Shah et al., HPCA '22) mimics Belady's MIN by

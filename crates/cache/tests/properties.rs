@@ -19,23 +19,21 @@ fn cfg(repl: ReplacementKind) -> CacheLevelConfig {
 enum Op {
     Lookup(u64, bool),
     Fill(u64, bool, bool),
-    Invalidate(u64),
 }
 
 fn random_op(rng: &mut SimRng) -> Op {
-    match rng.gen_range(0u32..3) {
+    match rng.gen_range(0u32..2) {
         0 => Op::Lookup(rng.gen_range(0u64..512), rng.gen_bool(0.5)),
-        1 => Op::Fill(
+        _ => Op::Fill(
             rng.gen_range(0u64..512),
             rng.gen_bool(0.5),
             rng.gen_bool(0.5),
         ),
-        _ => Op::Invalidate(rng.gen_range(0u64..512)),
     }
 }
 
 /// Occupancy never exceeds capacity; hits never exceed accesses; a line
-/// just filled is present; an invalidated line is absent.
+/// just filled is present.
 #[test]
 fn cache_invariants() {
     let mut rng = SimRng::seed_from_u64(0xCAC1);
@@ -45,7 +43,8 @@ fn cache_invariants() {
             ReplacementKind::Srrip,
             ReplacementKind::Mockingjay,
             ReplacementKind::Nru,
-        ][case % 4];
+            ReplacementKind::Dip,
+        ][case % 5];
         let n = rng.gen_range(1usize..400);
         let mut c = Cache::new(&cfg(repl));
         for t in 0..n {
@@ -56,10 +55,6 @@ fn cache_invariants() {
                 Op::Fill(l, d, p) => {
                     c.fill(LineAddr::new(l), d, p, t as u64);
                     assert!(c.contains(LineAddr::new(l)));
-                }
-                Op::Invalidate(l) => {
-                    c.invalidate(LineAddr::new(l));
-                    assert!(!c.contains(LineAddr::new(l)));
                 }
             }
             assert!(c.occupancy() <= 64);

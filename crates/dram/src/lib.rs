@@ -221,6 +221,12 @@ struct Channel {
     /// Earliest `done_cycle` in `inflight` (`Cycle::MAX` when empty):
     /// lowered on issue, recomputed by the pass that delivers.
     next_done: Cycle,
+    /// The earliest `busy_until` over banks with queued reads
+    /// (`Cycle::MAX` when none): lowered on enqueue, recomputed on issue
+    /// and refresh (see [`Channel::next_issue`]).
+    next_read_issue: Cycle,
+    /// The same bound over banks with queued writes.
+    next_write_issue: Cycle,
     /// Cycle of the next scheduled all-bank refresh (refresh modeling).
     next_refresh: Cycle,
     /// Reads accepted into the queue (conservation audit).
@@ -235,18 +241,34 @@ impl Channel {
     /// writes when `writes`, reads otherwise; `None` when that queue is
     /// empty. Arbitration can only pick an entry whose bank is free, so
     /// before this cycle a scheduling pass over that queue finds nothing.
+    /// Read from the kept bounds.
     fn next_issue(&self, writes: bool) -> Option<Cycle> {
-        self.banks
-            .iter()
-            .filter(|b| {
-                if writes {
-                    b.queued_writes > 0
-                } else {
-                    b.queued_reads > 0
-                }
-            })
-            .map(|b| b.busy_until)
-            .min()
+        let c = if writes {
+            self.next_write_issue
+        } else {
+            self.next_read_issue
+        };
+        (c != Cycle::MAX).then_some(c)
+    }
+
+    /// The issue bounds recomputed from the banks: (reads, writes).
+    fn scan_issue_bounds(&self) -> (Cycle, Cycle) {
+        let (mut reads, mut writes) = (Cycle::MAX, Cycle::MAX);
+        for b in &self.banks {
+            if b.queued_reads > 0 {
+                reads = reads.min(b.busy_until);
+            }
+            if b.queued_writes > 0 {
+                writes = writes.min(b.busy_until);
+            }
+        }
+        (reads, writes)
+    }
+
+    /// Recomputes the kept issue bounds after a bank's `busy_until` rose
+    /// or its queue emptied.
+    fn rescan_issue_bounds(&mut self) {
+        (self.next_read_issue, self.next_write_issue) = self.scan_issue_bounds();
     }
 
     /// The write-drain hysteresis a tick sets from the current write
@@ -290,6 +312,8 @@ impl DramSystem {
             draining: false,
             inflight: Vec::new(),
             next_done: Cycle::MAX,
+            next_read_issue: Cycle::MAX,
+            next_write_issue: Cycle::MAX,
             next_refresh: cfg.t_refi,
             reads_enqueued: 0,
             reads_delivered: 0,
@@ -340,6 +364,7 @@ impl DramSystem {
                 b.busy_until = b.busy_until.max(now + cfg.t_rfc);
                 b.open_row = None;
             }
+            ch.rescan_issue_bounds();
         }
 
         // Update write-drain hysteresis (enter at watermark, leave empty).
@@ -374,6 +399,7 @@ impl DramSystem {
             bank.busy_until = now + lat + cfg.burst_cycles;
             ch.bus_free_at = now + cfg.burst_cycles;
             ch.stats.writes += 1;
+            ch.rescan_issue_bounds();
             return;
         }
 
@@ -415,6 +441,7 @@ impl DramSystem {
         bank.open_row = Some(r.row);
         bank.busy_until = now + lat + cfg.burst_cycles;
         ch.bus_free_at = now + cfg.burst_cycles;
+        ch.rescan_issue_bounds();
         ch.stats.reads += 1;
         if row_hit {
             ch.stats.row_hits += 1;
@@ -476,6 +503,14 @@ impl DramSystem {
                 ch.next_done
             ));
         }
+        let (reads, writes) = ch.scan_issue_bounds();
+        if (ch.next_read_issue, ch.next_write_issue) != (reads, writes) {
+            return Err(format!(
+                "channel {ci} issue bound drifted: kept {} for reads and {} for writes \
+                 but the banks give {reads} and {writes}",
+                ch.next_read_issue, ch.next_write_issue
+            ));
+        }
         Ok(())
     }
 }
@@ -524,6 +559,7 @@ impl DramModel for DramSystem {
             row,
         });
         ch.banks[bank].queued_reads += 1;
+        ch.next_read_issue = ch.next_read_issue.min(ch.banks[bank].busy_until);
         ch.reads_enqueued += 1;
         Ok(())
     }
@@ -537,6 +573,7 @@ impl DramModel for DramSystem {
         let ch = &mut self.channels[channel];
         ch.write_q.push(PendingWrite { line, bank, row });
         ch.banks[bank].queued_writes += 1;
+        ch.next_write_issue = ch.next_write_issue.min(ch.banks[bank].busy_until);
         Ok(())
     }
 
@@ -565,8 +602,8 @@ impl DramModel for DramSystem {
     /// is exactly the next cycle arbitration can act. With empty queues
     /// the only future activity is a scheduled completion or, when
     /// refresh is modelled (`t_refi > 0`), the next all-bank refresh.
-    /// The per-bank queue counts and the cached earliest completion give
-    /// the answer in O(banks) per channel, without visiting a queued
+    /// The kept issue bounds and the cached earliest completion give the
+    /// answer in O(1) per channel, without visiting a bank or a queued
     /// entry.
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
@@ -635,7 +672,8 @@ impl DramModel for DramSystem {
     /// also scans per-entry timestamps (an in-flight completion dated
     /// before `now` would mean `tick` failed to deliver it) and recomputes
     /// the scheduling caches from the queues: each entry's bank and row,
-    /// the per-bank queue counts, and the earliest in-flight completion.
+    /// the per-bank queue counts, the earliest in-flight completion, and
+    /// the kept issue bounds.
     ///
     /// # Errors
     ///
@@ -836,6 +874,7 @@ impl HbmDram {
         }
         for (ci, banks) in self.next_refresh.iter_mut().enumerate() {
             let ch = &mut self.inner.channels[ci];
+            let mut refreshed = false;
             for (bi, next) in banks.iter_mut().enumerate() {
                 if now >= *next {
                     *next = now + self.t_refi;
@@ -843,7 +882,11 @@ impl HbmDram {
                     let bank = &mut ch.banks[bi];
                     bank.busy_until = bank.busy_until.max(now + self.t_rfc);
                     bank.open_row = None;
+                    refreshed = true;
                 }
+            }
+            if refreshed {
+                ch.rescan_issue_bounds();
             }
         }
     }
@@ -1194,6 +1237,22 @@ mod tests {
         d.channels[0].next_done += 1;
         let err = d.audit(1, true).unwrap_err();
         assert!(err.contains("earliest-completion cache drifted"), "{err}");
+    }
+
+    #[test]
+    fn full_audit_catches_a_drifted_issue_bound() {
+        let mut d = sys(1);
+        for i in 0..4u64 {
+            d.enqueue_read(0, ReqId(i), LineAddr::new(i * 977), Priority::Demand, 0)
+                .unwrap();
+        }
+        d.enqueue_write(LineAddr::new(5), 0).unwrap();
+        d.tick(0);
+        assert_eq!(d.audit(1, true), Ok(()));
+        d.channels[0].next_read_issue += 1;
+        let err = d.audit(1, true).unwrap_err();
+        assert!(err.contains("issue bound drifted"), "{err}");
+        assert_eq!(d.audit(1, false), Ok(()), "only the full audit checks it");
     }
 
     #[test]

@@ -64,10 +64,6 @@ impl IpEntry {
         self.hist_head = (self.hist_head + 1) % HISTORY_DEPTH;
         self.hist_len = (self.hist_len + 1).min(HISTORY_DEPTH);
     }
-
-    fn iter_history(&self) -> impl Iterator<Item = (u64, Cycle)> + '_ {
-        self.history.iter().copied().take(self.hist_len)
-    }
 }
 
 /// The Berti prefetcher. See the module docs.
@@ -160,7 +156,7 @@ impl Prefetcher for Berti {
 
         // Measure which known deltas would have covered this access, and
         // discover new deltas from the history.
-        let hist: Vec<(u64, Cycle)> = entry.iter_history().collect();
+        let hist = &entry.history[..entry.hist_len];
         for d in entry.deltas.iter_mut() {
             d.total += 1;
             let wanted = line.wrapping_add_signed(-d.delta);
@@ -176,7 +172,7 @@ impl Prefetcher for Berti {
                 d.hits /= 2;
             }
         }
-        for &(l, c) in &hist {
+        for &(l, c) in hist {
             let delta = line as i64 - l as i64;
             if delta == 0 || delta.abs() > MAX_DELTA_MAG {
                 continue;
@@ -213,7 +209,13 @@ impl Prefetcher for Berti {
         // Issue from the best-coverage deltas: timely coverage above the
         // high watermark fills to L1; otherwise plain coverage above the
         // low watermark fills to L2 (Berti's fill-level watermarks).
-        let mut ranked: Vec<&DeltaStat> = entry.deltas.iter().filter(|d| d.total >= 4).collect();
+        let mut ranked = [DeltaStat::default(); MAX_DELTAS];
+        let mut n = 0;
+        for d in entry.deltas.iter().filter(|d| d.total >= 4) {
+            ranked[n] = *d;
+            n += 1;
+        }
+        let ranked = &mut ranked[..n];
         ranked.sort_by(|a, b| {
             let ka = (a.timely as f64 * 2.0 + a.hits as f64) / a.total as f64;
             let kb = (b.timely as f64 * 2.0 + b.hits as f64) / b.total as f64;
@@ -222,7 +224,7 @@ impl Prefetcher for Berti {
         let mut issued = 0;
         #[allow(clippy::explicit_counter_loop)]
         // `issued` counts emitted candidates, not iterations
-        for d in ranked {
+        for d in ranked.iter() {
             if issued >= self.degree {
                 break;
             }

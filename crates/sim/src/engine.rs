@@ -17,7 +17,6 @@ use clip_types::{Cycle, DramConfig, DramKind, Ip, LineAddr, MemLevel, Priority, 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-pub(crate) const EVENT_RING: usize = 1 << 15;
 /// Cycles between retries of a request a full queue refused.
 pub(crate) const RETRY_DELAY: Cycle = 4;
 
@@ -58,6 +57,13 @@ fn build_dram(cfg: &DramConfig) -> Box<dyn DramModel> {
 #[inline]
 fn phase(cycle: Cycle) -> usize {
     (cycle % RETRY_DELAY) as usize
+}
+
+/// Slots of a wheel that holds work at most `horizon` cycles ahead: the
+/// next power of two above it, so the slot of `now` is never the target
+/// of a schedule made at `now`.
+pub(crate) fn ring_slots(horizon: Cycle) -> usize {
+    (horizon as usize + 1).next_power_of_two()
 }
 
 /// Minimum over two optional wake-up cycles (`None` = no wake-up).
@@ -170,12 +176,16 @@ pub(crate) struct Engine {
     pub(crate) llc: ClockedLlc,
     pub(crate) txns: Vec<Txn>,
     free_txns: Vec<TxnId>,
+    /// Event wheel: slot `c % ring.len()` holds the events due at cycle
+    /// `c`. Sized from the config by [`ring_slots`] over the farthest an
+    /// event is scheduled ahead (the L1D and L2 latencies and a
+    /// write-queue retry); each slot keeps its buffer across revolutions.
     ring: Vec<Vec<Ev>>,
     /// Events currently on the ring (O(1) view for the watchdog).
     events_pending: usize,
     /// Fire cycles of ring events, pruned as each cycle's events are
     /// taken: the scheduler peeks the minimum to bound a skip without
-    /// scanning all `EVENT_RING` slots.
+    /// scanning the ring.
     event_heap: BinaryHeap<Reverse<Cycle>>,
     /// Transactions a full DRAM read queue refused, parked per channel
     /// in one FIFO per retry phase (refusal cycle mod `RETRY_DELAY`); see
@@ -201,6 +211,7 @@ impl Engine {
     /// Builds the uncore of `cfg` on the fabric `noc` selects.
     pub(crate) fn new(cfg: &SimConfig, noc: NocChoice) -> Self {
         let params = EngineParams::from_config(cfg);
+        let horizon = cfg.l1d.latency.max(cfg.l2.latency).max(2 * RETRY_DELAY);
         Engine {
             params,
             now: 0,
@@ -209,7 +220,7 @@ impl Engine {
             llc: ClockedLlc::new(cfg),
             txns: Vec::with_capacity(4096),
             free_txns: Vec::new(),
-            ring: (0..EVENT_RING).map(|_| Vec::new()).collect(),
+            ring: (0..ring_slots(horizon)).map(|_| Vec::new()).collect(),
             events_pending: 0,
             event_heap: BinaryHeap::new(),
             dram_wait: (0..params.channels)
@@ -256,11 +267,26 @@ impl Engine {
     }
 
     #[inline]
+    fn slot(&self, at: Cycle) -> usize {
+        (at as usize) & (self.ring.len() - 1)
+    }
+
+    /// Schedules `ev` for cycle `at`, at least one cycle out.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at` lies a full ring revolution or more ahead: the
+    /// event would fire early.
+    #[inline]
     pub(crate) fn schedule(&mut self, at: Cycle, ev: Ev) {
         let now = self.now;
         let at = at.max(now + 1);
-        debug_assert!(at - now < EVENT_RING as u64, "event beyond ring horizon");
-        self.ring[(at as usize) % EVENT_RING].push(ev);
+        assert!(
+            at - now < self.ring.len() as u64,
+            "event beyond ring horizon"
+        );
+        let slot = self.slot(at);
+        self.ring[slot].push(ev);
         self.events_pending += 1;
         self.event_heap.push(Reverse(at));
     }
@@ -268,14 +294,26 @@ impl Engine {
     /// Takes this cycle's scheduled events off the wheel, together with
     /// their heap entries: at every cycle boundary the heap holds exactly
     /// one entry per pending event, whether or not a scheduler peeks it.
+    /// Hand the emptied buffer back with [`Engine::restore_events`].
     pub(crate) fn take_events(&mut self) -> Vec<Ev> {
         let now = self.now;
-        let evs = std::mem::take(&mut self.ring[(now as usize) % EVENT_RING]);
+        let slot = self.slot(now);
+        let evs = std::mem::take(&mut self.ring[slot]);
         self.events_pending -= evs.len();
         while self.event_heap.peek().is_some_and(|&Reverse(c)| c <= now) {
             self.event_heap.pop();
         }
         evs
+    }
+
+    /// Puts the buffer [`Engine::take_events`] handed out back in its
+    /// slot, emptied, so the slot keeps its capacity. Nothing scheduled
+    /// this cycle lands in this cycle's slot.
+    pub(crate) fn restore_events(&mut self, mut evs: Vec<Ev>) {
+        evs.clear();
+        let slot = self.slot(self.now);
+        debug_assert!(self.ring[slot].is_empty());
+        self.ring[slot] = evs;
     }
 
     pub(crate) fn pending_events(&self) -> usize {
@@ -560,9 +598,10 @@ impl Engine {
         for c in completed {
             self.handle_dram_completion(c.id);
         }
-        for txn in due {
+        for &txn in &due {
             self.llc_lookup(txn, now);
         }
+        self.llc.restore_due(due, now);
     }
 
     /// A transaction's first attempt at its memory controller: a Hermes
@@ -745,6 +784,29 @@ mod tests {
             e.now += 1;
         }
         assert!(e.pending_events() > 0, "events stay pending past the loop");
+    }
+
+    /// The wheel holds events as far out as the slowest cache level
+    /// schedules them, and fires them on time.
+    #[test]
+    fn the_event_ring_covers_the_configured_latencies() {
+        let mut cfg = SimConfig::builder()
+            .cores(2)
+            .dram_channels(1)
+            .build()
+            .expect("valid config");
+        cfg.l2.latency = 300;
+        let mut e = Engine::new(&cfg, NocChoice::Analytic);
+        let line = LineAddr::new(9);
+        e.schedule(300, Ev::WbDram { line });
+        for now in 0..300 {
+            e.now = now;
+            let evs = e.take_events();
+            assert!(evs.is_empty(), "event fired early, at cycle {now}");
+            e.restore_events(evs);
+        }
+        e.now = 300;
+        assert_eq!(e.take_events().len(), 1);
     }
 
     /// A spilled message the count missed is named by the outbox audit.

@@ -7,21 +7,18 @@
 //! component's API — `tile.rs` and `system.rs` never see a `Cache` or
 //! `MshrFile` of the LLC directly.
 
-use crate::engine::{Engine, Txn, TxnKind, RETRY_DELAY};
+use crate::engine::{ring_slots, Engine, Txn, TxnKind, RETRY_DELAY};
 use crate::ports::{NocPayload, TxnId};
 use clip_cache::{AllocOutcome, Cache, Evicted, LookupOutcome, MshrFile};
 use clip_types::{Cycle, LineAddr, MemLevel, ReqId, SimConfig};
-
-/// Ring horizon for pending slice lookups. Slice latency (default 20)
-/// plus retry delays stay far below this.
-const LLC_RING: usize = 256;
 
 /// The LLC slices + MSHRs as a clocked component.
 pub(crate) struct ClockedLlc {
     slices: Vec<Cache>,
     mshrs: Vec<MshrFile>,
-    /// Lookup wheel: slot `c % LLC_RING` holds transactions whose slice
-    /// access completes at cycle `c`.
+    /// Lookup wheel: slot `c % ring.len()` holds transactions whose slice
+    /// access completes at cycle `c`. Sized by [`ring_slots`] over the
+    /// slice latency and the retry delay; each slot keeps its buffer.
     ring: Vec<Vec<TxnId>>,
     /// Lookups ever placed on the ring (conservation audit).
     scheduled: u64,
@@ -36,18 +33,34 @@ impl ClockedLlc {
             mshrs: (0..cfg.cores)
                 .map(|_| MshrFile::new(cfg.llc_slice.mshrs))
                 .collect(),
-            ring: (0..LLC_RING).map(|_| Vec::new()).collect(),
+            ring: (0..ring_slots(cfg.llc_slice.latency.max(RETRY_DELAY)))
+                .map(|_| Vec::new())
+                .collect(),
             scheduled: 0,
             fired: 0,
         }
     }
 
+    #[inline]
+    fn slot(&self, at: Cycle) -> usize {
+        (at as usize) & (self.ring.len() - 1)
+    }
+
     /// Schedules a slice lookup to complete `delay` cycles from `now`
     /// (at least one cycle out, like the engine's event wheel).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lookup lies a full ring revolution or more ahead:
+    /// it would fire early.
     pub(crate) fn schedule_lookup(&mut self, txn: TxnId, now: Cycle, delay: Cycle) {
         let at = (now + delay).max(now + 1);
-        debug_assert!(at - now < LLC_RING as u64, "lookup beyond LLC ring horizon");
-        self.ring[(at as usize) % LLC_RING].push(txn);
+        assert!(
+            at - now < self.ring.len() as u64,
+            "lookup beyond LLC ring horizon"
+        );
+        let slot = self.slot(at);
+        self.ring[slot].push(txn);
         self.scheduled += 1;
     }
 
@@ -170,11 +183,21 @@ impl ClockedLlc {
     }
 
     /// Takes the lookups whose slice latency elapses at `now` off the
-    /// ring.
+    /// ring. Hand the buffer back with [`ClockedLlc::restore_due`].
     pub(crate) fn tick(&mut self, now: Cycle) -> Vec<TxnId> {
-        let due = std::mem::take(&mut self.ring[(now as usize) % LLC_RING]);
+        let slot = self.slot(now);
+        let due = std::mem::take(&mut self.ring[slot]);
         self.fired += due.len() as u64;
         due
+    }
+
+    /// Puts the buffer [`ClockedLlc::tick`] handed out at `now` back in
+    /// its slot, emptied. Nothing scheduled at `now` lands in that slot.
+    pub(crate) fn restore_due(&mut self, mut due: Vec<TxnId>, now: Cycle) {
+        due.clear();
+        let slot = self.slot(now);
+        debug_assert!(self.ring[slot].is_empty());
+        self.ring[slot] = due;
     }
 
     /// The earliest cycle `>= now` with a lookup due, or `None` when the
@@ -183,13 +206,11 @@ impl ClockedLlc {
         if self.scheduled == self.fired {
             return None; // nothing on the lookup ring
         }
-        // Ring occupancy is tiny (LLC_RING slots): scan forward from `now`
-        // for the first occupied slot. Every pending lookup is within one
-        // ring revolution (enforced at schedule time), so the first
-        // occupied slot is the earliest due cycle.
-        (0..LLC_RING as u64)
-            .find(|k| !self.ring[((now + k) as usize) % LLC_RING].is_empty())
-            .map(|k| now + k)
+        // The ring is small: scan forward from `now` for the first
+        // occupied slot. Every pending lookup is within one ring
+        // revolution (enforced at schedule time), so the first occupied
+        // slot is the earliest due cycle.
+        (now..now + self.ring.len() as u64).find(|&c| !self.ring[self.slot(c)].is_empty())
     }
 }
 
@@ -298,5 +319,43 @@ impl Engine {
                 NocPayload::DataTile(t),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn llc_with_latency(latency: Cycle) -> ClockedLlc {
+        let mut cfg = SimConfig::builder()
+            .cores(2)
+            .dram_channels(1)
+            .build()
+            .expect("valid config");
+        cfg.llc_slice.latency = latency;
+        ClockedLlc::new(&cfg)
+    }
+
+    /// A slice latency past any fixed ring size fires exactly on time:
+    /// the ring is sized from the latency, not a constant.
+    #[test]
+    fn a_long_slice_latency_fires_on_time() {
+        let mut llc = llc_with_latency(300);
+        llc.schedule_lookup(7, 0, 300);
+        assert_eq!(llc.next_activity(0), Some(300));
+        for now in 0..300 {
+            let due = llc.tick(now);
+            assert!(due.is_empty(), "lookup fired early, at cycle {now}");
+            llc.restore_due(due, now);
+        }
+        assert_eq!(llc.tick(300), [7]);
+        assert_eq!(llc.next_activity(301), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookup beyond LLC ring horizon")]
+    fn a_lookup_past_the_horizon_panics() {
+        let mut llc = llc_with_latency(20);
+        llc.schedule_lookup(7, 0, 64);
     }
 }

@@ -232,9 +232,11 @@ impl System {
 
         // Local scheduled events: tile-facing ones are handled here,
         // uncore ones forward straight back into the engine.
-        for ev in self.engine.take_events() {
+        let mut evs = self.engine.take_events();
+        for ev in evs.drain(..) {
             self.handle_event(ev);
         }
+        self.engine.restore_events(evs);
 
         // Tiles: prefetch issue + core tick.
         let audit = step && self.integrity.level.full();

@@ -925,9 +925,7 @@ impl System {
             }
             // Wake L2-level waiters (same-tile txns merged at the L2 MSHR).
             if let Some(entry) = self.tiles[t].l2_mshr.complete(tx.line) {
-                let mut wake = entry.waiters.clone();
-                wake.push(entry.primary);
-                for w in wake {
+                for &w in entry.waiters.iter().chain([&entry.primary]) {
                     let wt = w.0 as TxnId;
                     if wt != txn && self.engine.txns[wt as usize].live {
                         self.engine.txns[wt as usize].level = tx.level;
@@ -968,9 +966,7 @@ impl System {
                 pf.on_fill(tx.line, now);
             }
             if let Some(entry) = self.tiles[t].l1_mshr.complete(tx.line) {
-                let mut reqs = entry.waiters.clone();
-                reqs.push(entry.primary);
-                for r in reqs {
+                for &r in entry.waiters.iter().chain([&entry.primary]) {
                     self.respond_core(t, r, tx.level, tx.issue, now);
                 }
             }
