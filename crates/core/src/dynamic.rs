@@ -2,25 +2,22 @@
 //! paper: "a dynamic version of CLIP can be explored that can turn off
 //! CLIP in the case of systems with high per-core DRAM bandwidth."
 //!
-//! [`DynamicClip`] wraps [`Clip`] with a bandwidth governor. The system
-//! feeds it periodic overall DRAM-utilization samples; when utilization
-//! stays below a low watermark for long enough (bandwidth is plentiful —
-//! e.g. only a few cores are active), the gate opens and every prefetch
-//! passes through untouched, recovering the full prefetcher upside. When
-//! utilization crosses the high watermark, CLIP filtering resumes.
-//! Hysteresis between the watermarks prevents mode flapping, the failure
-//! mode the paper attributes to DSPatch's myopic per-controller sampling
-//! — the governor deliberately uses *overall* utilization.
-
-use crate::{Clip, ClipConfig, Decision};
-use clip_cpu::LoadOutcome;
-use clip_types::{Ip, LineAddr};
+//! [`Governor`] is the bandwidth governor that switches CLIP on and off.
+//! The system feeds it periodic overall DRAM-utilization samples; when
+//! utilization stays below a low watermark for long enough (bandwidth is
+//! plentiful — e.g. only a few cores are active), the gate opens and every
+//! prefetch passes through untouched, recovering the full prefetcher
+//! upside. When utilization crosses the high watermark, CLIP filtering
+//! resumes. Hysteresis between the watermarks prevents mode flapping, the
+//! failure mode the paper attributes to DSPatch's myopic per-controller
+//! sampling — the governor deliberately uses *overall* utilization.
+//!
+//! One governor serves the whole system: every core's [`crate::Clip`]
+//! keeps training in both modes, and only the gate consults the mode.
 
 /// Governor configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicClipConfig {
-    /// Base CLIP configuration (used when filtering is active).
-    pub clip: ClipConfig,
     /// Overall DRAM utilization below which CLIP turns off.
     pub low_watermark: f64,
     /// Overall DRAM utilization above which CLIP turns back on.
@@ -32,7 +29,6 @@ pub struct DynamicClipConfig {
 impl Default for DynamicClipConfig {
     fn default() -> Self {
         DynamicClipConfig {
-            clip: ClipConfig::default(),
             low_watermark: 0.35,
             high_watermark: 0.60,
             hysteresis_samples: 4,
@@ -49,35 +45,32 @@ pub enum ClipMode {
     Bypassed,
 }
 
-/// CLIP wrapped with the §5.3 bandwidth governor.
+/// The §5.3 bandwidth governor: a watermark/hysteresis state machine
+/// over overall DRAM-utilization samples.
 ///
 /// # Examples
 ///
 /// ```
-/// use clip_core::{ClipMode, DynamicClip, DynamicClipConfig};
+/// use clip_core::{ClipMode, DynamicClipConfig, Governor};
 ///
-/// let mut clip = DynamicClip::new(DynamicClipConfig::default());
-/// assert_eq!(clip.mode(), ClipMode::Filtering);
+/// let mut gov = Governor::new(DynamicClipConfig::default());
+/// assert_eq!(gov.mode(), ClipMode::Filtering);
 /// // Sustained low DRAM utilization opens the gate.
 /// for _ in 0..4 {
-///     clip.on_bandwidth_sample(0.1);
+///     gov.on_bandwidth_sample(0.1);
 /// }
-/// assert_eq!(clip.mode(), ClipMode::Bypassed);
+/// assert_eq!(gov.mode(), ClipMode::Bypassed);
 /// ```
 #[derive(Debug, Clone)]
-pub struct DynamicClip {
-    clip: Clip,
+pub struct Governor {
     cfg: DynamicClipConfig,
     mode: ClipMode,
     streak: u32,
     mode_switches: u64,
-    /// When true the governor is disabled and CLIP always filters — this
-    /// makes `DynamicClip` a drop-in superset of plain CLIP.
-    pinned: bool,
 }
 
-impl DynamicClip {
-    /// Creates a dynamic CLIP starting in filtering mode.
+impl Governor {
+    /// Creates a governor starting in filtering mode.
     ///
     /// # Panics
     ///
@@ -88,36 +81,12 @@ impl DynamicClip {
             cfg.low_watermark < cfg.high_watermark,
             "hysteresis watermarks must be ordered"
         );
-        DynamicClip {
-            clip: Clip::new(cfg.clip.clone()),
+        Governor {
             cfg,
             mode: ClipMode::Filtering,
             streak: 0,
             mode_switches: 0,
-            pinned: false,
         }
-    }
-
-    /// Creates plain (always-filtering) CLIP behind the same interface —
-    /// the governor never engages.
-    pub fn pinned(clip: ClipConfig) -> Self {
-        let mut d = DynamicClip::new(DynamicClipConfig {
-            clip,
-            ..DynamicClipConfig::default()
-        });
-        d.pinned = true;
-        d
-    }
-
-    /// The wrapped CLIP (training still happens in both modes so a mode
-    /// switch starts from warm state).
-    pub fn inner(&self) -> &Clip {
-        &self.clip
-    }
-
-    /// Mutable access to the wrapped CLIP.
-    pub fn inner_mut(&mut self) -> &mut Clip {
-        &mut self.clip
     }
 
     /// Current mode.
@@ -132,9 +101,6 @@ impl DynamicClip {
 
     /// Feeds one overall-DRAM-utilization sample (0..=1).
     pub fn on_bandwidth_sample(&mut self, utilization: f64) {
-        if self.pinned {
-            return;
-        }
         let u = utilization.clamp(0.0, 1.0);
         match self.mode {
             ClipMode::Filtering if u < self.cfg.low_watermark => {
@@ -156,189 +122,59 @@ impl DynamicClip {
             _ => self.streak = 0,
         }
     }
-
-    /// The gate: defers to CLIP when filtering, passes everything (as
-    /// exploration traffic, still tracked for accuracy) when bypassed.
-    pub fn filter_prefetch(&mut self, line: LineAddr, trigger_ip: Ip) -> Decision {
-        self.filter_prefetch_tagged(line, trigger_ip, 0)
-    }
-
-    /// The gate with the candidate's engine tag (composite ensembles).
-    /// When bypassed, everything passes and no per-engine accounting
-    /// happens — the arbitration levels stay wherever filtering left
-    /// them.
-    pub fn filter_prefetch_tagged(
-        &mut self,
-        line: LineAddr,
-        trigger_ip: Ip,
-        engine: u8,
-    ) -> Decision {
-        match self.mode {
-            ClipMode::Filtering => self.clip.filter_prefetch_tagged(line, trigger_ip, engine),
-            ClipMode::Bypassed => Decision::AllowExplore,
-        }
-    }
-
-    /// Training pass-through (always active so the filter/predictor stay
-    /// warm across mode switches).
-    pub fn on_load_complete(&mut self, outcome: &LoadOutcome) {
-        self.clip.on_load_complete(outcome);
-    }
-
-    /// Branch pass-through.
-    pub fn on_branch(&mut self, taken: bool) {
-        self.clip.on_branch(taken);
-    }
-
-    /// Demand-access pass-through.
-    pub fn on_demand_access(&mut self, line: LineAddr) {
-        self.clip.on_demand_access(line);
-    }
-
-    /// L1-miss window pass-through.
-    pub fn on_l1_miss(&mut self) -> bool {
-        self.clip.on_l1_miss()
-    }
-
-    /// APC sample pass-through.
-    pub fn on_apc_sample(&mut self, accesses: u64, cycles: u64) {
-        self.clip.on_apc_sample(accesses, cycles);
-    }
-
-    /// Cancelled-prefetch pass-through.
-    pub fn cancel_prefetch(&mut self, line: LineAddr, trigger_ip: Ip) {
-        self.clip.cancel_prefetch(line, trigger_ip);
-    }
-
-    /// Tagged cancelled-prefetch pass-through.
-    pub fn cancel_prefetch_tagged(&mut self, line: LineAddr, trigger_ip: Ip, engine: u8) {
-        self.clip.cancel_prefetch_tagged(line, trigger_ip, engine);
-    }
-
-    /// Per-engine arbitration level pass-through.
-    pub fn engine_levels(&self) -> [u8; clip_types::MAX_PF_ENGINES] {
-        self.clip.engine_levels()
-    }
-
-    /// Per-engine accuracy counter pass-through.
-    pub fn engine_stats(&self) -> [crate::EngineStats; clip_types::MAX_PF_ENGINES] {
-        self.clip.engine_stats()
-    }
-
-    /// Arbitrated engine-count pass-through (0 for single-engine CLIP).
-    pub fn num_engines(&self) -> usize {
-        self.clip.num_engines()
-    }
-
-    /// Criticality-prediction pass-through (Figures 13/14 evaluation).
-    pub fn predict_critical(&self, ip: Ip, line: LineAddr) -> bool {
-        self.clip.predict_critical(ip, line)
-    }
-
-    /// Critical-IP count pass-through.
-    pub fn critical_ip_count(&self) -> usize {
-        self.clip.critical_ip_count()
-    }
-
-    /// Statistics pass-through.
-    pub fn stats(&self) -> &crate::ClipStats {
-        self.clip.stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clip_types::{Addr, MemLevel};
-
-    fn outcome(critical: bool) -> LoadOutcome {
-        LoadOutcome {
-            ip: Ip::new(0x400),
-            addr: Addr::new(0x1000),
-            level: if critical {
-                MemLevel::Dram
-            } else {
-                MemLevel::L1
-            },
-            stalled_head: critical,
-            stall_cycles: 50,
-            rob_occupancy: 256,
-            outstanding_loads: 1,
-            done_cycle: 0,
-            latency: 200,
-        }
-    }
 
     #[test]
-    fn starts_filtering_and_drops_untrained() {
-        let mut d = DynamicClip::new(DynamicClipConfig::default());
-        assert_eq!(d.mode(), ClipMode::Filtering);
-        assert!(!d.filter_prefetch(LineAddr::new(1), Ip::new(0x500)).allows());
+    fn starts_filtering() {
+        let g = Governor::new(DynamicClipConfig::default());
+        assert_eq!(g.mode(), ClipMode::Filtering);
+        assert_eq!(g.mode_switches(), 0);
     }
 
     #[test]
     fn bypasses_after_sustained_low_utilization() {
-        let mut d = DynamicClip::new(DynamicClipConfig::default());
-        for _ in 0..4 {
-            d.on_bandwidth_sample(0.1);
+        let mut g = Governor::new(DynamicClipConfig::default());
+        for _ in 0..3 {
+            g.on_bandwidth_sample(0.1);
         }
-        assert_eq!(d.mode(), ClipMode::Bypassed);
-        assert!(d.filter_prefetch(LineAddr::new(1), Ip::new(0x500)).allows());
+        assert_eq!(g.mode(), ClipMode::Filtering, "one sample short");
+        g.on_bandwidth_sample(0.1);
+        assert_eq!(g.mode(), ClipMode::Bypassed);
     }
 
     #[test]
     fn hysteresis_prevents_flapping() {
-        let mut d = DynamicClip::new(DynamicClipConfig::default());
+        let mut g = Governor::new(DynamicClipConfig::default());
         // Oscillate around the low watermark: never enough streak.
         for i in 0..40 {
-            d.on_bandwidth_sample(if i % 2 == 0 { 0.1 } else { 0.5 });
+            g.on_bandwidth_sample(if i % 2 == 0 { 0.1 } else { 0.5 });
         }
-        assert_eq!(d.mode(), ClipMode::Filtering);
-        assert_eq!(d.mode_switches(), 0);
+        assert_eq!(g.mode(), ClipMode::Filtering);
+        assert_eq!(g.mode_switches(), 0);
     }
 
     #[test]
     fn returns_to_filtering_under_pressure() {
-        let mut d = DynamicClip::new(DynamicClipConfig::default());
+        let mut g = Governor::new(DynamicClipConfig::default());
         for _ in 0..4 {
-            d.on_bandwidth_sample(0.1);
+            g.on_bandwidth_sample(0.1);
         }
-        assert_eq!(d.mode(), ClipMode::Bypassed);
+        assert_eq!(g.mode(), ClipMode::Bypassed);
         for _ in 0..4 {
-            d.on_bandwidth_sample(0.9);
+            g.on_bandwidth_sample(0.9);
         }
-        assert_eq!(d.mode(), ClipMode::Filtering);
-        assert_eq!(d.mode_switches(), 2);
-    }
-
-    #[test]
-    fn training_continues_while_bypassed() {
-        let mut d = DynamicClip::new(DynamicClipConfig::default());
-        for _ in 0..4 {
-            d.on_bandwidth_sample(0.0);
-        }
-        // Enough critical loads that the criticality-history contribution
-        // to the signature saturates and the trained signature stabilises.
-        for _ in 0..48 {
-            d.on_load_complete(&outcome(true));
-        }
-        // Back under pressure: filter state is already warm.
-        for _ in 0..4 {
-            d.on_bandwidth_sample(0.9);
-        }
-        // After sustained critical training during bypass, the prediction
-        // machinery is warm the moment filtering resumes.
-        assert!(
-            d.inner()
-                .predict_critical(Ip::new(0x400), Addr::new(0x1000).line()),
-            "filter/predictor trained during bypass"
-        );
+        assert_eq!(g.mode(), ClipMode::Filtering);
+        assert_eq!(g.mode_switches(), 2);
     }
 
     #[test]
     #[should_panic]
     fn rejects_inverted_watermarks() {
-        let _ = DynamicClip::new(DynamicClipConfig {
+        let _ = Governor::new(DynamicClipConfig {
             low_watermark: 0.8,
             high_watermark: 0.2,
             ..DynamicClipConfig::default()

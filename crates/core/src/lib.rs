@@ -42,7 +42,7 @@ pub mod storage;
 pub mod utility;
 
 pub use apc::ApcDetector;
-pub use dynamic::{ClipMode, DynamicClip, DynamicClipConfig};
+pub use dynamic::{ClipMode, DynamicClipConfig, Governor};
 pub use filter::CriticalityFilter;
 pub use predictor::CriticalityTable;
 pub use storage::StorageReport;

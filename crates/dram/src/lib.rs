@@ -13,10 +13,10 @@
 //!   CLIP's critical prefetches, and
 //! * write draining with the 7/8 watermark of Table 3.
 //!
-//! Two backends implement the trait: [`DramSystem`] (DDR4, all-bank
-//! lockstep refresh) and [`HbmDram`] (HBM-style: more, narrower channels
-//! and a rolling per-bank refresh schedule). Callers pick one via
-//! [`clip_types::DramKind`] / `CLIP_DRAM` and talk only to the trait.
+//! One model, [`DramSystem`], implements the trait for both backend
+//! kinds ([`clip_types::DramKind`] / `CLIP_DRAM`): the kind's preset
+//! sets channels and timing, and the kind picks the refresh scheme —
+//! DDR4's all-bank lockstep refresh or HBM's rolling per-bank schedule.
 //!
 //! # Examples
 //!
@@ -35,7 +35,7 @@
 //! assert_eq!(done.len(), 1);
 //! ```
 
-use clip_types::{Cycle, DramConfig, Fnv64, LineAddr, Priority, ReqId};
+use clip_types::{Cycle, DramConfig, DramKind, Fnv64, LineAddr, Priority, ReqId};
 use std::fmt;
 
 /// A completed read returned by [`DramModel::tick`].
@@ -206,7 +206,8 @@ pub struct ChannelStats {
     pub total_read_queue_delay: u64,
     /// Reads that arrived with prefetch priority.
     pub prefetch_reads: u64,
-    /// All-bank refreshes performed.
+    /// Refreshes performed: all-bank refreshes under DDR4, per-bank
+    /// refreshes under HBM.
     pub refreshes: u64,
 }
 
@@ -227,8 +228,14 @@ struct Channel {
     next_read_issue: Cycle,
     /// The same bound over banks with queued writes.
     next_write_issue: Cycle,
-    /// Cycle of the next scheduled all-bank refresh (refresh modeling).
+    /// Cycle of the next scheduled all-bank refresh (DDR4 refresh
+    /// modeling). Stays 0 under HBM; the full fingerprint hashes it
+    /// either way.
     next_refresh: Cycle,
+    /// Cycle of each bank's next scheduled refresh under HBM (all 0
+    /// while refresh is off, hashed by the full fingerprint after every
+    /// channel); empty under DDR4.
+    bank_refresh: Vec<Cycle>,
     /// Reads accepted into the queue (conservation audit).
     reads_enqueued: u64,
     /// Read completions handed back from `tick` (conservation audit).
@@ -285,16 +292,45 @@ impl Channel {
     }
 }
 
+/// How the channels refresh, picked from the backend kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refresh {
+    /// Refresh is not modelled (`t_refi == 0`).
+    Off,
+    /// DDR4: every tREFI, all banks of a channel at once are blocked for
+    /// tRFC and their rows close.
+    AllBank,
+    /// HBM: each bank refreshes on its own schedule, staggered across
+    /// the channel, blocking only itself for tRFCpb and closing only its
+    /// row; `t_refi`/`t_rfc` are read per bank (tREFIpb/tRFCpb).
+    PerBank,
+}
+
 /// The DRAM subsystem: all channels of the socket.
+///
+/// Under HBM ([`DramKind::Hbm`], typically configured with more, narrower
+/// channels — see `DramConfig::preset(DramKind::Hbm)`) refresh rolls
+/// across the banks: only a small fraction of a channel's banks is ever
+/// in refresh at once, so under bandwidth pressure the channel keeps
+/// serving row hits in other banks where a DDR4 channel would stall
+/// wholesale — the fidelity axis the Ramulator 2.0 re-evaluation shows
+/// can move conclusions.
 #[derive(Debug, Clone)]
 pub struct DramSystem {
     cfg: DramConfig,
+    refresh: Refresh,
     channels: Vec<Channel>,
     lines_per_row: u64,
 }
 
+/// The HBM backend's former name, kept only because perfbench's DRAM
+/// driver (`perfbench/src/profile.rs`) still names it; [`DramSystem`]
+/// serves both kinds.
+pub type HbmDram = DramSystem;
+
 impl DramSystem {
-    /// Builds the DRAM system from its configuration.
+    /// Builds the DRAM system from its configuration; `cfg.kind` picks
+    /// the refresh scheme (none when `t_refi == 0`).
     ///
     /// # Panics
     ///
@@ -304,6 +340,12 @@ impl DramSystem {
             cfg.channels > 0 && cfg.channels.is_power_of_two(),
             "channel count must be a power of two"
         );
+        let refresh = match cfg.kind {
+            _ if cfg.t_refi == 0 => Refresh::Off,
+            DramKind::Ddr4 => Refresh::AllBank,
+            DramKind::Hbm => Refresh::PerBank,
+        };
+        let banks = cfg.banks_per_channel as u64;
         let channel = Channel {
             banks: vec![Bank::default(); cfg.banks_per_channel],
             read_q: Vec::with_capacity(cfg.read_queue),
@@ -314,13 +356,25 @@ impl DramSystem {
             next_done: Cycle::MAX,
             next_read_issue: Cycle::MAX,
             next_write_issue: Cycle::MAX,
-            next_refresh: cfg.t_refi,
+            next_refresh: if cfg.kind == DramKind::Ddr4 {
+                cfg.t_refi
+            } else {
+                0
+            },
+            // Stagger bank b's first refresh across (0, tREFI] so the
+            // channel never loses more than one bank at a time.
+            bank_refresh: if cfg.kind == DramKind::Hbm {
+                (0..banks).map(|b| (b + 1) * cfg.t_refi / banks).collect()
+            } else {
+                Vec::new()
+            },
             reads_enqueued: 0,
             reads_delivered: 0,
             stats: ChannelStats::default(),
         };
         DramSystem {
             cfg: *cfg,
+            refresh,
             channels: vec![channel; cfg.channels],
             lines_per_row: (cfg.row_bytes / clip_types::LINE_BYTES) as u64,
         }
@@ -355,16 +409,36 @@ impl DramSystem {
             ch.next_done = next_done;
         }
 
-        // All-bank refresh: when tREFI elapses, every bank is blocked for
-        // tRFC and all rows close (the post-refresh state).
-        if cfg.t_refi > 0 && now >= ch.next_refresh {
-            ch.next_refresh = now + cfg.t_refi;
-            ch.stats.refreshes += 1;
-            for b in ch.banks.iter_mut() {
-                b.busy_until = b.busy_until.max(now + cfg.t_rfc);
-                b.open_row = None;
+        match self.refresh {
+            // All-bank refresh: when tREFI elapses, every bank is blocked
+            // for tRFC and all rows close (the post-refresh state).
+            Refresh::AllBank if now >= ch.next_refresh => {
+                ch.next_refresh = now + cfg.t_refi;
+                ch.stats.refreshes += 1;
+                for b in ch.banks.iter_mut() {
+                    b.busy_until = b.busy_until.max(now + cfg.t_rfc);
+                    b.open_row = None;
+                }
+                ch.rescan_issue_bounds();
             }
-            ch.rescan_issue_bounds();
+            // Per-bank refresh: each due bank is blocked for tRFCpb, its
+            // row closes, and it is rescheduled one tREFI out.
+            Refresh::PerBank => {
+                let mut refreshed = false;
+                for (bank, next) in ch.banks.iter_mut().zip(ch.bank_refresh.iter_mut()) {
+                    if now >= *next {
+                        *next = now + cfg.t_refi;
+                        ch.stats.refreshes += 1;
+                        bank.busy_until = bank.busy_until.max(now + cfg.t_rfc);
+                        bank.open_row = None;
+                        refreshed = true;
+                    }
+                }
+                if refreshed {
+                    ch.rescan_issue_bounds();
+                }
+            }
+            _ => {}
         }
 
         // Update write-drain hysteresis (enter at watermark, leave empty).
@@ -601,7 +675,8 @@ impl DramModel for DramSystem {
     /// are constant, and the earliest `busy_until` among candidate banks
     /// is exactly the next cycle arbitration can act. With empty queues
     /// the only future activity is a scheduled completion or, when
-    /// refresh is modelled (`t_refi > 0`), the next all-bank refresh.
+    /// refresh is modelled (`t_refi > 0`), the next all-bank refresh
+    /// (DDR4) or the next bank's refresh (HBM).
     /// The kept issue bounds and the cached earliest completion give the
     /// answer in O(1) per channel, without visiting a bank or a queued
     /// entry.
@@ -625,8 +700,14 @@ impl DramModel for DramSystem {
             if !ch.inflight.is_empty() {
                 fold(ch.next_done.max(now));
             }
-            if self.cfg.t_refi > 0 {
-                fold(ch.next_refresh.max(now));
+            match self.refresh {
+                Refresh::AllBank => fold(ch.next_refresh.max(now)),
+                Refresh::PerBank => {
+                    for &r in &ch.bank_refresh {
+                        fold(r.max(now));
+                    }
+                }
+                Refresh::Off => {}
             }
         }
         next
@@ -673,7 +754,8 @@ impl DramModel for DramSystem {
     /// before `now` would mean `tick` failed to deliver it) and recomputes
     /// the scheduling caches from the queues: each entry's bank and row,
     /// the per-bank queue counts, the earliest in-flight completion, and
-    /// the kept issue bounds.
+    /// the kept issue bounds; under per-bank refresh it then checks that
+    /// no bank's refresh is overdue.
     ///
     /// # Errors
     ///
@@ -729,6 +811,18 @@ impl DramModel for DramSystem {
                     }
                 }
                 self.audit_bank_index(ci, ch)?;
+            }
+        }
+        if full && self.refresh == Refresh::PerBank {
+            for (ci, ch) in self.channels.iter().enumerate() {
+                for (bi, &next) in ch.bank_refresh.iter().enumerate() {
+                    if next < now {
+                        return Err(format!(
+                            "channel {ci} bank {bi} refresh overdue \
+                             (scheduled at {next} but now is {now})"
+                        ));
+                    }
+                }
             }
         }
         Ok(())
@@ -807,172 +901,9 @@ impl DramModel for DramSystem {
             }
             h.write_u64(ch.bus_free_at).write_u64(ch.next_refresh);
         }
-    }
-}
-
-/// HBM-style memory backend: the same channel/bank/queue machinery as
-/// [`DramSystem`] — typically configured with more, narrower channels
-/// (see `DramConfig::preset(DramKind::Hbm)`) — but with HBM's **per-bank
-/// rolling refresh** in place of DDR4's all-bank lockstep refresh.
-///
-/// Each bank refreshes independently every `t_refi` cycles, staggered
-/// across the channel so only a small fraction of a channel's banks is
-/// ever in refresh at once; a refresh blocks only that bank for `t_rfc`
-/// (tRFCpb) and closes only its row. Under bandwidth pressure
-/// this keeps the channel serving row hits in other banks where a DDR4
-/// channel would stall wholesale — exactly the fidelity axis the
-/// Ramulator 2.0 re-evaluation shows can move conclusions.
-///
-/// Internally the shared machinery runs with refresh disabled
-/// (`t_refi = 0`) and this wrapper owns the per-bank schedule, so the
-/// conservation/quiescence contracts are inherited rather than
-/// re-implemented.
-#[derive(Debug, Clone)]
-pub struct HbmDram {
-    inner: DramSystem,
-    t_refi: u64,
-    t_rfc: u64,
-    /// Next scheduled refresh per `[channel][bank]`.
-    next_refresh: Vec<Vec<Cycle>>,
-}
-
-impl HbmDram {
-    /// Builds the HBM backend from its configuration. `cfg.t_refi`/`t_rfc`
-    /// are interpreted per bank (tREFIpb/tRFCpb); `t_refi = 0` disables
-    /// refresh modeling, as for DDR4.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is zero or not a power of two.
-    pub fn new(cfg: &DramConfig) -> Self {
-        let inner = DramSystem::new(&DramConfig { t_refi: 0, ..*cfg });
-        let banks = cfg.banks_per_channel as u64;
-        let schedule: Vec<Cycle> = (0..banks)
-            // Stagger bank b's first refresh across (0, tREFI] so the
-            // channel never loses more than one bank at a time.
-            .map(|b| {
-                if cfg.t_refi > 0 {
-                    (b + 1) * cfg.t_refi / banks
-                } else {
-                    0
-                }
-            })
-            .collect();
-        HbmDram {
-            inner,
-            t_refi: cfg.t_refi,
-            t_rfc: cfg.t_rfc,
-            next_refresh: vec![schedule; cfg.channels],
-        }
-    }
-
-    /// Applies every due per-bank refresh: blocks the bank for tRFCpb,
-    /// closes its row, and reschedules it one tREFI out.
-    fn refresh_due_banks(&mut self, now: Cycle) {
-        if self.t_refi == 0 {
-            return;
-        }
-        for (ci, banks) in self.next_refresh.iter_mut().enumerate() {
-            let ch = &mut self.inner.channels[ci];
-            let mut refreshed = false;
-            for (bi, next) in banks.iter_mut().enumerate() {
-                if now >= *next {
-                    *next = now + self.t_refi;
-                    ch.stats.refreshes += 1;
-                    let bank = &mut ch.banks[bi];
-                    bank.busy_until = bank.busy_until.max(now + self.t_rfc);
-                    bank.open_row = None;
-                    refreshed = true;
-                }
-            }
-            if refreshed {
-                ch.rescan_issue_bounds();
-            }
-        }
-    }
-}
-
-impl DramModel for HbmDram {
-    fn channels(&self) -> usize {
-        self.inner.channels()
-    }
-    fn channel_for(&self, line: LineAddr) -> usize {
-        self.inner.channel_for(line)
-    }
-    fn read_queue_has_room(&self, channel: usize) -> bool {
-        self.inner.read_queue_has_room(channel)
-    }
-    fn read_queue_len(&self, channel: usize) -> usize {
-        self.inner.read_queue_len(channel)
-    }
-    fn enqueue_read(
-        &mut self,
-        channel: usize,
-        id: ReqId,
-        line: LineAddr,
-        priority: Priority,
-        now: Cycle,
-    ) -> Result<(), QueueFullError> {
-        self.inner.enqueue_read(channel, id, line, priority, now)
-    }
-    fn enqueue_write(&mut self, line: LineAddr, now: Cycle) -> Result<(), QueueFullError> {
-        self.inner.enqueue_write(line, now)
-    }
-    fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        self.refresh_due_banks(now);
-        self.inner.tick(now)
-    }
-    /// Inherits the shared machinery's quiescence reasoning and folds in
-    /// the per-bank refresh schedule, so a skipped span never jumps over
-    /// a refresh boundary.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = self.inner.next_activity(now);
-        if self.t_refi > 0 {
-            for banks in &self.next_refresh {
-                for &r in banks {
-                    let r = r.max(now);
-                    next = Some(next.map_or(r, |n| n.min(r)));
-                }
-            }
-        }
-        next
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.inner.skip_idle(from, to)
-    }
-    fn stats(&self, channel: usize) -> &ChannelStats {
-        self.inner.stats(channel)
-    }
-    fn total_stats(&self) -> ChannelStats {
-        self.inner.total_stats()
-    }
-    fn audit(&self, now: Cycle, full: bool) -> Result<(), String> {
-        self.inner.audit(now, full)?;
-        if full && self.t_refi > 0 {
-            for (ci, banks) in self.next_refresh.iter().enumerate() {
-                for (bi, &next) in banks.iter().enumerate() {
-                    if next < now {
-                        return Err(format!(
-                            "channel {ci} bank {bi} refresh overdue \
-                             (scheduled at {next} but now is {now})"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-    fn inject_swallow_completion(&mut self, selector: u64) -> bool {
-        self.inner.inject_swallow_completion(selector)
-    }
-    fn bandwidth_utilization(&self, elapsed: Cycle) -> f64 {
-        self.inner.bandwidth_utilization(elapsed)
-    }
-    fn fingerprint(&self, h: &mut Fnv64, full: bool) {
-        self.inner.fingerprint(h, full);
         if full {
-            for ch in &self.next_refresh {
-                for &next in ch {
+            for ch in &self.channels {
+                for &next in &ch.bank_refresh {
                     h.write_u64(next);
                 }
             }
@@ -1328,8 +1259,8 @@ mod tests {
         }
     }
 
-    /// Drives any backend through the trait — the surface the simulator
-    /// uses — proving both impls are interchangeable behind `dyn`.
+    /// Drives the model through the trait object, as a caller that
+    /// picks the backend at run time does.
     fn run_model(dram: &mut dyn DramModel, from: u64, cycles: u64) -> Vec<DramCompletion> {
         let mut out = Vec::new();
         for now in from..from + cycles {
@@ -1340,7 +1271,7 @@ mod tests {
 
     #[test]
     fn hbm_serves_reads_through_the_trait_object() {
-        let mut d: Box<dyn DramModel> = Box::new(HbmDram::new(&hbm_cfg(1, 0)));
+        let mut d: Box<dyn DramModel> = Box::new(DramSystem::new(&hbm_cfg(1, 0)));
         d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
             .unwrap();
         let done = run_model(d.as_mut(), 0, 400);
@@ -1357,11 +1288,11 @@ mod tests {
         // at most one bank of the channel refreshes at a time, unlike
         // DDR4's all-bank lockstep which gang-blocks the whole channel.
         let cfg = hbm_cfg(1, 32_000);
-        let mut d = HbmDram::new(&cfg);
+        let mut d = DramSystem::new(&cfg);
         let mut max_blocked = 0usize;
         for now in 0..100_000u64 {
             d.tick(now);
-            let blocked = d.inner.channels[0]
+            let blocked = d.channels[0]
                 .banks
                 .iter()
                 .filter(|b| b.busy_until > now)
@@ -1378,7 +1309,7 @@ mod tests {
 
     #[test]
     fn hbm_quiescence_reports_refresh_and_completion() {
-        let mut d = HbmDram::new(&hbm_cfg(1, 32_000));
+        let mut d = DramSystem::new(&hbm_cfg(1, 32_000));
         // Idle: the only activity is the first staggered bank refresh.
         let first = d.next_activity(0).expect("refresh is an activity source");
         assert_eq!(first, 32_000 / 32, "first stagger slot");
@@ -1396,8 +1327,8 @@ mod tests {
         // be bit-identical to grinding every cycle — including refresh
         // boundaries, which next_activity folds in.
         let cfg = hbm_cfg(1, 2_000);
-        let mut stepped = HbmDram::new(&cfg);
-        let mut wheeled = HbmDram::new(&cfg);
+        let mut stepped = DramSystem::new(&cfg);
+        let mut wheeled = DramSystem::new(&cfg);
         for d in [&mut stepped, &mut wheeled] {
             d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
                 .unwrap();
@@ -1426,7 +1357,7 @@ mod tests {
 
     #[test]
     fn hbm_swallowed_completion_breaks_audit() {
-        let mut d = HbmDram::new(&hbm_cfg(1, 0));
+        let mut d = DramSystem::new(&hbm_cfg(1, 0));
         d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
             .unwrap();
         let mut swallowed = false;
@@ -1446,7 +1377,7 @@ mod tests {
     fn ddr4_and_hbm_presets_agree_on_peak_utilization_bound() {
         for mut d in [
             Box::new(DramSystem::new(&DramConfig::default())) as Box<dyn DramModel>,
-            Box::new(HbmDram::new(&hbm_cfg(16, 0))),
+            Box::new(DramSystem::new(&hbm_cfg(16, 0))),
         ] {
             for i in 0..64u64 {
                 let line = LineAddr::new(i * 997);

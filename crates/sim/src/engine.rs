@@ -4,18 +4,18 @@
 //! [`Engine`] owns everything that is *shared* between tiles — the NoC,
 //! the DRAM channels, the LLC, the in-flight transaction slab, the event
 //! ring and the current cycle — so tile-side code can borrow one tile and
-//! the engine simultaneously (disjoint `System` fields). The NoC and DRAM
-//! are trait objects built by [`build_noc`] / [`build_dram`];
-//! [`Engine::tick_uncore`] ticks them and the [`ClockedLlc`] and hands
-//! what they return to the uncore handlers.
+//! the engine simultaneously (disjoint `System` fields). The NoC is a
+//! trait object built by [`build_noc`], the DRAM a [`DramSystem`] of the
+//! configured kind; [`Engine::tick_uncore`] ticks them and the
+//! [`ClockedLlc`] and hands what they return to the uncore handlers. The
+//! event ring and the LLC's lookup ring are both a [`Wheel`].
 
 use crate::llc::ClockedLlc;
 use crate::ports::{NocPayload, OutMsg, TxnId};
-use clip_dram::{DramModel, DramSystem, HbmDram};
+use clip_dram::{DramModel, DramSystem};
 use clip_noc::{AnalyticNoc, ChipletNoc, MeshNoc, NocModel};
-use clip_types::{Cycle, DramConfig, DramKind, Ip, LineAddr, MemLevel, Priority, ReqId, SimConfig};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use clip_types::{Cycle, Ip, LineAddr, MemLevel, Priority, ReqId, SimConfig};
+use std::collections::{HashMap, VecDeque};
 
 /// Cycles between retries of a request a full queue refused.
 pub(crate) const RETRY_DELAY: Cycle = 4;
@@ -45,14 +45,6 @@ fn build_noc(choice: NocChoice, cfg: &SimConfig) -> Box<dyn NocModel> {
     }
 }
 
-/// Memory factory: builds the backend `cfg.kind` selects.
-fn build_dram(cfg: &DramConfig) -> Box<dyn DramModel> {
-    match cfg.kind {
-        DramKind::Ddr4 => Box::new(DramSystem::new(cfg)),
-        DramKind::Hbm => Box::new(HbmDram::new(cfg)),
-    }
-}
-
 /// The retry phase of `cycle`: which parked-transaction FIFO it admits.
 #[inline]
 fn phase(cycle: Cycle) -> usize {
@@ -62,8 +54,124 @@ fn phase(cycle: Cycle) -> usize {
 /// Slots of a wheel that holds work at most `horizon` cycles ahead: the
 /// next power of two above it, so the slot of `now` is never the target
 /// of a schedule made at `now`.
-pub(crate) fn ring_slots(horizon: Cycle) -> usize {
+fn ring_slots(horizon: Cycle) -> usize {
     (horizon as usize + 1).next_power_of_two()
+}
+
+/// A timing wheel: slot `c % slots` holds the items due at cycle `c`.
+/// Sized by [`ring_slots`] over the farthest an item is scheduled ahead,
+/// so every pending item lies within one revolution of the current
+/// cycle; each slot keeps its buffer across revolutions.
+pub(crate) struct Wheel<T> {
+    slots: Vec<Vec<T>>,
+    /// Items ever placed on the wheel (conservation audit).
+    scheduled: u64,
+    /// Items ever taken off the wheel (conservation audit).
+    fired: u64,
+    /// What the wheel holds, for the audit message ("event", "lookup").
+    item: &'static str,
+    /// The panic message of a schedule past the horizon.
+    overflow: &'static str,
+}
+
+impl<T> Wheel<T> {
+    /// A wheel for items at most `horizon` cycles ahead.
+    pub(crate) fn new(horizon: Cycle, item: &'static str, overflow: &'static str) -> Self {
+        Wheel {
+            slots: (0..ring_slots(horizon)).map(|_| Vec::new()).collect(),
+            scheduled: 0,
+            fired: 0,
+            item,
+            overflow,
+        }
+    }
+
+    #[inline]
+    fn slot(&self, at: Cycle) -> usize {
+        (at as usize) & (self.slots.len() - 1)
+    }
+
+    /// Places `item` at cycle `at`, at least one cycle after `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at` lies a full revolution or more ahead: the item
+    /// would fire early.
+    #[inline]
+    pub(crate) fn schedule(&mut self, now: Cycle, at: Cycle, item: T) {
+        let at = at.max(now + 1);
+        assert!(at - now < self.slots.len() as u64, "{}", self.overflow);
+        let slot = self.slot(at);
+        self.slots[slot].push(item);
+        self.scheduled += 1;
+    }
+
+    /// Takes the items due at `now` off the wheel. Hand the buffer back
+    /// with [`Wheel::restore`].
+    pub(crate) fn take(&mut self, now: Cycle) -> Vec<T> {
+        let slot = self.slot(now);
+        let due = std::mem::take(&mut self.slots[slot]);
+        self.fired += due.len() as u64;
+        due
+    }
+
+    /// Puts the buffer [`Wheel::take`] handed out at `now` back in its
+    /// slot, emptied, so the slot keeps its capacity. Nothing scheduled
+    /// at `now` lands in that slot.
+    pub(crate) fn restore(&mut self, now: Cycle, mut buf: Vec<T>) {
+        buf.clear();
+        let slot = self.slot(now);
+        debug_assert!(self.slots[slot].is_empty());
+        self.slots[slot] = buf;
+    }
+
+    /// Items on the wheel.
+    pub(crate) fn pending(&self) -> usize {
+        (self.scheduled - self.fired) as usize
+    }
+
+    /// Items ever taken off the wheel.
+    pub(crate) fn fired(&self) -> u64 {
+        self.fired
+    }
+
+    /// Items ever placed on the wheel.
+    pub(crate) fn scheduled(&self) -> u64 {
+        self.scheduled
+    }
+
+    /// The earliest cycle `>= now` with an item due, or `None` when the
+    /// wheel is empty. Every pending item lies within one revolution of
+    /// `now` (enforced at schedule time, and no item is left behind the
+    /// cycle that takes it), so the first occupied slot scanning forward
+    /// from `now` is the earliest.
+    pub(crate) fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        if self.scheduled == self.fired {
+            return None;
+        }
+        (now..now + self.slots.len() as u64).find(|&c| !self.slots[self.slot(c)].is_empty())
+    }
+
+    /// Conservation audit: every scheduled item has fired or is still on
+    /// the wheel.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the imbalance.
+    pub(crate) fn audit(&self) -> Result<(), String> {
+        let on_ring: u64 = self.slots.iter().map(|s| s.len() as u64).sum();
+        if self.scheduled != self.fired + on_ring {
+            return Err(format!(
+                "{}-ring occupancy broken: {} scheduled but {} fired + {} on ring (lost {})",
+                self.item,
+                self.scheduled,
+                self.fired,
+                on_ring,
+                self.scheduled as i64 - (self.fired + on_ring) as i64
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Minimum over two optional wake-up cycles (`None` = no wake-up).
@@ -172,21 +280,16 @@ pub(crate) struct Engine {
     /// straight to a skip target.
     pub(crate) now: Cycle,
     pub(crate) noc: Box<dyn NocModel>,
-    pub(crate) dram: Box<dyn DramModel>,
+    pub(crate) dram: DramSystem,
     pub(crate) llc: ClockedLlc,
     pub(crate) txns: Vec<Txn>,
     free_txns: Vec<TxnId>,
-    /// Event wheel: slot `c % ring.len()` holds the events due at cycle
-    /// `c`. Sized from the config by [`ring_slots`] over the farthest an
-    /// event is scheduled ahead (the L1D and L2 latencies and a
-    /// write-queue retry); each slot keeps its buffer across revolutions.
-    ring: Vec<Vec<Ev>>,
-    /// Events currently on the ring (O(1) view for the watchdog).
-    events_pending: usize,
-    /// Fire cycles of ring events, pruned as each cycle's events are
-    /// taken: the scheduler peeks the minimum to bound a skip without
-    /// scanning the ring.
-    event_heap: BinaryHeap<Reverse<Cycle>>,
+    /// Event wheel, sized over the farthest an event is scheduled ahead
+    /// (the L1D and L2 latencies and a write-queue retry).
+    events: Wheel<Ev>,
+    /// The recipients of one DRAM data return at its LLC home, collected
+    /// by `llc_fill_and_forward`; the buffer is kept across returns.
+    pub(crate) forward: Vec<TxnId>,
     /// Transactions a full DRAM read queue refused, parked per channel
     /// in one FIFO per retry phase (refusal cycle mod `RETRY_DELAY`); see
     /// [`Engine::admit_dram_waiters`].
@@ -216,13 +319,12 @@ impl Engine {
             params,
             now: 0,
             noc: build_noc(noc, cfg),
-            dram: build_dram(&cfg.dram),
+            dram: DramSystem::new(&cfg.dram),
             llc: ClockedLlc::new(cfg),
             txns: Vec::with_capacity(4096),
             free_txns: Vec::new(),
-            ring: (0..ring_slots(horizon)).map(|_| Vec::new()).collect(),
-            events_pending: 0,
-            event_heap: BinaryHeap::new(),
+            events: Wheel::new(horizon, "event", "event beyond ring horizon"),
+            forward: Vec::new(),
             dram_wait: (0..params.channels)
                 .map(|_| std::array::from_fn(|_| VecDeque::new()))
                 .collect(),
@@ -266,11 +368,6 @@ impl Engine {
         self.txns.iter().filter(|t| t.live).count()
     }
 
-    #[inline]
-    fn slot(&self, at: Cycle) -> usize {
-        (at as usize) & (self.ring.len() - 1)
-    }
-
     /// Schedules `ev` for cycle `at`, at least one cycle out.
     ///
     /// # Panics
@@ -279,58 +376,37 @@ impl Engine {
     /// event would fire early.
     #[inline]
     pub(crate) fn schedule(&mut self, at: Cycle, ev: Ev) {
-        let now = self.now;
-        let at = at.max(now + 1);
-        assert!(
-            at - now < self.ring.len() as u64,
-            "event beyond ring horizon"
-        );
-        let slot = self.slot(at);
-        self.ring[slot].push(ev);
-        self.events_pending += 1;
-        self.event_heap.push(Reverse(at));
+        self.events.schedule(self.now, at, ev);
     }
 
-    /// Takes this cycle's scheduled events off the wheel, together with
-    /// their heap entries: at every cycle boundary the heap holds exactly
-    /// one entry per pending event, whether or not a scheduler peeks it.
-    /// Hand the emptied buffer back with [`Engine::restore_events`].
+    /// Takes this cycle's scheduled events off the wheel. Hand the
+    /// emptied buffer back with [`Engine::restore_events`].
     pub(crate) fn take_events(&mut self) -> Vec<Ev> {
-        let now = self.now;
-        let slot = self.slot(now);
-        let evs = std::mem::take(&mut self.ring[slot]);
-        self.events_pending -= evs.len();
-        while self.event_heap.peek().is_some_and(|&Reverse(c)| c <= now) {
-            self.event_heap.pop();
-        }
-        evs
+        self.events.take(self.now)
     }
 
     /// Puts the buffer [`Engine::take_events`] handed out back in its
-    /// slot, emptied, so the slot keeps its capacity. Nothing scheduled
-    /// this cycle lands in this cycle's slot.
-    pub(crate) fn restore_events(&mut self, mut evs: Vec<Ev>) {
-        evs.clear();
-        let slot = self.slot(self.now);
-        debug_assert!(self.ring[slot].is_empty());
-        self.ring[slot] = evs;
+    /// slot.
+    pub(crate) fn restore_events(&mut self, evs: Vec<Ev>) {
+        self.events.restore(self.now, evs);
     }
 
     pub(crate) fn pending_events(&self) -> usize {
-        self.events_pending
+        self.events.pending()
+    }
+
+    /// Event-wheel conservation audit (see [`Wheel::audit`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the imbalance.
+    pub(crate) fn audit_events(&self) -> Result<(), String> {
+        self.events.audit()
     }
 
     /// Transactions parked behind full DRAM read queues.
     pub(crate) fn dram_parked(&self) -> usize {
         self.dram_parked
-    }
-
-    /// The earliest cycle with a ring event due. Every event fires after
-    /// the cycle that scheduled it, a skip never passes a due event, and
-    /// [`Engine::take_events`] prunes each ticked cycle, so the answer is
-    /// never in the past.
-    pub(crate) fn next_event_cycle(&self) -> Option<Cycle> {
-        self.event_heap.peek().map(|&Reverse(c)| c)
     }
 
     /// The earliest cycle `>= now` at which a parked transaction gets
@@ -360,7 +436,7 @@ impl Engine {
         // Cheapest sources first, bailing the moment one says "busy now":
         // this runs on every scheduler decision, and the LLC ring scan is
         // by far the priciest answer.
-        let mut next = self.next_event_cycle();
+        let mut next = self.events.next_due(now);
         if next == Some(now) {
             return next;
         }
@@ -503,7 +579,7 @@ impl Engine {
     /// reads and baselines recorded from one still verify.
     pub(crate) fn fingerprint_txns_cheap(&self, h: &mut clip_types::Fnv64) {
         h.write_usize(self.live_txns())
-            .write_usize(self.events_pending + self.dram_parked)
+            .write_usize(self.events.pending() + self.dram_parked)
             .write_usize(self.outbox_backlog());
     }
 
@@ -763,27 +839,47 @@ impl Engine {
 mod tests {
     use super::*;
 
-    /// Stepping never asks the scheduler for the next event cycle, so
-    /// taking a cycle's events must drop their heap entries too, or the
-    /// heap keeps one entry per event ever scheduled.
+    /// Through a long schedule/take loop, the wheel's forward scan
+    /// answers the earliest pending fire cycle, each cycle takes exactly
+    /// its own events, and the conservation audit holds; a lost event
+    /// breaks the audit.
     #[test]
-    fn take_events_keeps_the_heap_in_step_with_the_ring() {
+    fn next_due_is_the_earliest_pending_event() {
         let cfg = SimConfig::builder()
             .cores(2)
             .dram_channels(1)
             .build()
             .expect("valid config");
         let mut e = Engine::new(&cfg, NocChoice::Analytic);
+        let mut due: Vec<Cycle> = Vec::new();
         for c in 0..5_000u64 {
             for k in 0..c % 3 {
-                let line = LineAddr::new(c * 4 + k);
-                e.schedule(c + 1 + (c + k) % 9, Ev::WbDram { line });
+                let at = c + 1 + (c + k) % 9;
+                e.schedule(
+                    at,
+                    Ev::WbDram {
+                        line: LineAddr::new(c * 4 + k),
+                    },
+                );
+                due.push(at);
             }
-            e.take_events();
-            assert_eq!(e.event_heap.len(), e.pending_events(), "cycle {c}");
+            assert_eq!(e.events.next_due(c), due.iter().min().copied(), "cycle {c}");
+            let evs = e.take_events();
+            assert_eq!(
+                evs.len(),
+                due.iter().filter(|&&a| a == c).count(),
+                "cycle {c}"
+            );
+            due.retain(|&a| a != c);
+            e.restore_events(evs);
+            assert_eq!(e.pending_events(), due.len(), "cycle {c}");
+            assert_eq!(e.audit_events(), Ok(()), "cycle {c}");
             e.now += 1;
         }
         assert!(e.pending_events() > 0, "events stay pending past the loop");
+        e.events.fired += 1;
+        let err = e.audit_events().unwrap_err();
+        assert!(err.contains("event-ring occupancy broken"), "{err}");
     }
 
     /// The wheel holds events as far out as the slowest cache level

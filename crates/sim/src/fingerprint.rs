@@ -31,6 +31,7 @@
 use crate::result::SimResult;
 use crate::system::System;
 use crate::{run_jobs_checked, RunOptions, SweepJob};
+use clip_dram::DramModel;
 use clip_stats::Json;
 use clip_types::{Cycle, Fnv64, SimError, SimErrorKind};
 

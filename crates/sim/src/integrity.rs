@@ -3,18 +3,19 @@
 //!
 //! The cycle loop calls [`System::integrity_tick`] after every tick; at
 //! the configured cadence it runs the component audits (NoC flit
-//! conservation, DRAM command legality, LLC lookup-ring occupancy, every
-//! MSHR file's allocation/release balance, every core's ROB/load-queue
-//! balance, and every tile's prefetch-queue conservation + address
-//! legality), captures a per-component state fingerprint at every
-//! enabled level (see [`crate::fingerprint`]), and samples a global
-//! progress signature. If the signature does not change for a whole
-//! watchdog window while work is still in flight, the run is declared
-//! deadlocked with a report naming the stuck transactions and every
-//! queue's occupancy. All checks are read-only: simulation results are
+//! conservation, DRAM command legality, LLC lookup-ring and event-ring
+//! occupancy, every MSHR file's allocation/release balance, every
+//! core's ROB/load-queue balance, and every tile's prefetch-queue
+//! conservation + address legality), captures a per-component state
+//! fingerprint at every enabled level (see [`crate::fingerprint`]), and
+//! samples a global progress signature. If the signature does not change
+//! for a whole watchdog window while work is still in flight, the run is
+//! declared deadlocked with a report naming the stuck transactions and
+//! every queue's occupancy. All checks are read-only: simulation results are
 //! bit-identical across [`CheckLevel`]s.
 
 use crate::system::System;
+use clip_dram::DramModel;
 use clip_types::{CheckLevel, Cycle, SimError, SimErrorKind};
 
 /// Default audit cadence in cycles.
@@ -75,6 +76,9 @@ impl System {
             .llc
             .audit(now, full)
             .map_err(|e| component_error(now, "llc", e))?;
+        self.engine
+            .audit_events()
+            .map_err(|e| component_error(now, "events", e))?;
         if full {
             self.engine
                 .audit_txns()

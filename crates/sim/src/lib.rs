@@ -338,7 +338,7 @@ impl PrefetcherLabel for SimConfig {
 mod tests {
     use super::*;
     use clip_trace::{catalog, Mix};
-    use clip_types::PrefetcherKind;
+    use clip_types::{Fnv64, PrefetcherKind};
 
     fn small_cfg(pf: PrefetcherKind, channels: usize) -> SimConfig {
         SimConfig::builder()
@@ -587,11 +587,13 @@ mod tests {
         assert!(paged.mean_ipc() > 0.0);
     }
 
+    /// With far more bandwidth than demand the governor opens the gate,
+    /// so DynCLIP issues strictly more prefetches than plain CLIP. Both
+    /// reports are pinned byte for byte (FNV-1a over the rendered JSON)
+    /// to the values of the per-tile governor copies one system-level
+    /// governor replaced.
     #[test]
     fn dynamic_clip_bypasses_with_ample_bandwidth() {
-        // With far more bandwidth than demand, the governor should open
-        // the gate and DynCLIP should issue at least as many prefetches
-        // as plain CLIP.
         let cfg = SimConfig::builder()
             .cores(4)
             .dram_channels(16)
@@ -603,10 +605,23 @@ mod tests {
         let clip = run_mix(&cfg, &Scheme::with_clip(), &mix, &opts);
         let dyn_clip = run_mix(&cfg, &Scheme::with_dynamic_clip(), &mix, &opts);
         assert!(
-            dyn_clip.prefetch.issued >= clip.prefetch.issued,
-            "bypassed governor must not reduce traffic below CLIP: {} vs {}",
+            dyn_clip.prefetch.issued > clip.prefetch.issued,
+            "a bypassed governor must issue more than CLIP: {} vs {}",
             dyn_clip.prefetch.issued,
             clip.prefetch.issued
+        );
+        let render_hash = |r: &SimResult| {
+            let h = r.to_json().render().bytes().fold(Fnv64::new(), |mut h, b| {
+                h.write_u64(u64::from(b));
+                h
+            });
+            h.finish()
+        };
+        assert_eq!(render_hash(&clip), 0x755e_a208_fde0_14c7, "CLIP report");
+        assert_eq!(
+            render_hash(&dyn_clip),
+            0xd1b2_a3f9_07f6_c9ee,
+            "DynCLIP report"
         );
     }
 

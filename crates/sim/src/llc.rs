@@ -7,23 +7,19 @@
 //! component's API — `tile.rs` and `system.rs` never see a `Cache` or
 //! `MshrFile` of the LLC directly.
 
-use crate::engine::{ring_slots, Engine, Txn, TxnKind, RETRY_DELAY};
+use crate::engine::{Engine, Txn, TxnKind, Wheel, RETRY_DELAY};
 use crate::ports::{NocPayload, TxnId};
 use clip_cache::{AllocOutcome, Cache, Evicted, LookupOutcome, MshrFile};
+use clip_dram::DramModel;
 use clip_types::{Cycle, LineAddr, MemLevel, ReqId, SimConfig};
 
 /// The LLC slices + MSHRs as a clocked component.
 pub(crate) struct ClockedLlc {
     slices: Vec<Cache>,
     mshrs: Vec<MshrFile>,
-    /// Lookup wheel: slot `c % ring.len()` holds transactions whose slice
-    /// access completes at cycle `c`. Sized by [`ring_slots`] over the
-    /// slice latency and the retry delay; each slot keeps its buffer.
-    ring: Vec<Vec<TxnId>>,
-    /// Lookups ever placed on the ring (conservation audit).
-    scheduled: u64,
-    /// Lookups ever taken off the ring by a tick (conservation audit).
-    fired: u64,
+    /// Lookup wheel: transactions whose slice access completes at each
+    /// cycle, sized over the slice latency and the retry delay.
+    ring: Wheel<TxnId>,
 }
 
 impl ClockedLlc {
@@ -33,17 +29,12 @@ impl ClockedLlc {
             mshrs: (0..cfg.cores)
                 .map(|_| MshrFile::new(cfg.llc_slice.mshrs))
                 .collect(),
-            ring: (0..ring_slots(cfg.llc_slice.latency.max(RETRY_DELAY)))
-                .map(|_| Vec::new())
-                .collect(),
-            scheduled: 0,
-            fired: 0,
+            ring: Wheel::new(
+                cfg.llc_slice.latency.max(RETRY_DELAY),
+                "lookup",
+                "lookup beyond LLC ring horizon",
+            ),
         }
-    }
-
-    #[inline]
-    fn slot(&self, at: Cycle) -> usize {
-        (at as usize) & (self.ring.len() - 1)
     }
 
     /// Schedules a slice lookup to complete `delay` cycles from `now`
@@ -54,14 +45,7 @@ impl ClockedLlc {
     /// Panics when the lookup lies a full ring revolution or more ahead:
     /// it would fire early.
     pub(crate) fn schedule_lookup(&mut self, txn: TxnId, now: Cycle, delay: Cycle) {
-        let at = (now + delay).max(now + 1);
-        assert!(
-            at - now < self.ring.len() as u64,
-            "lookup beyond LLC ring horizon"
-        );
-        let slot = self.slot(at);
-        self.ring[slot].push(txn);
-        self.scheduled += 1;
+        self.ring.schedule(now, now + delay, txn);
     }
 
     /// A slice refuses a miss when its MSHR file is full and the line can
@@ -113,7 +97,7 @@ impl ClockedLlc {
 
     /// Lookups fired so far (forward-progress signature).
     pub(crate) fn fired(&self) -> u64 {
-        self.fired
+        self.ring.fired()
     }
 
     /// Total outstanding LLC MSHR entries (stall diagnostics).
@@ -134,16 +118,7 @@ impl ClockedLlc {
     ///
     /// Returns a description of the first violated invariant.
     pub(crate) fn audit(&self, now: Cycle, full: bool) -> Result<(), String> {
-        let on_ring: u64 = self.ring.iter().map(|s| s.len() as u64).sum();
-        if self.scheduled != self.fired + on_ring {
-            return Err(format!(
-                "lookup-ring occupancy broken: {} scheduled but {} fired + {} on ring (lost {})",
-                self.scheduled,
-                self.fired,
-                on_ring,
-                self.scheduled as i64 - (self.fired + on_ring) as i64
-            ));
-        }
+        self.ring.audit()?;
         for (slice, m) in self.mshrs.iter().enumerate() {
             m.audit(now, full)
                 .map_err(|e| format!("slice {slice}: {e}"))?;
@@ -154,7 +129,8 @@ impl ClockedLlc {
     /// Folds the slices' MSHR state into a state fingerprint (each
     /// [`clip_cache::MshrFile::fingerprint`] sorts its own entries).
     pub(crate) fn fingerprint(&self, h: &mut clip_types::Fnv64) {
-        h.write_u64(self.scheduled).write_u64(self.fired);
+        h.write_u64(self.ring.scheduled())
+            .write_u64(self.ring.fired());
         for m in &self.mshrs {
             m.fingerprint(h);
         }
@@ -164,8 +140,8 @@ impl ClockedLlc {
     /// check runs: ring counters + total MSHR occupancy, no per-entry
     /// state.
     pub(crate) fn fingerprint_cheap(&self, h: &mut clip_types::Fnv64) {
-        h.write_u64(self.scheduled)
-            .write_u64(self.fired)
+        h.write_u64(self.ring.scheduled())
+            .write_u64(self.ring.fired())
             .write_usize(self.mshr_occupancy());
     }
 
@@ -185,32 +161,19 @@ impl ClockedLlc {
     /// Takes the lookups whose slice latency elapses at `now` off the
     /// ring. Hand the buffer back with [`ClockedLlc::restore_due`].
     pub(crate) fn tick(&mut self, now: Cycle) -> Vec<TxnId> {
-        let slot = self.slot(now);
-        let due = std::mem::take(&mut self.ring[slot]);
-        self.fired += due.len() as u64;
-        due
+        self.ring.take(now)
     }
 
     /// Puts the buffer [`ClockedLlc::tick`] handed out at `now` back in
-    /// its slot, emptied. Nothing scheduled at `now` lands in that slot.
-    pub(crate) fn restore_due(&mut self, mut due: Vec<TxnId>, now: Cycle) {
-        due.clear();
-        let slot = self.slot(now);
-        debug_assert!(self.ring[slot].is_empty());
-        self.ring[slot] = due;
+    /// its slot, emptied.
+    pub(crate) fn restore_due(&mut self, due: Vec<TxnId>, now: Cycle) {
+        self.ring.restore(now, due);
     }
 
     /// The earliest cycle `>= now` with a lookup due, or `None` when the
     /// ring is empty.
     pub(crate) fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.scheduled == self.fired {
-            return None; // nothing on the lookup ring
-        }
-        // The ring is small: scan forward from `now` for the first
-        // occupied slot. Every pending lookup is within one ring
-        // revolution (enforced at schedule time), so the first occupied
-        // slot is the earliest due cycle.
-        (now..now + self.ring.len() as u64).find(|&c| !self.ring[self.slot(c)].is_empty())
+        self.ring.next_due(now)
     }
 }
 
@@ -290,25 +253,21 @@ impl Engine {
                 self.writeback_to_dram(home, ev.line);
             }
         }
-        let mut to_send = vec![txn];
+        let mut to_send = std::mem::take(&mut self.forward);
+        to_send.push(txn);
         if let Some(entry) = self.llc.mshr_complete(home, tx.line) {
-            for w in entry.waiters {
+            // `entry.primary` is this txn (or the first merged one).
+            for w in entry.waiters.iter().chain([&entry.primary]) {
                 let wt = w.0 as TxnId;
                 if wt != txn && self.txns[wt as usize].live {
                     self.txns[wt as usize].level = tx.level;
                     to_send.push(wt);
                 }
             }
-            // `entry.primary` is this txn (or the first merged one).
-            let p = entry.primary.0 as TxnId;
-            if p != txn && self.txns[p as usize].live {
-                self.txns[p as usize].level = tx.level;
-                to_send.push(p);
-            }
         }
         to_send.sort_unstable();
         to_send.dedup();
-        for t in to_send {
+        for &t in &to_send {
             let dst = self.txns[t as usize].tile as usize;
             let prio = self.txn_priority(t);
             self.send_msg(
@@ -319,6 +278,8 @@ impl Engine {
                 NocPayload::DataTile(t),
             );
         }
+        to_send.clear();
+        self.forward = to_send;
     }
 }
 

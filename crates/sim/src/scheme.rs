@@ -13,8 +13,8 @@ pub struct Scheme {
     /// Attach CLIP to the active prefetcher (at its training level).
     pub clip: Option<ClipConfig>,
     /// Use the §5.3 Dynamic CLIP governor: CLIP turns itself off when
-    /// overall DRAM utilization stays low (requires `clip` to be set; the
-    /// watermarks come from this config and its `clip` field is ignored).
+    /// overall DRAM utilization stays low (requires `clip` to be set;
+    /// one governor serves every core).
     pub dynamic: Option<DynamicClipConfig>,
     /// Attach an epoch-level throttler (Figure 6).
     pub throttler: Option<ThrottlerKind>,

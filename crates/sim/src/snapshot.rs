@@ -6,6 +6,7 @@ use crate::result::{ClipReport, LatencyReport, MissReport, PrefetchReport, SimRe
 use crate::system::System;
 use crate::tile::Tile;
 use clip_crit::EvalCounts;
+use clip_dram::DramModel;
 use clip_stats::energy::EnergyCounts;
 use clip_types::Cycle;
 

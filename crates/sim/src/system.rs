@@ -18,17 +18,18 @@ use crate::fault::{FaultHarness, FaultKind, FaultSpec};
 use crate::integrity::{Integrity, DEFAULT_CHECK_CADENCE, DEFAULT_WATCHDOG_WINDOW};
 use crate::result::SimResult;
 use crate::scheme::Scheme;
-use crate::tile::{Port, Tile, PF_QUEUE_CAP};
+use crate::tile::Tile;
 use clip_cache::{Cache, MshrFile};
-use clip_core::DynamicClip;
+use clip_core::{Clip, Governor};
 use clip_cpu::Core;
 use clip_crit::{EvalCounts, PredictorEvaluator};
+use clip_dram::DramModel;
 use clip_offchip::{DsPatch, Hermes};
 use clip_prefetch::PrefetchCandidate;
 use clip_throttle::EpochFeedback;
 use clip_trace::Mix;
 use clip_types::{CheckLevel, Cycle, MemLevel, PrefetcherKind, SimConfig, SimError};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 const THROTTLE_EPOCH: Cycle = 8192;
 const DSPATCH_EPOCH: Cycle = 2048;
@@ -40,6 +41,9 @@ pub struct System {
     pub(crate) tiles: Vec<Tile>,
     /// Shared non-tile state: clock, NoC, DRAM, LLC, transactions, events.
     pub(crate) engine: Engine,
+    /// The §5.3 Dynamic CLIP bandwidth governor (DynCLIP schemes only):
+    /// one for the whole system, gating every tile's CLIP.
+    pub(crate) governor: Option<Governor>,
     pub(crate) cand_scratch: Vec<PrefetchCandidate>,
     pub(crate) branch_scratch: Vec<bool>,
     dspatch_prev_channel: Vec<u64>,
@@ -95,13 +99,7 @@ impl System {
                         if attached == PrefetcherKind::Composite {
                             c.engines = clip_prefetch::COMPOSITE_ENGINES;
                         }
-                        match &scheme.dynamic {
-                            Some(d) => DynamicClip::new(clip_core::DynamicClipConfig {
-                                clip: c,
-                                ..d.clone()
-                            }),
-                            None => DynamicClip::pinned(c),
-                        }
+                        Clip::new(c)
                     }),
                     clip_at_l1,
                     clip_eval: EvalCounts::default(),
@@ -118,7 +116,7 @@ impl System {
                     } else {
                         Vec::new()
                     },
-                    pf_queue: Port::bounded(PF_QUEUE_CAP),
+                    pf_queue: VecDeque::new(),
                     lat: crate::result::LatencyReport::default(),
                     pf_candidates: 0,
                     pf_issued: 0,
@@ -144,6 +142,11 @@ impl System {
             scheme: scheme.clone(),
             tiles,
             engine: Engine::new(cfg, noc),
+            governor: scheme
+                .dynamic
+                .clone()
+                .filter(|_| scheme.clip.is_some())
+                .map(Governor::new),
             cand_scratch: Vec::with_capacity(32),
             branch_scratch: Vec::with_capacity(16),
             dspatch_prev_channel: vec![0; cfg.dram.channels],
@@ -260,11 +263,8 @@ impl System {
             self.dspatch_epoch();
             // Dynamic CLIP samples *overall* utilization (not the myopic
             // per-controller view).
-            let bw = self.engine.dram.bandwidth_utilization(now.max(1));
-            for tile in self.tiles.iter_mut() {
-                if let Some(clip) = tile.clip.as_mut() {
-                    clip.on_bandwidth_sample(bw);
-                }
+            if let Some(gov) = self.governor.as_mut() {
+                gov.on_bandwidth_sample(self.engine.dram.bandwidth_utilization(now.max(1)));
             }
         }
 
@@ -691,6 +691,7 @@ mod tests {
     use crate::{
         run_mix_checked, set_step_override, FaultKind, FaultSpec, NocChoice, RunOptions, Scheme,
     };
+    use clip_core::{ClipMode, Governor};
     use clip_cpu::CoreStats;
     use clip_trace::{catalog, Mix};
     use clip_types::{CheckLevel, Cycle, DramKind, Fnv64, PrefetcherKind, SimConfig};
@@ -892,5 +893,43 @@ mod tests {
                 "{label}: no tile stalled on memory"
             );
         }
+    }
+
+    /// While the governor bypasses CLIP, the gate never consults it, yet
+    /// every tile's CLIP keeps training on the loads that complete: its
+    /// criticality predictions come true, so the filter and predictor are
+    /// warm the moment filtering resumes.
+    #[test]
+    fn clip_trains_while_the_governor_bypasses() {
+        let cfg = SimConfig::builder()
+            .cores(4)
+            .dram_channels(16)
+            .l1_prefetcher(PrefetcherKind::Berti)
+            .build()
+            .expect("valid config");
+        let mix = Mix::homogeneous(&catalog::by_name("605.mcf_s-1554B").expect("known"), 4);
+        let mut sys = System::new(
+            &cfg,
+            &Scheme::with_dynamic_clip(),
+            &mix,
+            SEED,
+            NocChoice::Analytic,
+        );
+        let gov = sys.governor.as_mut().expect("DynCLIP has a governor");
+        for _ in 0..4 {
+            gov.on_bandwidth_sample(0.0);
+        }
+        for _ in 0..20_000 {
+            sys.tick(true).expect("unaudited tick");
+        }
+        let mode = sys.governor.as_ref().map(Governor::mode);
+        assert_eq!(mode, Some(ClipMode::Bypassed), "ample bandwidth");
+        for (i, t) in sys.tiles.iter().enumerate() {
+            let clip = t.clip.as_ref().expect("CLIP on every tile");
+            assert_eq!(clip.stats().candidates, 0, "tile{i}: gate consulted CLIP");
+        }
+        assert!(sys.tiles.iter().any(|t| t.pf_issued > 0), "nothing issued");
+        let hits: u64 = sys.tiles.iter().map(|t| t.clip_eval.true_positive).sum();
+        assert!(hits > 0, "no CLIP prediction came true: untrained");
     }
 }

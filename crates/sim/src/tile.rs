@@ -14,9 +14,10 @@ use crate::ports::TxnId;
 use crate::result::LatencyReport;
 use crate::system::System;
 use clip_cache::{Cache, LookupOutcome, MshrFile};
-use clip_core::{Decision, DynamicClip};
+use clip_core::{Clip, ClipMode, Decision, Governor};
 use clip_cpu::{Core, MemIssuePort};
 use clip_crit::{CriticalityPredictor, EvalCounts, PredictorEvaluator};
+use clip_dram::DramModel;
 use clip_offchip::{DsPatch, Hermes};
 use clip_prefetch::{AccessInfo, PrefetchCandidate, Prefetcher};
 use clip_throttle::Throttler;
@@ -31,64 +32,6 @@ const PF_ISSUE_PER_CYCLE: usize = 2;
 /// L2 MSHR entries kept free for demand misses; prefetches beyond this
 /// occupancy are dropped.
 const L2_MSHR_PF_RESERVE: usize = 8;
-
-/// A bounded FIFO modelling a finite hardware queue: a push into a full
-/// port is refused (back-pressure).
-pub(crate) struct Port<T> {
-    queue: VecDeque<T>,
-    capacity: usize,
-}
-
-impl<T> Port<T> {
-    /// Creates a port holding at most `capacity` messages.
-    pub(crate) fn bounded(capacity: usize) -> Self {
-        Port {
-            queue: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Attempts to enqueue; returns `Err(msg)` when the port is full so
-    /// the sender can retry.
-    pub(crate) fn try_push(&mut self, msg: T) -> Result<(), T> {
-        if self.is_full() {
-            Err(msg)
-        } else {
-            self.queue.push_back(msg);
-            Ok(())
-        }
-    }
-
-    /// Dequeues the oldest message, if any.
-    pub(crate) fn pop(&mut self) -> Option<T> {
-        self.queue.pop_front()
-    }
-
-    /// Peeks at the oldest message.
-    pub(crate) fn front(&self) -> Option<&T> {
-        self.queue.front()
-    }
-
-    /// Messages currently queued.
-    pub(crate) fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no message is queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// True when the port cannot accept another message.
-    pub(crate) fn is_full(&self) -> bool {
-        self.queue.len() >= self.capacity
-    }
-
-    /// Iterates queued messages oldest-first without removing them.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.queue.iter()
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedPrefetch {
@@ -114,7 +57,7 @@ pub(crate) struct Tile {
     pub l2_mshr: MshrFile,
     pub l1_pf: Option<Box<dyn Prefetcher>>,
     pub l2_pf: Option<Box<dyn Prefetcher>>,
-    pub clip: Option<DynamicClip>,
+    pub clip: Option<Clip>,
     /// True when CLIP is attached at the L1 (Berti/IPCP); false for the
     /// L2 attachment (Bingo/SPP-PPF).
     pub clip_at_l1: bool,
@@ -128,7 +71,10 @@ pub(crate) struct Tile {
     pub hermes: Option<Hermes>,
     pub dspatch: Option<DsPatch>,
     pub evaluators: Vec<PredictorEvaluator>,
-    pub pf_queue: Port<QueuedPrefetch>,
+    /// Prefetch candidates waiting to issue, oldest first; at most
+    /// [`PF_QUEUE_CAP`], the oldest dropped to make room (see
+    /// [`Tile::queue_prefetch`]).
+    pub pf_queue: VecDeque<QueuedPrefetch>,
     pub lat: LatencyReport,
     pub pf_candidates: u64,
     pub pf_issued: u64,
@@ -184,7 +130,7 @@ impl Tile {
     /// Pops the queue head, keeping the aggregate and per-engine balance
     /// counters in lockstep.
     pub(crate) fn dequeue_prefetch(&mut self) -> Option<QueuedPrefetch> {
-        let q = self.pf_queue.pop()?;
+        let q = self.pf_queue.pop_front()?;
         self.pf_dequeued += 1;
         self.pf_dequeued_eng[Self::engine_slot(q.engine)] += 1;
         Some(q)
@@ -193,13 +139,12 @@ impl Tile {
     /// Queues a gated prefetch candidate, dropping the oldest when full
     /// (newest candidates reflect the current phase best).
     fn queue_prefetch(&mut self, q: QueuedPrefetch) {
-        if self.pf_queue.is_full() {
+        if self.pf_queue.len() >= PF_QUEUE_CAP {
             self.dequeue_prefetch();
         }
-        if self.pf_queue.try_push(q).is_ok() {
-            self.pf_queued += 1;
-            self.pf_queued_eng[Self::engine_slot(q.engine)] += 1;
-        }
+        self.pf_queue.push_back(q);
+        self.pf_queued += 1;
+        self.pf_queued_eng[Self::engine_slot(q.engine)] += 1;
     }
 
     /// Audits the tile-private prefetch queue: entry conservation across
@@ -373,30 +318,20 @@ impl Tile {
     }
 
     /// Fault injection: corrupts the line address of the `sel % len`-th
-    /// queued prefetch so it points outside the simulated address space
-    /// (the queue is rebuilt in order; the balance counters stay
-    /// untouched, so only the legality scan can catch this). Returns the
-    /// corrupted line, or `None` when the queue is empty.
+    /// queued prefetch in place so it points outside the simulated
+    /// address space (the balance counters stay untouched, so only the
+    /// legality scan can catch this). Returns the corrupted line, or
+    /// `None` when the queue is empty.
     pub(crate) fn corrupt_queued_prefetch(&mut self, sel: u64) -> Option<LineAddr> {
         let len = self.pf_queue.len();
         if len == 0 {
             return None;
         }
-        let victim = (sel % len as u64) as usize;
-        let mut entries: Vec<QueuedPrefetch> = Vec::with_capacity(len);
-        while let Some(q) = self.pf_queue.pop() {
-            entries.push(q);
-        }
+        let victim = &mut self.pf_queue[(sel % len as u64) as usize];
         // Flip a line bit beyond any address a tile can generate (line bit
         // 50 = byte bit 56, past the 2^54-byte legality bound).
-        entries[victim].line = LineAddr::new(entries[victim].line.raw() ^ (1 << 50));
-        let corrupted = entries[victim].line;
-        for q in entries {
-            self.pf_queue
-                .try_push(q)
-                .expect("same capacity, same count");
-        }
-        Some(corrupted)
+        victim.line = LineAddr::new(victim.line.raw() ^ (1 << 50));
+        Some(victim.line)
     }
 }
 
@@ -417,6 +352,19 @@ fn refusal_forced() -> bool {
 #[cfg(not(test))]
 fn refusal_forced() -> bool {
     false
+}
+
+/// CLIP's verdict on a queued prefetch at its issue point. While the
+/// system's governor has CLIP bypassed, every candidate passes as
+/// exploration traffic without consulting CLIP: no per-IP or per-engine
+/// issue accounting happens, so the arbitration levels stay wherever
+/// filtering left them. Training never goes through here, so CLIP stays
+/// warm across mode switches.
+fn clip_gate(clip: &mut Clip, governor: Option<&Governor>, q: &QueuedPrefetch) -> Decision {
+    if governor.is_some_and(|g| g.mode() == ClipMode::Bypassed) {
+        return Decision::AllowExplore;
+    }
+    clip.filter_prefetch_tagged(q.line, q.trigger_ip, q.engine)
 }
 
 /// True when a line's byte address lies inside the simulated address
@@ -755,7 +703,7 @@ impl System {
             let mut critical = false;
             if let Some(clip) = self.tiles[t].clip.as_mut() {
                 if clip_here {
-                    match clip.filter_prefetch_tagged(q.line, q.trigger_ip, q.engine) {
+                    match clip_gate(clip, self.governor.as_ref(), &q) {
                         Decision::AllowCritical => {
                             critical = true;
                             // CLIP fetches its survivors all the way to L1
@@ -1097,17 +1045,90 @@ impl System {
 
 #[cfg(test)]
 mod tests {
-    use super::Port;
+    use super::*;
+    use crate::{NocChoice, Scheme};
+    use clip_core::{ClipConfig, DynamicClipConfig};
+    use clip_types::SimConfig;
 
+    /// The one tile of a plain single-core system.
+    fn tile() -> Tile {
+        let cfg = SimConfig::builder()
+            .cores(1)
+            .dram_channels(1)
+            .build()
+            .expect("valid config");
+        let spec = clip_trace::catalog::by_name("605.mcf_s-1554B").expect("known workload");
+        let mix = clip_trace::Mix::homogeneous(&spec, 1);
+        System::new(&cfg, &Scheme::plain(), &mix, 1, NocChoice::Analytic)
+            .tiles
+            .remove(0)
+    }
+
+    fn queued(line: u64) -> QueuedPrefetch {
+        QueuedPrefetch {
+            line: LineAddr::new(line),
+            trigger_ip: Ip::new(0x400),
+            fill_l1: true,
+            from_l1: true,
+            engine: 0,
+        }
+    }
+
+    /// The prefetch queue is a FIFO of at most `PF_QUEUE_CAP` entries:
+    /// queueing into a full one drops the oldest, and every drop is
+    /// counted as a dequeue so the balance audit holds.
     #[test]
-    fn port_applies_backpressure() {
-        let mut p = Port::bounded(2);
-        assert!(p.try_push(1).is_ok());
-        assert!(p.try_push(2).is_ok());
-        assert!(p.is_full());
-        assert_eq!(p.try_push(3), Err(3));
-        assert_eq!(p.pop(), Some(1));
-        assert!(p.try_push(3).is_ok());
-        assert_eq!(p.iter().copied().collect::<Vec<_>>(), [2, 3]);
+    fn pf_queue_drops_the_oldest_when_full() {
+        let mut t = tile();
+        let cap = PF_QUEUE_CAP as u64;
+        for line in 0..cap + 2 {
+            t.queue_prefetch(queued(line));
+        }
+        let lines: Vec<u64> = t.pf_queue.iter().map(|q| q.line.raw()).collect();
+        assert_eq!(
+            lines,
+            (2..cap + 2).collect::<Vec<_>>(),
+            "FIFO, oldest dropped"
+        );
+        assert_eq!((t.pf_queued, t.pf_dequeued), (cap + 2, 2));
+        assert_eq!(t.audit_pf_queue(true), Ok(()));
+        assert_eq!(t.dequeue_prefetch().map(|q| q.line.raw()), Some(2));
+        assert_eq!(t.audit_pf_queue(true), Ok(()));
+
+        // The corrupting fault flips one entry in place: same order and
+        // count, and only the legality scan notices.
+        let bad = t.corrupt_queued_prefetch(1).expect("queue not empty");
+        assert_eq!(t.pf_queue[1].line, bad);
+        assert_eq!(t.pf_queue.len(), PF_QUEUE_CAP - 1);
+        assert_eq!(t.pf_queue[2].line.raw(), 5);
+        assert_eq!(t.audit_pf_queue(false), Ok(()));
+        let err = t.audit_pf_queue(true).unwrap_err();
+        assert!(err.contains("outside the simulated address space"), "{err}");
+    }
+
+    /// Runs one candidate through a fresh, untrained CLIP's gate and
+    /// reports the verdict and how many candidates CLIP examined.
+    fn gate_untrained(governor: Option<&Governor>) -> (Decision, u64) {
+        let mut clip = Clip::new(ClipConfig::default());
+        let d = clip_gate(&mut clip, governor, &queued(1));
+        (d, clip.stats().candidates)
+    }
+
+    /// Without a governor, or while it filters, the gate is CLIP's: an
+    /// untrained CLIP drops the candidate. Once the governor bypasses,
+    /// the candidate passes as exploration traffic and CLIP is never
+    /// consulted.
+    #[test]
+    fn the_clip_gate_follows_the_governor() {
+        let (d, seen) = gate_untrained(None);
+        assert!(!d.allows() && seen == 1, "plain CLIP: {d:?}, {seen} seen");
+        let mut gov = Governor::new(DynamicClipConfig::default());
+        let (d, seen) = gate_untrained(Some(&gov));
+        assert!(!d.allows() && seen == 1, "filtering: {d:?}, {seen} seen");
+        for _ in 0..4 {
+            gov.on_bandwidth_sample(0.1);
+        }
+        assert_eq!(gov.mode(), ClipMode::Bypassed);
+        assert_eq!(gate_untrained(Some(&gov)), (Decision::AllowExplore, 0));
     }
 }
