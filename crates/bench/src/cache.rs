@@ -5,7 +5,7 @@
 //! under `target/clip-cache/`, keyed by a hash of the full job identity
 //! (config, scheme, mix, run options — their `Debug` forms, which the
 //! executor formats once per sweep row or cell and joins per job) plus
-//! [`CACHE_VERSION`]. Repeat queries (a re-run figure binary, a second
+//! [`CACHE_VERSION`]. Repeat queries (a re-run figure, a second
 //! figure sharing cells with the first) are served from disk without
 //! re-simulating; the determinism contract makes a replayed result
 //! byte-identical to a fresh one.

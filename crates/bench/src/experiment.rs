@@ -1,4 +1,4 @@
-//! Declarative experiment layer: every figure/table binary is a spec.
+//! Declarative experiment layer: every figure and table is a spec.
 //!
 //! An [`Experiment`] names a grid of simulation cells — rows carry mixes
 //! and per-row label/config variations, cells carry a `(SimConfig,
@@ -7,7 +7,7 @@
 //! runs everything missing through [`clip_sim::run_jobs_checked`]
 //! (deduplicated and memoized, with every completed cell additionally
 //! cached on disk, see [`crate::cache`]), and renders both the
-//! plain-text table the binaries have always printed and a JSON artifact
+//! plain-text table the figures have always printed and a JSON artifact
 //! under `target/experiments/<name>.json`.
 //!
 //! Failures are isolated per cell: a job that panics or trips an
@@ -126,8 +126,8 @@ impl ExperimentData<'_> {
     /// The result of `(row, cell)` on the row's `mix`-th mix.
     ///
     /// Panics if that simulation failed — custom renderers only run when
-    /// [`ExperimentData::has_errors`] is false, so they may call this
-    /// freely; anything else should guard with [`ExperimentData::cell_ok`].
+    /// [`ExperimentData::errors`] is empty, so they may call this freely;
+    /// anything else should guard with [`ExperimentData::cell_ok`].
     pub fn result(&self, row: usize, cell: usize, mix: usize) -> &SimResult {
         match &self.results[row][cell][mix] {
             Ok(r) => r,
@@ -176,11 +176,6 @@ impl ExperimentData<'_> {
             }
         }
         kind
-    }
-
-    /// True when any simulation in the grid failed.
-    pub fn has_errors(&self) -> bool {
-        !self.errors().is_empty()
     }
 
     /// Every failure in the grid, in row/cell/mix order.

@@ -1,13 +1,15 @@
-//! The figure/table registry: every evaluation binary as a spec builder.
+//! The figure/table registry: the one list of the paper's figures and
+//! tables, each entry a spec builder.
 //!
-//! Each entry maps a binary name (`fig01` … `table3`, `summary`, `probe`)
-//! to a function producing its [`Experiment`] specs; the binaries are
-//! one-line `main`s calling [`run_bin`], and `all_figures` iterates
-//! [`registry`] in-process. Titles, headers, and cell formatting
-//! reproduce the historical per-binary output byte for byte.
+//! Each entry maps a name (`fig01` … `table3`, `summary`, `probe`) to a
+//! function producing its [`Experiment`] specs; the `all_figures` binary
+//! runs the whole `in_all` sweep, or the entries named on its command
+//! line (`all_figures fig02`). Adding a figure is one entry here. Titles,
+//! headers, and cell formatting reproduce the historical per-figure
+//! output byte for byte.
 
 use crate::experiment::{
-    run_experiment, CellSpec, Experiment, ExperimentData, Normalization, Render, RowSpec, TableBody,
+    CellSpec, Experiment, ExperimentData, Normalization, Render, RowSpec, TableBody,
 };
 use crate::{fmt, place, scaled_channels, Scale};
 use clip_core::ClipConfig;
@@ -19,17 +21,17 @@ use clip_trace::Mix;
 use clip_types::{DramConfig, DramKind, PrefetcherKind, SimConfig};
 use std::collections::HashMap;
 
-/// One registered figure/table binary.
+/// One registered figure or table.
 pub struct FigureEntry {
-    /// Binary name.
+    /// Name on the `all_figures` command line and in `index.json`.
     pub name: &'static str,
     /// Included in the `all_figures` sweep (the EXPERIMENTS.md set)?
     pub in_all: bool,
-    /// Builds the specs this binary runs, in print order.
+    /// Builds the specs this entry runs, in print order.
     pub build: fn(&Scale) -> Vec<Experiment>,
 }
 
-/// Every figure/table binary, in `all_figures` order (the two
+/// Every figure and table, in `all_figures` order (the two
 /// development harnesses, `summary` and `probe`, come last and are
 /// excluded from the sweep).
 pub fn registry() -> Vec<FigureEntry> {
@@ -70,19 +72,6 @@ pub fn registry() -> Vec<FigureEntry> {
         e("summary", false, summary),
         e("probe", false, probe),
     ]
-}
-
-/// Runs one registered binary: builds its specs at the environment's
-/// scale and executes them in order.
-pub fn run_bin(name: &str) {
-    let entry = registry()
-        .into_iter()
-        .find(|e| e.name == name)
-        .unwrap_or_else(|| panic!("unknown figure binary {name:?}"));
-    let scale = Scale::from_env();
-    for exp in (entry.build)(&scale) {
-        run_experiment(&exp);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -216,6 +205,8 @@ fn berti_clip_cells(scale: &Scale, channels: usize) -> Vec<CellSpec> {
 // Tables.
 // ----------------------------------------------------------------------
 
+/// Table 2: storage overhead of CLIP (1.56 KB per core), derived from the
+/// live configuration.
 fn table2(scale: &Scale) -> Vec<Experiment> {
     fn body(_d: &ExperimentData) -> TableBody {
         let cfg = ClipConfig::default();
@@ -243,6 +234,7 @@ fn table2(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Table 3: simulation parameters of the baseline system.
 fn table3(scale: &Scale) -> Vec<Experiment> {
     fn body(_d: &ExperimentData) -> TableBody {
         let c = SimConfig::baseline_64core();
@@ -344,6 +336,12 @@ fn table3(scale: &Scale) -> Vec<Experiment> {
 // Motivation figures (1-6).
 // ----------------------------------------------------------------------
 
+/// Figure 1: normalized weighted speedup of the four state-of-the-art
+/// prefetchers vs DRAM channel count, 45 homogeneous SPEC CPU2017 mixes.
+///
+/// Paper shape: every prefetcher loses at 4-8 channels and wins at 64
+/// (Berti reaching ~1.35); channel counts here are scaled to preserve the
+/// channels-per-core ratio at the configured core count.
 fn fig01(scale: &Scale) -> Vec<Experiment> {
     let mixes = scale.sample_homogeneous();
     let title = format!(
@@ -354,6 +352,8 @@ fn fig01(scale: &Scale) -> Vec<Experiment> {
     vec![prefetcher_sweep(scale, mixes, "fig01", title)]
 }
 
+/// Figure 2: normalized weighted speedup of the four prefetchers vs DRAM
+/// channel count, heterogeneous SPEC CPU2017 + GAP mixes.
 fn fig02(scale: &Scale) -> Vec<Experiment> {
     let mixes = scale.sample_heterogeneous();
     let title = format!(
@@ -364,6 +364,11 @@ fn fig02(scale: &Scale) -> Vec<Experiment> {
     vec![prefetcher_sweep(scale, mixes, "fig02", title)]
 }
 
+/// Figure 3: increase in L1/L2/L3 demand miss latencies with Berti,
+/// normalized to no prefetching, vs DRAM channel count.
+///
+/// Paper shape: >1.9x inflation of L2/L3-serviced latencies at 4-8
+/// channels, converging toward 1.0 at 64.
 fn fig03(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -443,6 +448,12 @@ fn eval_scheme() -> Scheme {
     }
 }
 
+/// Figure 4: load criticality prediction accuracy and coverage of the six
+/// baseline predictors (CRISP, CATCH, FP, FVP, CBP, ROBO), averaged over
+/// homogeneous + heterogeneous mixes running Berti.
+///
+/// Paper shape: CATCH/FVP near-100% coverage with poor accuracy; the best
+/// accuracy is ~41%.
 fn fig04(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut agg: HashMap<&'static str, EvalCounts> = HashMap::new();
@@ -489,6 +500,13 @@ fn fig04(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 5: Berti combined with each baseline criticality predictor
+/// (prefetches gated on predicted-critical trigger IPs), normalized
+/// weighted speedup at 4/8/16-channel-equivalents, homogeneous and
+/// heterogeneous mixes.
+///
+/// Paper shape: none of the baselines rescues Berti under constrained
+/// bandwidth.
 fn fig05(scale: &Scale) -> Vec<Experiment> {
     let columns = cols(&[
         "channels(paper)",
@@ -524,6 +542,11 @@ fn fig05(scale: &Scale) -> Vec<Experiment> {
     .collect()
 }
 
+/// Figure 6: Berti combined with the epoch-level prefetch throttlers
+/// (FDP, HPAC, SPAC, NST) at 4/8/16-channel-equivalents.
+///
+/// Paper shape: marginal improvements only; large slowdowns remain under
+/// constrained bandwidth.
 fn fig06(scale: &Scale) -> Vec<Experiment> {
     let columns = cols(&["channels(paper)", "Berti", "+FDP", "+HPAC", "+SPAC", "+NST"]);
     let mut schemes = vec![Scheme::plain()];
@@ -554,6 +577,11 @@ fn fig06(scale: &Scale) -> Vec<Experiment> {
 // Main results (9-16).
 // ----------------------------------------------------------------------
 
+/// Figure 9: CLIP with the four state-of-the-art prefetchers on the
+/// 8-channel-equivalent system, homogeneous and heterogeneous mixes.
+///
+/// Paper shape: CLIP lifts every prefetcher; Berti+CLIP gains 24%
+/// (homogeneous) and 9% (heterogeneous) over Berti.
 fn fig09(scale: &Scale) -> Vec<Experiment> {
     let ch = scaled_channels(8, scale.cores);
     [
@@ -594,6 +622,12 @@ fn fig09(scale: &Scale) -> Vec<Experiment> {
     .collect()
 }
 
+/// Figure 10: per-mix normalized weighted speedup, Berti vs Berti+CLIP,
+/// on the 8-channel-equivalent system.
+///
+/// Paper shape: Berti slows most mixes down (16% average slowdown); CLIP
+/// turns that into an 8% average improvement, leaving only a few mixes
+/// below 1.0.
 fn fig10(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -622,6 +656,11 @@ fn fig10(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 11: per-mix average L1 miss latency (cycles), Berti vs
+/// Berti+CLIP, on the 8-channel-equivalent system.
+///
+/// Paper shape: CLIP reduces the average from 168 to 132 cycles at the
+/// paper's scale; the per-mix ordering (lbm worst) should hold.
 fn fig11(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -660,6 +699,10 @@ fn fig11(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 12: L1/L2/LLC demand miss coverage of Berti and Berti+CLIP
+/// (fraction of the no-prefetch system's demand misses removed).
+///
+/// Paper shape: CLIP costs ~7% coverage at L1 and 2-3% at L2/LLC.
 fn fig12(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let misses =
@@ -700,6 +743,11 @@ fn fig12(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 13: per-mix critical-load prediction accuracy of Berti+CLIP
+/// (IP-set granularity) against the best prior predictor.
+///
+/// Paper shape: CLIP averages 93% (up to 100%); the best prior predictor
+/// averages 41%.
 fn fig13(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -743,6 +791,10 @@ fn fig13(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 14: per-mix critical-load prediction coverage of Berti+CLIP
+/// (IP-set granularity).
+///
+/// Paper shape: 76% average coverage.
 fn fig14(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -776,6 +828,10 @@ fn fig14(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 15: number of critical-and-accurate IPs per core selected by
+/// CLIP, split into static-critical and dynamic-critical.
+///
+/// Paper shape: tens of IPs per mix; ~50% are dynamic-critical.
 fn fig15(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -806,6 +862,11 @@ fn fig15(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 16: reduction in prefetch requests with Berti+CLIP, normalized
+/// to Berti, plus the overall prefetch accuracy improvement.
+///
+/// Paper shape: ~50% average traffic reduction (up to 90% for cactuBSSN);
+/// Berti's accuracy improves from 82.9% to 94.2%.
 fn fig16(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let mut rows = Vec::new();
@@ -858,6 +919,12 @@ fn fig16(scale: &Scale) -> Vec<Experiment> {
 // Sensitivity and comparison figures (17-21) and the extras.
 // ----------------------------------------------------------------------
 
+/// Figure 17: CloudSuite and CVP 64-core homogeneous workloads vs channel
+/// count, with and without CLIP.
+///
+/// Paper shape: prefetchers gain <10% even with abundant bandwidth (hard-
+/// to-predict access streams), so the constrained-bandwidth problem — and
+/// CLIP's upside — is smaller than for SPEC.
 fn fig17(scale: &Scale) -> Vec<Experiment> {
     let mixes = clip_trace::mix::cloud_cvp_mixes(scale.cores);
     vec![Experiment {
@@ -886,6 +953,10 @@ fn fig17(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Figure 18: sensitivity to the CLIP hardware table sizes (0.25x to 4x of
+/// the proposed 128-entry filter and 512-entry predictor).
+///
+/// Paper shape: 2x/4x give marginal gains; 0.5x/0.25x lose >7%.
 fn fig18(scale: &Scale) -> Vec<Experiment> {
     let ch = scaled_channels(8, scale.cores);
     let mixes = all_mixes(scale);
@@ -965,6 +1036,10 @@ fn clip_grid(scale: &Scale, mixes: Vec<Mix>, name: &str, title: String) -> Exper
     }
 }
 
+/// Figure 19: CLIP with each prefetcher across channel counts,
+/// homogeneous mixes.
+///
+/// Paper shape: large CLIP gains at 4-8 channels, marginal at 16.
 fn fig19(scale: &Scale) -> Vec<Experiment> {
     let mixes = scale.sample_homogeneous();
     let title = format!(
@@ -974,6 +1049,8 @@ fn fig19(scale: &Scale) -> Vec<Experiment> {
     vec![clip_grid(scale, mixes, "fig19", title)]
 }
 
+/// Figure 20: CLIP with each prefetcher across channel counts,
+/// heterogeneous mixes.
 fn fig20(scale: &Scale) -> Vec<Experiment> {
     let mixes = scale.sample_heterogeneous();
     let title = format!(
@@ -983,6 +1060,12 @@ fn fig20(scale: &Scale) -> Vec<Experiment> {
     vec![clip_grid(scale, mixes, "fig20", title)]
 }
 
+/// Figure 21: Hermes, DSPatch, and CLIP with Berti at 4/8/16-channel-
+/// equivalents, homogeneous and heterogeneous mixes.
+///
+/// Paper shape: CLIP wins at 4-8 channels; Hermes wins at 16 (ample
+/// bandwidth); DSPatch performs poorly under constrained bandwidth
+/// (coverage mode).
 fn fig21(scale: &Scale) -> Vec<Experiment> {
     let columns = cols(&["channels(paper)", "Berti", "+Hermes", "+DSPatch", "+CLIP"]);
     let schemes = vec![
@@ -1013,6 +1096,12 @@ fn fig21(scale: &Scale) -> Vec<Experiment> {
     .collect()
 }
 
+/// §5.1 energy results: dynamic energy of the memory hierarchy with Berti
+/// and Berti+CLIP normalized to no prefetching.
+///
+/// Paper shape: CLIP improves dynamic energy by 18.21% over Berti for
+/// homogeneous mixes (<7% for heterogeneous), driven by the ~50% prefetch
+/// traffic reduction. CLIP's own structures are included.
 fn energy(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
         let model = clip_stats::EnergyModel::new();
@@ -1055,6 +1144,11 @@ fn energy(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// §5.2 core-count sensitivity: CLIP's effectiveness across system sizes
+/// at a fixed one-channel-per-eight-cores ratio.
+///
+/// Paper shape: CLIP's benefit holds across 8..128 cores, fading when
+/// there is at least one channel per 2-4 cores.
 fn sens_cores(base: &Scale) -> Vec<Experiment> {
     vec![Experiment {
         name: "sens_cores".into(),
@@ -1082,6 +1176,11 @@ fn sens_cores(base: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// §5.2 LLC-capacity sensitivity: Berti and Berti+CLIP with 0.5/1/2/4 MB
+/// LLC per core at the 8-channel-equivalent.
+///
+/// Paper shape: smaller LLCs worsen Berti's slowdown (29% at 512 KB/core);
+/// CLIP keeps prefetching profitable at every capacity.
 fn sens_llc(scale: &Scale) -> Vec<Experiment> {
     let ch = scaled_channels(8, scale.cores);
     let mixes = scale.sample_homogeneous();
@@ -1122,6 +1221,13 @@ fn sens_llc(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Ablation study of CLIP's design choices (DESIGN.md §4): criticality
+/// stage only, accuracy stage only, no branch history, no criticality
+/// history, and no criticality-conscious NoC/DRAM flag.
+///
+/// Paper attributions: 77.5% of the benefit from criticality filtering +
+/// prediction, the rest from accuracy filtering; criticality-conscious
+/// NoC/DRAM contributes 2.8 points of the 24%.
 fn ablation(scale: &Scale) -> Vec<Experiment> {
     let ch = scaled_channels(8, scale.cores);
     let mixes = scale.sample_homogeneous();
@@ -1190,6 +1296,12 @@ fn ablation(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Dynamic CLIP (§5.3 future work): compares plain CLIP against the
+/// bandwidth-governed variant across channel counts.
+///
+/// Expected shape: identical under constrained bandwidth (the governor
+/// stays in filtering mode), and recovering the plain prefetcher's upside
+/// when bandwidth is plentiful (the governor bypasses CLIP).
 fn dynclip(scale: &Scale) -> Vec<Experiment> {
     let mixes = scale.sample_homogeneous();
     vec![Experiment {
@@ -1375,6 +1487,9 @@ fn composite(scale: &Scale) -> Vec<Experiment> {
 // Development harnesses (not part of the all_figures sweep).
 // ----------------------------------------------------------------------
 
+/// One-page reproduction summary: the paper's headline claims, each
+/// checked live and marked reproduced / not. A fast smoke covering the
+/// whole stack — run this first.
 fn summary(scale: &Scale) -> Vec<Experiment> {
     fn verdict(ok: bool) -> &'static str {
         if ok {
@@ -1483,9 +1598,15 @@ fn summary(scale: &Scale) -> Vec<Experiment> {
     }]
 }
 
+/// Calibration probe: checks the headline shape — Berti loses at low
+/// channel counts, wins with abundant bandwidth, and CLIP recovers the
+/// constrained case. Not a paper figure; a development sanity harness.
+///
+/// Each channel count's summary line follows one line per mix with that
+/// mix's CLIP breakdown: candidates, where each was allowed or dropped,
+/// and the IP-set prediction accuracy and coverage.
 fn probe(scale: &Scale) -> Vec<Experiment> {
     fn body(d: &ExperimentData) -> TableBody {
-        let verbose = std::env::var("CLIP_VERBOSE").is_ok();
         let sweep_rows = d.rows() / 2;
         let mut notes = Vec::new();
         for i in 0..sweep_rows {
@@ -1507,22 +1628,20 @@ fn probe(scale: &Scale) -> Vec<Experiment> {
                 ws_clip.push(d.ws(i, 1, m));
                 if let Some(c) = &r2.clip {
                     drop_rates.push(c.stats.drop_rate());
-                    if verbose {
-                        notes.push(format!(
-                            "    {}: cand={} critical={} explore={} d_notcrit={} d_pred={} d_acc={} d_phase={} | eval acc={:.2} cov={:.2} critIPs={:.1}",
-                            d.spec.rows[i].mixes[m].name,
-                            c.stats.candidates,
-                            c.stats.allowed_critical,
-                            c.stats.allowed_explore,
-                            c.stats.dropped_not_critical,
-                            c.stats.dropped_predicted,
-                            c.stats.dropped_low_accuracy,
-                            c.stats.dropped_phase,
-                            c.ip_eval.accuracy(),
-                            c.ip_eval.coverage(),
-                            c.critical_ips,
-                        ));
-                    }
+                    notes.push(format!(
+                        "    {}: cand={} critical={} explore={} d_notcrit={} d_pred={} d_acc={} d_phase={} | eval acc={:.2} cov={:.2} critIPs={:.1}",
+                        d.spec.rows[i].mixes[m].name,
+                        c.stats.candidates,
+                        c.stats.allowed_critical,
+                        c.stats.allowed_explore,
+                        c.stats.dropped_not_critical,
+                        c.stats.dropped_predicted,
+                        c.stats.dropped_low_accuracy,
+                        c.stats.dropped_phase,
+                        c.ip_eval.accuracy(),
+                        c.ip_eval.coverage(),
+                        c.critical_ips,
+                    ));
                 }
             }
             notes.push(format!(

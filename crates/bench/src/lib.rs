@@ -1,17 +1,18 @@
-//! Experiment harness: the declarative spec layer behind the figure and
-//! table binaries that regenerate the paper's evaluation artifacts.
+//! Experiment harness: the declarative spec layer behind the figures and
+//! tables that regenerate the paper's evaluation artifacts.
 //!
-//! Each binary in `src/bin/` declares one or more [`experiment::Experiment`]
-//! specs (see [`figures`] for the registry) and hands them to
-//! [`experiment::run_experiment`], which expands the spec into jobs, runs
-//! them through `clip_sim::run_jobs_checked` (memoized in-process, with
-//! every completed run also cached on disk under `target/clip-cache/`),
-//! prints the table, and writes a JSON artifact under
+//! Each entry of the registry in [`figures`] declares one or more
+//! [`experiment::Experiment`] specs, which
+//! [`experiment::run_experiment`] expands into jobs, runs through
+//! `clip_sim::run_jobs_checked` (memoized in-process, with every
+//! completed run also cached on disk under `target/clip-cache/`), prints
+//! as a table, and writes as a JSON artifact under
 //! `target/experiments/`. Failed cells render as `ERR` instead of
-//! aborting the sweep. Run them with
-//! `cargo run -p clip-bench --release --bin <figXX>`. Scale knobs come
-//! from environment variables so the same binaries serve quick smoke runs
-//! and long reproductions:
+//! aborting the sweep. Run one or more entries with
+//! `cargo run -p clip-bench --release --bin all_figures -- <name>...`
+//! (no names runs the whole sweep). Scale knobs come from environment
+//! variables so the same entries serve quick smoke runs and long
+//! reproductions:
 //!
 //! * `CLIP_CORES` — cores per system (default 16; the paper uses 64).
 //! * `CLIP_INSTRS` — measured instructions per core (default 6000).
@@ -32,6 +33,9 @@
 //! * `CLIP_CHECK` — integrity checking level: `off`, `cheap` (default),
 //!   or `full`; see the `clip-sim` integrity layer. Audits are
 //!   read-only, so results are identical at every level.
+//! * `CLIP_TICK` — `step` forces cycle-by-cycle ticking instead of the
+//!   event wheel (`wheel`, the default); results are identical either
+//!   way (see `clip_sim::set_step_override`).
 //! * `CLIP_FP_BASELINE` — fingerprint-baseline mode: `record` persists
 //!   each freshly simulated job's per-window state-hash stream under
 //!   `target/clip-fp/` (requires audits: `CLIP_CHECK=cheap` or `full`,

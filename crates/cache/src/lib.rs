@@ -1,10 +1,10 @@
 //! Set-associative cache structures for the CLIP many-core simulator.
 //!
-//! Provides the tag arrays, replacement policies (LRU, SRRIP, a sampled
-//! Mockingjay reuse-predictor, NRU, DIP) and miss-status holding registers
-//! used by every level of the modeled hierarchy. Data values are not
-//! modeled — only presence, dirtiness, and the prefetch provenance bits the
-//! paper's accounting needs.
+//! Provides the tag arrays, replacement policies (Table 3's LRU, SRRIP
+//! and a sampled Mockingjay reuse-predictor) and miss-status holding
+//! registers used by every level of the modeled hierarchy. Data values
+//! are not modeled — only presence, dirtiness, and the prefetch
+//! provenance bits the paper's accounting needs.
 //!
 //! Every simulated access probes these structures, so their layout is
 //! chosen for host speed. A [`Cache`] keeps packed tag and flag arrays and
@@ -482,7 +482,6 @@ mod tests {
             ReplacementKind::Lru,
             ReplacementKind::Srrip,
             ReplacementKind::Mockingjay,
-            ReplacementKind::Nru,
         ] {
             let mut c = Cache::new(&cfg(64 * 16, 4, repl));
             for i in 0..10_000u64 {

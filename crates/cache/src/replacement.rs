@@ -1,5 +1,5 @@
-//! Replacement policies: LRU, SRRIP, a sampled Mockingjay reuse predictor,
-//! NRU and DIP. Their state is indexed by `(set, way)`; the cache calls
+//! Replacement policies: LRU, SRRIP and a sampled Mockingjay reuse
+//! predictor. Their state is indexed by `(set, way)`; the cache calls
 //! [`ReplacementState::victim`] only for a set whose ways are all filled.
 //!
 //! The paper's baseline uses SRRIP at the L2 and Mockingjay at the LLC
@@ -37,35 +37,10 @@ pub enum ReplacementState {
         predictor: Vec<(u32, u32)>,
         ways: usize,
     },
-    /// Not-recently-used single bit.
-    Nru {
-        /// NRU bit per (set, way): 1 = candidate for eviction.
-        bits: Vec<bool>,
-        ways: usize,
-    },
-    /// Dynamic insertion policy (Qureshi et al., ISCA '07): LRU timestamps
-    /// with set-dueling between standard MRU insertion and bimodal (mostly
-    /// LRU-position) insertion; the PSEL counter picks the winner for
-    /// follower sets.
-    Dip {
-        /// Last-touch time per (set, way).
-        stamp: Vec<Cycle>,
-        /// Policy-selection counter: high favours bimodal insertion.
-        psel: i32,
-        /// Deterministic counter driving the bimodal epsilon.
-        bip_tick: u32,
-        sets: usize,
-        ways: usize,
-    },
 }
 
 const RRPV_MAX: u8 = 3;
 const RRPV_INSERT: u8 = 2;
-/// DIP: one in `BIP_EPSILON` bimodal fills inserts at MRU.
-const BIP_EPSILON: u32 = 32;
-/// DIP: PSEL saturation.
-const PSEL_MAX: i32 = 1024;
-const DUEL_STRIDE: usize = 32;
 const MJ_PREDICTOR_SIZE: usize = 2048;
 const MJ_DEFAULT_INTERVAL: u32 = 1 << 14;
 
@@ -88,27 +63,6 @@ impl ReplacementState {
                 predictor: vec![(0, MJ_DEFAULT_INTERVAL); MJ_PREDICTOR_SIZE],
                 ways,
             },
-            ReplacementKind::Nru => ReplacementState::Nru {
-                bits: vec![true; n],
-                ways,
-            },
-            ReplacementKind::Dip => ReplacementState::Dip {
-                stamp: vec![0; n],
-                psel: PSEL_MAX / 2,
-                bip_tick: 0,
-                sets,
-                ways,
-            },
-        }
-    }
-
-    /// DIP set-dueling role of a set: Some(true) = LRU leader,
-    /// Some(false) = BIP leader, None = follower.
-    fn dip_leader(set: usize) -> Option<bool> {
-        match set % DUEL_STRIDE {
-            0 => Some(true),
-            1 => Some(false),
-            _ => None,
         }
     }
 
@@ -146,12 +100,6 @@ impl ReplacementState {
                 }
                 last[i] = now;
                 eta[i] = now + predictor[slot].1 as u64;
-            }
-            ReplacementState::Nru { bits, ways } => {
-                bits[Self::idx(set, way, *ways)] = false;
-            }
-            ReplacementState::Dip { stamp, ways, .. } => {
-                stamp[Self::idx(set, way, *ways)] = now;
             }
         }
     }
@@ -196,39 +144,6 @@ impl ReplacementState {
                 last[i] = now;
                 eta[i] = now + predicted * scale;
             }
-            ReplacementState::Nru { bits, ways } => {
-                bits[Self::idx(set, way, *ways)] = false;
-            }
-            ReplacementState::Dip {
-                stamp,
-                psel,
-                bip_tick,
-                ways,
-                ..
-            } => {
-                // A fill into a leader set is evidence of a miss there:
-                // misses in the LRU leaders push PSEL toward BIP and vice
-                // versa.
-                match Self::dip_leader(set) {
-                    Some(true) => *psel = (*psel + 1).min(PSEL_MAX),
-                    Some(false) => *psel = (*psel - 1).max(0),
-                    None => {}
-                }
-                let use_bip = match Self::dip_leader(set) {
-                    Some(true) => false,
-                    Some(false) => true,
-                    None => *psel > PSEL_MAX / 2,
-                };
-                *bip_tick = bip_tick.wrapping_add(1);
-                let i = Self::idx(set, way, *ways);
-                if use_bip && *bip_tick % BIP_EPSILON != 0 {
-                    // Bimodal: insert at LRU position (stamp 0 ages it out
-                    // first) so a thrashing stream cannot flush the set.
-                    stamp[i] = 0;
-                } else {
-                    stamp[i] = now;
-                }
-            }
         }
     }
 
@@ -270,23 +185,6 @@ impl ReplacementState {
                     })
                     .expect("at least one way")
             }
-            ReplacementState::Nru { bits, ways } => {
-                let w = *ways;
-                if let Some(way) = (0..w).find(|&way| bits[Self::idx(set, way, w)]) {
-                    way
-                } else {
-                    for way in 0..w {
-                        bits[Self::idx(set, way, w)] = true;
-                    }
-                    0
-                }
-            }
-            ReplacementState::Dip { stamp, ways, .. } => {
-                let w = *ways;
-                (0..w)
-                    .min_by_key(|&way| stamp[Self::idx(set, way, w)])
-                    .expect("at least one way")
-            }
         }
     }
 }
@@ -324,19 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn nru_round_robins() {
-        let mut r = ReplacementState::new(ReplacementKind::Nru, 1, 2);
-        r.on_fill(0, 0, 0, LineAddr::new(0), false);
-        r.on_fill(0, 1, 0, LineAddr::new(1), false);
-        // All recently used → reset, victim 0.
-        assert_eq!(r.victim(0, 1), 0);
-        // Now way 0 was reset to candidate=... after reset all true, way0
-        // returned; next victim without touches is still a candidate.
-        let v2 = r.victim(0, 2);
-        assert!(v2 < 2);
-    }
-
-    #[test]
     fn mockingjay_learns_reuse_and_keeps_hot_lines() {
         let mut r = ReplacementState::new(ReplacementKind::Mockingjay, 1, 2);
         let hot = LineAddr::new(100);
@@ -351,58 +236,6 @@ mod tests {
         // (far) but it is overdue... hot line's ETA is near-future.
         let v = r.victim(0, 200);
         assert_eq!(v, 1);
-    }
-
-    #[test]
-    fn dip_resists_thrashing_better_than_lru() {
-        // A cyclic working set slightly larger than the cache: pure LRU
-        // gets zero hits; DIP's bimodal insertion retains a subset.
-        let hits = |kind: ReplacementKind| {
-            let cfg = clip_types::CacheLevelConfig {
-                capacity_bytes: 64 * 64, // 64 lines
-                ways: 4,
-                latency: 1,
-                mshrs: 4,
-                replacement: kind,
-            };
-            let mut c = crate::Cache::new(&cfg);
-            let mut h = 0u64;
-            for round in 0..60u64 {
-                for i in 0..96u64 {
-                    let line = LineAddr::new(i);
-                    if c.lookup(line, false, round * 100 + i).is_hit() {
-                        h += 1;
-                    } else {
-                        c.fill(line, false, false, round * 100 + i);
-                    }
-                }
-            }
-            h
-        };
-        let lru = hits(ReplacementKind::Lru);
-        let dip = hits(ReplacementKind::Dip);
-        assert!(
-            dip > lru,
-            "DIP must beat LRU on a thrashing loop: {dip} vs {lru}"
-        );
-    }
-
-    #[test]
-    fn dip_bounded_and_victimizes() {
-        let mut r = ReplacementState::new(ReplacementKind::Dip, 64, 4);
-        for set in 0..64 {
-            for way in 0..4 {
-                r.on_fill(
-                    set,
-                    way,
-                    (set * 4 + way) as u64,
-                    LineAddr::new(way as u64),
-                    false,
-                );
-            }
-            let v = r.victim(set, 1_000);
-            assert!(v < 4);
-        }
     }
 
     #[test]

@@ -14,12 +14,10 @@ use clip_cache::{
 use clip_types::{CacheLevelConfig, Fnv64, LineAddr, ReplacementKind, ReqId, SimRng};
 use std::collections::HashMap;
 
-const KINDS: [ReplacementKind; 5] = [
+const KINDS: [ReplacementKind; 3] = [
     ReplacementKind::Lru,
     ReplacementKind::Srrip,
     ReplacementKind::Mockingjay,
-    ReplacementKind::Nru,
-    ReplacementKind::Dip,
 ];
 
 #[derive(Debug, Clone, Copy, Default)]

@@ -20,9 +20,6 @@ const MIN_ISSUES_FOR_EVAL: u8 = 4;
 struct Entry {
     valid: bool,
     tag: u8,
-    /// Full IP retained for exactness of the simulation; hardware would
-    /// rely on the 6-bit tag alone (aliasing is part of the design).
-    ip: u64,
     crit_count: u8,
     hit_count: u8,
     issue_count: u8,
@@ -143,7 +140,6 @@ impl CriticalityFilter {
         self.entries[base + victim] = Entry {
             valid: true,
             tag: Self::tag_of(ip),
-            ip: ip.raw(),
             crit_count: 1,
             hit_count: 0,
             issue_count: 0,
@@ -216,14 +212,6 @@ impl CriticalityFilter {
     /// Clears every entry (phase change).
     pub fn reset(&mut self) {
         self.entries.fill(Entry::default());
-    }
-
-    /// Iterates over the raw IPs of valid entries (diagnostics).
-    pub fn tracked_ips(&self) -> impl Iterator<Item = Ip> + '_ {
-        self.entries
-            .iter()
-            .filter(|e| e.valid)
-            .map(|e| Ip::new(e.ip))
     }
 }
 

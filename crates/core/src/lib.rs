@@ -604,14 +604,9 @@ impl Clip {
     /// hierarchy dropped before fetching (e.g. MSHR admission control):
     /// removes the utility-buffer entry and releases the issue credit so
     /// the per-IP hit rate is not diluted by prefetches that never
-    /// happened.
-    pub fn cancel_prefetch(&mut self, line: LineAddr, trigger_ip: Ip) {
-        self.cancel_prefetch_tagged(line, trigger_ip, 0);
-    }
-
-    /// [`Clip::cancel_prefetch`] with the candidate's engine tag: also
-    /// releases the per-engine issue credit so a cancelled prefetch does
-    /// not depress (or inflate the denominator of) its engine's accuracy.
+    /// happened. The candidate's engine tag also releases the per-engine
+    /// issue credit, so a cancelled prefetch does not depress (or inflate
+    /// the denominator of) its engine's accuracy.
     pub fn cancel_prefetch_tagged(&mut self, line: LineAddr, trigger_ip: Ip, engine: u8) {
         let key = self.track_key(trigger_ip, line);
         if self.utility.remove(line) {

@@ -146,11 +146,6 @@ impl PredictorEvaluator {
     pub fn predictor(&self) -> &dyn CriticalityPredictor {
         self.predictor.as_ref()
     }
-
-    /// Mutable access to the wrapped predictor.
-    pub fn predictor_mut(&mut self) -> &mut dyn CriticalityPredictor {
-        self.predictor.as_mut()
-    }
 }
 
 #[cfg(test)]

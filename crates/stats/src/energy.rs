@@ -5,6 +5,8 @@
 //! constants below are representative 7 nm-class values with the right
 //! *ratios* (DRAM access ≈ three orders of magnitude above an L1 read),
 //! which is what the relative-improvement results depend on.
+//!
+//! Static (leakage) energy is not modelled: no figure computes it.
 
 /// Per-access dynamic energies in picojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,44 +99,6 @@ impl EnergyBreakdown {
     }
 }
 
-/// Static (leakage) power of the memory hierarchy in watts, used to turn
-/// runtime improvements into static-energy improvements (§5.1's "CLIP
-/// improves run-time that directly leads to improvement in static
-/// energy").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticPower {
-    /// Leakage of all cache arrays per core, in watts.
-    pub caches_per_core_w: f64,
-    /// DRAM background power per channel, in watts.
-    pub dram_per_channel_w: f64,
-}
-
-impl Default for StaticPower {
-    fn default() -> Self {
-        StaticPower {
-            caches_per_core_w: 0.25,
-            dram_per_channel_w: 0.9,
-        }
-    }
-}
-
-impl StaticPower {
-    /// Static energy in nanojoules for a run of `cycles` core cycles at
-    /// `ghz` on `cores` cores and `channels` DRAM channels.
-    pub fn energy_nj(&self, cycles: u64, ghz: f64, cores: usize, channels: usize) -> f64 {
-        let seconds = cycles as f64 / (ghz * 1e9);
-        let watts =
-            self.caches_per_core_w * cores as f64 + self.dram_per_channel_w * channels as f64;
-        watts * seconds * 1e9
-    }
-}
-
-/// Energy-delay product in nanojoule-cycles: the combined metric that
-/// rewards mechanisms improving both energy and runtime.
-pub fn energy_delay_product(total_nj: f64, cycles: u64) -> f64 {
-    total_nj * cycles as f64
-}
-
 /// The energy model: parameters + accumulation.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyModel {
@@ -147,11 +111,6 @@ impl EnergyModel {
         EnergyModel {
             params: EnergyParams::default(),
         }
-    }
-
-    /// Creates the model with custom parameters.
-    pub fn with_params(params: EnergyParams) -> Self {
-        EnergyModel { params }
     }
 
     /// Computes the itemised energy for a set of counts.
@@ -234,25 +193,6 @@ mod tests {
         let sum = b.l1_nj + b.l2_nj + b.llc_nj + b.dram_nj + b.noc_nj + b.clip_nj;
         assert!((b.total_nj() - sum).abs() < 1e-12);
         assert!(b.total_nj() > 0.0);
-    }
-
-    #[test]
-    fn static_energy_scales_with_time_and_resources() {
-        let p = StaticPower::default();
-        let short = p.energy_nj(1_000_000, 4.0, 64, 8);
-        let long = p.energy_nj(2_000_000, 4.0, 64, 8);
-        assert!((long - 2.0 * short).abs() < 1e-6);
-        let fewer = p.energy_nj(1_000_000, 4.0, 32, 8);
-        assert!(fewer < short);
-    }
-
-    #[test]
-    fn edp_combines_energy_and_delay() {
-        let fast_efficient = energy_delay_product(100.0, 1_000);
-        let slow_efficient = energy_delay_product(100.0, 2_000);
-        let fast_hungry = energy_delay_product(200.0, 1_000);
-        assert!(fast_efficient < slow_efficient);
-        assert!(fast_efficient < fast_hungry);
     }
 
     #[test]

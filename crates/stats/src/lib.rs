@@ -13,7 +13,7 @@ pub mod energy;
 pub mod json;
 pub mod metrics;
 
-pub use energy::{energy_delay_product, EnergyBreakdown, EnergyModel, StaticPower};
+pub use energy::{EnergyBreakdown, EnergyModel};
 pub use json::{Json, JsonError};
 pub use metrics::{
     geomean, normalized_weighted_speedup, weighted_speedup, LatencyStat, SampleSummary,

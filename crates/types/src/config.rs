@@ -70,11 +70,6 @@ pub enum ReplacementKind {
     Srrip,
     /// Mockingjay sampled-reuse Belady mimic (HPCA '22) — the paper's LLC.
     Mockingjay,
-    /// Not-recently-used (cheap, used by small predictor tables).
-    Nru,
-    /// Dynamic insertion policy (DIP, ISCA '07): set-dueling between LRU
-    /// and bimodal insertion, resistant to thrashing working sets.
-    Dip,
 }
 
 /// Parameters of one cache level.

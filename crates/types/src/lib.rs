@@ -1,9 +1,10 @@
 //! Common vocabulary types for the CLIP many-core simulation workspace.
 //!
-//! This crate defines the identifiers (addresses, instruction pointers, core
-//! ids), memory-request plumbing, and the configuration structs shared by
-//! every other crate in the workspace. It deliberately contains no policy —
-//! only data.
+//! This crate defines the identifiers (addresses, instruction pointers,
+//! transaction ids), the service levels and scheduling priorities of
+//! memory traffic, and the configuration structs shared by every other
+//! crate in the workspace. It deliberately contains no policy — only
+//! data.
 //!
 //! # Examples
 //!
@@ -26,7 +27,7 @@ pub use config::{
     CacheLevelConfig, CoreConfig, DramConfig, DramKind, NocConfig, PrefetcherKind, ReplacementKind,
     SimConfig, SimConfigBuilder,
 };
-pub use request::{AccessKind, MemLevel, MemRequest, MemResponse, Priority, ReqId};
+pub use request::{MemLevel, Priority, ReqId};
 pub use rng::SimRng;
 
 use std::fmt;
@@ -207,24 +208,6 @@ impl fmt::Display for Ip {
     }
 }
 
-/// Identifies one core (and its tile) in the many-core system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct CoreId(pub u16);
-
-impl CoreId {
-    /// Returns the core index as a `usize` for table indexing.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for CoreId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "core{}", self.0)
-    }
-}
-
 /// A fixed-width saturating counter, the workhorse of every predictor table
 /// in the paper (e.g. CLIP's 3-bit criticality confidence counters).
 ///
@@ -258,13 +241,6 @@ impl SatCounter {
             value: 1 << (bits - 1),
             bits,
         }
-    }
-
-    /// Creates a counter with an explicit starting value (clamped to range).
-    pub fn with_value(bits: u8, value: u8) -> Self {
-        let mut c = Self::new(bits);
-        c.value = value.min(c.max());
-        c
     }
 
     /// Maximum representable value (2^bits - 1).
@@ -572,12 +548,5 @@ mod tests {
         // Nearby inputs should map far apart (avalanche sanity check).
         let d = hash64(1) ^ hash64(2);
         assert!(d.count_ones() > 10);
-    }
-
-    #[test]
-    fn core_id_display_and_index() {
-        let c = CoreId(7);
-        assert_eq!(c.index(), 7);
-        assert_eq!(c.to_string(), "core7");
     }
 }

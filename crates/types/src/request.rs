@@ -1,6 +1,6 @@
-//! Memory request/response plumbing shared by caches, NoC, and DRAM.
+//! Transaction ids, service levels and scheduling priorities shared by
+//! the simulator and its fabric and memory models.
 
-use crate::{Addr, CoreId, Cycle, Ip, LineAddr};
 use std::fmt;
 
 /// Unique identifier of an in-flight memory transaction.
@@ -50,47 +50,6 @@ impl fmt::Display for MemLevel {
     }
 }
 
-/// What kind of access a memory request is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// A demand load issued by the core.
-    Load,
-    /// A demand store (write-allocate; does not block retirement).
-    Store,
-    /// A prefetch issued by a hardware prefetcher. `trigger_ip` is the IP of
-    /// the demand load that trained/triggered it — the IP CLIP attributes
-    /// the prefetch to.
-    Prefetch {
-        /// IP of the triggering demand load.
-        trigger_ip: Ip,
-        /// True when CLIP marked this prefetch critical-and-accurate; such
-        /// prefetches receive demand priority at the NoC and DRAM.
-        critical: bool,
-    },
-    /// A dirty line written back toward memory.
-    Writeback,
-}
-
-impl AccessKind {
-    /// True for demand loads/stores.
-    #[inline]
-    pub fn is_demand(self) -> bool {
-        matches!(self, AccessKind::Load | AccessKind::Store)
-    }
-
-    /// True for prefetches (critical or not).
-    #[inline]
-    pub fn is_prefetch(self) -> bool {
-        matches!(self, AccessKind::Prefetch { .. })
-    }
-
-    /// True for demand loads only.
-    #[inline]
-    pub fn is_load(self) -> bool {
-        matches!(self, AccessKind::Load)
-    }
-}
-
 /// Scheduling priority at shared resources (NoC and DRAM controller).
 ///
 /// With CLIP, critical-and-accurate prefetches are promoted to
@@ -106,103 +65,14 @@ pub enum Priority {
     Demand,
 }
 
-/// A memory request travelling down the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRequest {
-    /// Transaction id, unique within a simulation.
-    pub id: ReqId,
-    /// Issuing core (also selects the private caches and NoC source node).
-    pub core: CoreId,
-    /// Instruction pointer of the access (the trigger IP for prefetches).
-    pub ip: Ip,
-    /// Byte address accessed.
-    pub addr: Addr,
-    /// Access kind.
-    pub kind: AccessKind,
-    /// Cycle the request entered the hierarchy.
-    pub issue_cycle: Cycle,
-}
-
-impl MemRequest {
-    /// Cache line addressed by the request.
-    #[inline]
-    pub fn line(&self) -> LineAddr {
-        self.addr.line()
-    }
-
-    /// Scheduling priority of this request at shared resources.
-    #[inline]
-    pub fn priority(&self) -> Priority {
-        match self.kind {
-            AccessKind::Load | AccessKind::Store => Priority::Demand,
-            AccessKind::Prefetch { critical, .. } => {
-                if critical {
-                    Priority::Demand
-                } else {
-                    Priority::Prefetch
-                }
-            }
-            AccessKind::Writeback => Priority::Writeback,
-        }
-    }
-}
-
-/// A response returning up the hierarchy to the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemResponse {
-    /// The transaction this responds to.
-    pub id: ReqId,
-    /// The core that issued it.
-    pub core: CoreId,
-    /// Line serviced.
-    pub line: LineAddr,
-    /// Deepest level that serviced the request (the miss-level flag).
-    pub level: MemLevel,
-    /// Cycle the response reached the core.
-    pub done_cycle: Cycle,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn req(kind: AccessKind) -> MemRequest {
-        MemRequest {
-            id: ReqId(1),
-            core: CoreId(0),
-            ip: Ip::new(0x400),
-            addr: Addr::new(0x1000),
-            kind,
-            issue_cycle: 0,
-        }
-    }
-
-    #[test]
-    fn demand_requests_have_demand_priority() {
-        assert_eq!(req(AccessKind::Load).priority(), Priority::Demand);
-        assert_eq!(req(AccessKind::Store).priority(), Priority::Demand);
-    }
-
-    #[test]
-    fn plain_prefetch_is_low_priority_critical_is_demand() {
-        let plain = req(AccessKind::Prefetch {
-            trigger_ip: Ip::new(0x400),
-            critical: false,
-        });
-        let crit = req(AccessKind::Prefetch {
-            trigger_ip: Ip::new(0x400),
-            critical: true,
-        });
-        assert_eq!(plain.priority(), Priority::Prefetch);
-        assert_eq!(crit.priority(), Priority::Demand);
-        assert!(plain.priority() < crit.priority());
-    }
-
     #[test]
     fn writeback_sits_between_prefetch_and_demand() {
-        let wb = req(AccessKind::Writeback);
-        assert!(wb.priority() > Priority::Prefetch);
-        assert!(wb.priority() < Priority::Demand);
+        assert!(Priority::Writeback > Priority::Prefetch);
+        assert!(Priority::Writeback < Priority::Demand);
     }
 
     #[test]
@@ -211,11 +81,5 @@ mod tests {
         assert!(MemLevel::L2.is_beyond_l1());
         assert!(MemLevel::Llc.is_beyond_l1());
         assert!(MemLevel::Dram.is_beyond_l1());
-    }
-
-    #[test]
-    fn request_line_matches_addr() {
-        let r = req(AccessKind::Load);
-        assert_eq!(r.line(), Addr::new(0x1000).line());
     }
 }

@@ -3,7 +3,7 @@
 
 Usage:
     cargo run --release -p clip-bench --bin all_figures > /dev/null
-    cargo run --release -p clip-bench --bin summary > /dev/null   # optional
+    cargo run --release -p clip-bench --bin all_figures -- summary > /dev/null   # optional
     python3 scripts/make_experiments.py [--strict] [artifact_dir] > EXPERIMENTS.md
 
 Failed cells survive rendering: the executor writes `ERR` cells into
@@ -93,9 +93,10 @@ PAPER_NOTES = {
               "materialise because the synthetic Berti wastes only ~7% of its "
               "traffic (vs 17% in the paper), and dropped prefetches re-issue "
               "as demand misses for the same lines — there is little wasted "
-              "DRAM energy for CLIP to reclaim at this accuracy level. The "
-              "static-energy saving from the runtime improvement (see "
-              "clip_stats::StaticPower) still applies.",
+              "DRAM energy for CLIP to reclaim at this accuracy level. Static "
+              "(leakage) energy is not modelled, so the static-energy saving "
+              "the paper credits to the runtime improvement is not measured "
+              "here.",
     "sens_cores": "Paper: CLIP stays effective across 8-128 cores whenever there "
                   "is less than one channel per 2-4 cores.",
     "sens_llc": "Paper: Berti's slowdown worsens to 29% at 512 KB/core and eases "
@@ -137,8 +138,8 @@ PAPER_NOTES = {
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the paper's evaluation, regenerated by
-`cargo run --release -p clip-bench --bin all_figures` (per-figure binaries
-exist too; see DESIGN.md §4 for the experiment index). Each experiment
+`cargo run --release -p clip-bench --bin all_figures` (`all_figures <id>`
+regenerates one; see DESIGN.md §4 for the experiment index). Each experiment
 also writes a JSON artifact under `target/experiments/`; this file is
 assembled from those artifacts by `scripts/make_experiments.py`.
 
