@@ -142,14 +142,16 @@ fn class_index(p: Priority) -> usize {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Flit {
+    ready_at: Cycle,
     /// The packet's slot in [`MeshNoc::packets`].
     packet: u32,
+    /// The packet's destination node.
+    dst: u32,
     /// Global index of the input buffer this flit enters at the next
-    /// router (unused when `out_port` is [`LOCAL`]).
+    /// router; an idle sink buffer when `out_port` is [`LOCAL`].
     next: u32,
-    ready_at: Cycle,
     /// Output port at the router holding the flit, routed on entry.
     out_port: u8,
     /// Arbitration class (see [`MeshNoc::priority_class`]).
@@ -167,6 +169,8 @@ struct PacketInfo {
     payload: u64,
     priority: Priority,
     injected_at: Cycle,
+    /// Virtual channel, picked from `seq` once at `send`.
+    vc: u8,
 }
 
 #[derive(Debug, Clone)]
@@ -180,32 +184,68 @@ struct Router {
     rr: [u8; PORTS],
 }
 
-/// One directed link, leaving a router through a mesh port.
+/// One directed link, leaving a router through one of its ports.
 #[derive(Debug, Clone, Copy)]
 struct Link {
-    /// Neighbor node at the far end (`usize::MAX` off the mesh edge).
-    to: usize,
+    /// Neighbor node at the far end (unused for the local port and off
+    /// the mesh edge).
+    to: u32,
+    /// Global index of the VC-0 input buffer this link feeds at `to`: a
+    /// flit on VC `vc` enters buffer `next_base + vc`. The local port's
+    /// entry (and an off-edge one) names the idle sink instead.
+    next_base: u32,
+    /// The slot of that VC-0 buffer within router `to`.
+    in_slot: u8,
     /// Cycles until a flit sent now is ready at `to`: the wire, the
     /// router pipeline and any NUMA crossing tax.
     delay: Cycle,
+}
+
+/// One switch-allocation grant: `slot`'s head flit at `node` leaves
+/// through `port`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Move {
+    node: u32,
+    slot: u8,
+    port: u8,
 }
 
 /// Flit-level wormhole mesh with XY routing and VC credit flow control.
 ///
 /// A router's input buffers are its *slots*, `port * virtual_channels +
 /// vc`, tracked in a 64-bit occupancy mask (hence
-/// [`NocConfig::MAX_VIRTUAL_CHANNELS`]). A flit is routed once, when it
-/// enters a router, and each busy router is arbitrated in one pass over
-/// its occupied slots.
+/// [`NocConfig::MAX_VIRTUAL_CHANNELS`]). Every buffer is a ring of
+/// `vc_buffer_flits` slots in one flat flit array, with a byte each for
+/// its head position, tail position and length (hence
+/// [`NocConfig::MAX_VC_BUFFER_FLITS`]). A flit is routed once, when it
+/// enters a router, from a node × destination port table, and each busy
+/// router is arbitrated in one branch-free pass over its occupied slots.
 #[derive(Debug, Clone)]
 pub struct MeshNoc {
     cfg: NocConfig,
+    nodes: usize,
     /// Input slots per router: `PORTS * virtual_channels`.
     slots: usize,
-    /// Every router's input buffers, indexed `node * slots + slot`.
-    buffers: Vec<VecDeque<Flit>>,
+    /// Ring capacity of each input buffer: `vc_buffer_flits`.
+    depth: usize,
+    /// Every input buffer's ring: buffer `b = node * slots + slot` owns
+    /// `flits[b * depth..(b + 1) * depth]`.
+    flits: Vec<Flit>,
+    /// Per buffer, the ring position of its head flit.
+    head: Vec<u8>,
+    /// Per buffer, the ring position the next flit is written to:
+    /// `(head + len) % depth`, kept so the audit can check the other two.
+    tail: Vec<u8>,
+    /// Per buffer, the flits it holds. The last `virtual_channels`
+    /// entries are the idle sink a flit leaving through its local port
+    /// names as its next buffer; they stay 0, so that flit's credit check
+    /// passes without a branch.
+    len: Vec<u8>,
     routers: Vec<Router>,
-    /// Directed links, indexed `node * 4 + port`.
+    /// XY output port (0=N(y-1), 1=S(y+1), 2=E(x+1), 3=W(x-1), 4=Local)
+    /// per `node * nodes + dst`.
+    route: Vec<u8>,
+    /// Links, indexed `node * PORTS + port`.
     links: Vec<Link>,
     /// One entry per packet in flight; a slot is recycled through
     /// `free_packets` once its tail flit delivers.
@@ -219,9 +259,9 @@ pub struct MeshNoc {
     buffered: usize,
     /// Packets waiting in injection queues, over all nodes.
     injecting: usize,
-    /// Moves decided by one tick, `(node, slot, out_port)`; kept to reuse
-    /// the allocation.
-    moves: Vec<(usize, u8, u8)>,
+    /// Room for the moves one tick can decide, one per (router, port);
+    /// kept to reuse the allocation.
+    moves: Vec<Move>,
     delivered_count: u64,
     total_latency: u64,
     flit_hops: u64,
@@ -247,7 +287,7 @@ impl MeshNoc {
     /// Panics if the mesh has no nodes or more input buffers than a
     /// `u32` indexes, if `virtual_channels` is not in
     /// `1..=NocConfig::MAX_VIRTUAL_CHANNELS`, or if `vc_buffer_flits` is
-    /// zero.
+    /// not in `1..=NocConfig::MAX_VC_BUFFER_FLITS`.
     pub fn new(cfg: &NocConfig) -> Self {
         let (cols, rows) = (cfg.mesh_cols, cfg.mesh_rows);
         let n = cols * rows;
@@ -256,17 +296,22 @@ impl MeshNoc {
             (1..=NocConfig::MAX_VIRTUAL_CHANNELS).contains(&cfg.virtual_channels),
             "virtual channel count out of range"
         );
-        assert!(cfg.vc_buffer_flits > 0, "vc buffers must hold a flit");
-        let slots = PORTS * cfg.virtual_channels;
         assert!(
-            u32::try_from(n * slots).is_ok(),
+            (1..=NocConfig::MAX_VC_BUFFER_FLITS).contains(&cfg.vc_buffer_flits),
+            "vc buffer depth out of range"
+        );
+        let vcs = cfg.virtual_channels;
+        let slots = PORTS * vcs;
+        assert!(
+            u32::try_from(n * slots + vcs).is_ok(),
             "mesh too large for 32-bit buffer indices"
         );
+        let sink = (n * slots) as u32;
         let half = cols / 2;
-        let mut links = Vec::with_capacity(n * 4);
+        let mut links = Vec::with_capacity(n * PORTS);
         for node in 0..n {
             let (x, y) = (node % cols, node / cols);
-            for port in 0..4 {
+            for port in 0..PORTS {
                 let to = match port {
                     0 if y > 0 => node - cols,
                     1 if y + 1 < rows => node + cols,
@@ -274,17 +319,48 @@ impl MeshNoc {
                     3 if x > 0 => node - 1,
                     _ => usize::MAX,
                 };
+                if to == usize::MAX {
+                    links.push(Link {
+                        to: u32::MAX,
+                        next_base: sink,
+                        in_slot: 0,
+                        delay: 0,
+                    });
+                    continue;
+                }
                 // Two-node NUMA asymmetry: a traversal crossing between
                 // the mesh's column halves (the socket boundary) pays the
                 // configured extra wire latency. Inert at the default 0.
-                let numa = if to != usize::MAX && (x < half) != (to % cols < half) {
+                let numa = if (x < half) != (to % cols < half) {
                     cfg.numa_penalty
                 } else {
                     0
                 };
+                // The input port a flit arrives on at the neighbor.
+                let in_slot = [1, 0, 3, 2][port] * vcs;
                 links.push(Link {
-                    to,
+                    to: to as u32,
+                    next_base: (to * slots + in_slot) as u32,
+                    in_slot: in_slot as u8,
                     delay: 1 + cfg.router_stages + numa,
+                });
+            }
+        }
+        let mut route = Vec::with_capacity(n * n);
+        for node in 0..n {
+            let (x, y) = (node % cols, node / cols);
+            for dst in 0..n {
+                let (dx, dy) = (dst % cols, dst / cols);
+                route.push(if x < dx {
+                    2
+                } else if x > dx {
+                    3
+                } else if y < dy {
+                    1
+                } else if y > dy {
+                    0
+                } else {
+                    LOCAL as u8
                 });
             }
         }
@@ -293,11 +369,18 @@ impl MeshNoc {
             out_owner: [NO_SLOT; PORTS],
             rr: [0; PORTS],
         };
+        let depth = cfg.vc_buffer_flits;
         MeshNoc {
             cfg: *cfg,
+            nodes: n,
             slots,
-            buffers: vec![VecDeque::new(); n * slots],
+            depth,
+            flits: vec![Flit::default(); n * slots * depth],
+            head: vec![0; n * slots],
+            tail: vec![0; n * slots],
+            len: vec![0; n * slots + vcs],
             routers: vec![router; n],
+            route,
             links,
             packets: Vec::new(),
             free_packets: Vec::new(),
@@ -305,7 +388,7 @@ impl MeshNoc {
             inject: vec![VecDeque::new(); n],
             buffered: 0,
             injecting: 0,
-            moves: Vec::new(),
+            moves: vec![Move::default(); n * PORTS],
             delivered_count: 0,
             total_latency: 0,
             flit_hops: 0,
@@ -317,44 +400,10 @@ impl MeshNoc {
         }
     }
 
+    /// XY route: the output port at `node` toward `dst`.
     #[inline]
-    fn coords(&self, node: usize) -> (usize, usize) {
-        (node % self.cfg.mesh_cols, node / self.cfg.mesh_cols)
-    }
-
-    /// XY route: returns the output port at `node` toward `dst`
-    /// (0=N(y-1), 1=S(y+1), 2=E(x+1), 3=W(x-1), 4=Local).
     fn route(&self, node: usize, dst: usize) -> usize {
-        let (x, y) = self.coords(node);
-        let (dx, dy) = self.coords(dst);
-        if x < dx {
-            2
-        } else if x > dx {
-            3
-        } else if y < dy {
-            1
-        } else if y > dy {
-            0
-        } else {
-            LOCAL
-        }
-    }
-
-    /// Reverse port: the input port at the neighbor a flit arrives on.
-    fn reverse(port: usize) -> usize {
-        match port {
-            0 => 1,
-            1 => 0,
-            2 => 3,
-            3 => 2,
-            p => p,
-        }
-    }
-
-    /// The virtual channel of the packet with send sequence number `seq`.
-    #[inline]
-    fn vc_for(&self, seq: u32) -> usize {
-        (clip_types::hash64(seq as u64) as usize) % self.cfg.virtual_channels
+        usize::from(self.route[node * self.nodes + dst])
     }
 
     fn priority_class(&self, p: Priority) -> u8 {
@@ -369,14 +418,49 @@ impl MeshNoc {
     /// output port and the input buffer it will take at the next router.
     #[inline]
     fn enter(&self, node: usize, mut flit: Flit) -> Flit {
-        let port = self.route(node, self.packets[flit.packet as usize].dst);
+        let port = self.route(node, flit.dst as usize);
         flit.out_port = port as u8;
-        if port != LOCAL {
-            let to = self.links[node * 4 + port].to;
-            let slot = Self::reverse(port) * self.cfg.virtual_channels + usize::from(flit.vc);
-            flit.next = (to * self.slots + slot) as u32;
-        }
+        flit.next = self.links[node * PORTS + port].next_base + u32::from(flit.vc);
         flit
+    }
+
+    /// Position `pos < 2 * depth` reduced into a ring of `depth` slots.
+    #[inline]
+    fn wrap(&self, pos: usize) -> usize {
+        if pos >= self.depth {
+            pos - self.depth
+        } else {
+            pos
+        }
+    }
+
+    /// The index in `flits` of the `i`-th flit of buffer `b`.
+    #[inline]
+    fn ring_pos(&self, b: usize, i: usize) -> usize {
+        b * self.depth + self.wrap(usize::from(self.head[b]) + i)
+    }
+
+    /// The flits of buffer `b`, head first.
+    fn ring(&self, b: usize) -> impl Iterator<Item = &Flit> {
+        (0..usize::from(self.len[b])).map(move |i| &self.flits[self.ring_pos(b, i)])
+    }
+
+    /// Appends `flit` to buffer `b`, which has room.
+    #[inline]
+    fn push(&mut self, b: usize, flit: Flit) {
+        let tail = usize::from(self.tail[b]);
+        self.flits[b * self.depth + tail] = flit;
+        self.tail[b] = self.wrap(tail + 1) as u8;
+        self.len[b] += 1;
+    }
+
+    /// Removes and returns the head flit of buffer `b`, which holds one.
+    #[inline]
+    fn pop(&mut self, b: usize) -> Flit {
+        let pos = self.ring_pos(b, 0);
+        self.head[b] = self.wrap(usize::from(self.head[b]) + 1) as u8;
+        self.len[b] -= 1;
+        self.flits[pos]
     }
 }
 
@@ -397,12 +481,14 @@ impl NocModel for MeshNoc {
         if self.inject[src].len() >= INJECTION_QUEUE {
             return Err(NocFullError);
         }
+        let seq = self.sent as u32;
         let info = PacketInfo {
-            seq: self.sent as u32,
+            seq,
             dst,
             payload,
             priority,
             injected_at: now,
+            vc: (clip_types::hash64(u64::from(seq)) % self.cfg.virtual_channels as u64) as u8,
         };
         self.sent += 1;
         let slot = match self.free_packets.pop() {
@@ -425,35 +511,37 @@ impl NocModel for MeshNoc {
         if self.buffered == 0 && self.injecting == 0 {
             return out;
         }
-        let depth = self.cfg.vc_buffer_flits;
+        let depth = self.depth;
         let slots = self.slots;
 
         // 1. Injection: move flits from injection queues into the local
         //    input port as buffer space allows (one flit per cycle).
         if self.injecting > 0 {
-            for node in 0..self.routers.len() {
+            for node in 0..self.nodes {
                 let Some(&(pid, remaining)) = self.inject[node].front() else {
                     continue;
                 };
-                let vc = self.vc_for(self.packets[pid as usize].seq);
-                let slot = LOCAL * self.cfg.virtual_channels + vc;
-                if self.buffers[node * slots + slot].len() >= depth {
+                let info = &self.packets[pid as usize];
+                let slot = LOCAL * self.cfg.virtual_channels + usize::from(info.vc);
+                let b = node * slots + slot;
+                if usize::from(self.len[b]) >= depth {
                     continue;
                 }
                 let is_tail = remaining == 1;
                 let flit = self.enter(
                     node,
                     Flit {
-                        packet: pid,
-                        next: 0,
                         ready_at: now + self.cfg.router_stages,
+                        packet: pid,
+                        dst: info.dst as u32,
+                        next: 0,
                         out_port: 0,
-                        prio: self.priority_class(self.packets[pid as usize].priority),
-                        vc: vc as u8,
+                        prio: self.priority_class(info.priority),
+                        vc: info.vc,
                         is_tail,
                     },
                 );
-                self.buffers[node * slots + slot].push_back(flit);
+                self.push(b, flit);
                 self.routers[node].occupied |= 1 << slot;
                 self.buffered += 1;
                 self.flits_injected += 1;
@@ -473,58 +561,56 @@ impl NocModel for MeshNoc {
         //    router over its occupied input slots picks, per output port,
         //    the ready head flit with downstream credit that wins on
         //    priority class, then round-robin distance from the port's
-        //    pointer. A flit moved this cycle cannot move again.
+        //    pointer. Every candidate's `(key << 8) | slot` is zeroed
+        //    unless it may move, and the port keeps the maximum: keys are
+        //    distinct, so the winner is the same in any scan order. A
+        //    flit moved this cycle cannot move again.
         let total = slots as u32;
         let mut moves = std::mem::take(&mut self.moves);
+        let mut granted = 0;
         for (node, r) in self.routers.iter().enumerate() {
             if r.occupied == 0 {
                 continue;
             }
             let base = node * slots;
-            // (key, slot) per output port; key 0 means no candidate.
-            let mut best = [(0u32, 0u8); PORTS];
+            // Per output port, the winner's `(key << 8) | slot`; 0 for none.
+            let mut best = [0u32; PORTS];
             let mut mask = r.occupied;
             while mask != 0 {
-                let slot = mask.trailing_zeros() as usize;
+                let slot = mask.trailing_zeros();
                 mask &= mask - 1;
-                let head = &self.buffers[base + slot][0];
-                if head.ready_at > now {
-                    continue;
-                }
+                let b = base + slot as usize;
+                let head = &self.flits[self.ring_pos(b, 0)];
                 let port = usize::from(head.out_port);
                 // Wormhole: an owned output port only takes its owner.
                 let owner = r.out_owner[port];
-                if owner != NO_SLOT && usize::from(owner) != slot {
-                    continue;
-                }
-                if port != LOCAL && self.buffers[head.next as usize].len() >= depth {
-                    continue;
-                }
-                let rank = slot as u32 + total - u32::from(r.rr[port]);
+                let may_move = (head.ready_at <= now)
+                    & ((owner == NO_SLOT) | (u32::from(owner) == slot))
+                    & (usize::from(self.len[head.next as usize]) < depth);
+                let rank = slot + total - u32::from(r.rr[port]);
                 let rank = if rank >= total { rank - total } else { rank };
                 let key = (u32::from(head.prio) << 8) | (total - rank);
-                if key > best[port].0 {
-                    best[port] = (key, slot as u8);
-                }
+                best[port] = best[port].max(((key << 8) | slot) * u32::from(may_move));
             }
-            for (port, &(key, slot)) in best.iter().enumerate() {
-                if key != 0 {
-                    moves.push((node, slot, port as u8));
-                }
+            for (port, &won) in best.iter().enumerate() {
+                moves[granted] = Move {
+                    node: node as u32,
+                    slot: won as u8,
+                    port: port as u8,
+                };
+                granted += usize::from(won != 0);
             }
         }
 
-        // 3. Apply moves.
-        for &(node, slot, port) in &moves {
-            let (slot, port) = (usize::from(slot), usize::from(port));
-            let buf = &mut self.buffers[node * slots + slot];
-            let flit = buf.pop_front().expect("selected flit present");
+        // 3. Apply moves, in (router, port) order.
+        for &Move { node, slot, port } in &moves[..granted] {
+            let (node, slot, port) = (node as usize, usize::from(slot), usize::from(port));
+            let b = node * slots + slot;
+            let flit = self.pop(b);
             let r = &mut self.routers[node];
-            if buf.is_empty() {
-                r.occupied &= !(1 << slot);
-            }
+            r.occupied &= !(u64::from(self.len[b] == 0) << slot);
             self.buffered -= 1;
-            r.rr[port] = ((slot + 1) % slots) as u8;
+            r.rr[port] = if slot + 1 == slots { 0 } else { slot as u8 + 1 };
             // Maintain the wormhole lock.
             r.out_owner[port] = if flit.is_tail { NO_SLOT } else { slot as u8 };
             if port == LOCAL {
@@ -557,21 +643,21 @@ impl NocModel for MeshNoc {
                 });
             } else {
                 self.flit_hops += 1;
-                let link = self.links[node * 4 + port];
+                let link = self.links[node * PORTS + port];
                 let next = flit.next as usize;
                 let flit = self.enter(
-                    link.to,
+                    link.to as usize,
                     Flit {
                         ready_at: now + link.delay,
                         ..flit
                     },
                 );
-                self.buffers[next].push_back(flit);
-                self.routers[link.to].occupied |= 1 << (next - link.to * slots);
+                self.push(next, flit);
+                self.routers[link.to as usize].occupied |=
+                    1 << (usize::from(link.in_slot) + usize::from(flit.vc));
                 self.buffered += 1;
             }
         }
-        moves.clear();
         self.moves = moves;
         out
     }
@@ -589,7 +675,7 @@ impl NocModel for MeshNoc {
     }
 
     fn nodes(&self) -> usize {
-        self.routers.len()
+        self.nodes
     }
 
     fn delivered_count(&self) -> u64 {
@@ -627,18 +713,27 @@ impl NocModel for MeshNoc {
             for (node, r) in self.routers.iter().enumerate() {
                 for slot in 0..self.slots {
                     let (port, vc) = (slot / vcs, slot % vcs);
-                    let len = self.buffers[node * self.slots + slot].len();
-                    if len > self.cfg.vc_buffer_flits {
+                    let b = node * self.slots + slot;
+                    let len = usize::from(self.len[b]);
+                    if len > self.depth {
                         return Err(format!(
                             "credit overrun at router {node} port {port} vc {vc}: \
                              {len} flits in a {}-flit buffer",
-                            self.cfg.vc_buffer_flits
+                            self.depth
                         ));
                     }
                     if (len > 0) != (r.occupied >> slot & 1 == 1) {
                         return Err(format!(
                             "router {node} occupancy mask drifted at port {port} vc {vc}: \
                              {len} flits buffered"
+                        ));
+                    }
+                    let (head, tail) = (usize::from(self.head[b]), usize::from(self.tail[b]));
+                    if head >= self.depth || (head + len) % self.depth != tail {
+                        return Err(format!(
+                            "router {node} ring drifted at port {port} vc {vc}: \
+                             head {head} + {len} flits but tail {tail} in a {}-flit ring",
+                            self.depth
                         ));
                     }
                     actual += len;
@@ -649,6 +744,12 @@ impl NocModel for MeshNoc {
                     "buffered-flit counter drifted: cached {} vs actual {actual}",
                     self.buffered
                 ));
+            }
+            if let Some(vc) = self.len[self.nodes * self.slots..]
+                .iter()
+                .position(|&l| l != 0)
+            {
+                return Err(format!("idle sink buffer {vc} holds flits"));
             }
             let queued: usize = self.inject.iter().map(VecDeque::len).sum();
             if queued != self.injecting {
@@ -680,21 +781,22 @@ impl NocModel for MeshNoc {
         // The victim is the k-th non-empty buffer in (node, port, vc)
         // order.
         let mut k = selector % candidates;
-        for (node, r) in self.routers.iter_mut().enumerate() {
-            let here = u64::from(r.occupied.count_ones());
+        for node in 0..self.nodes {
+            let occupied = self.routers[node].occupied;
+            let here = u64::from(occupied.count_ones());
             if k >= here {
                 k -= here;
                 continue;
             }
-            let mut mask = r.occupied;
+            let mut mask = occupied;
             for _ in 0..k {
                 mask &= mask - 1;
             }
             let slot = mask.trailing_zeros() as usize;
-            let buf = &mut self.buffers[node * self.slots + slot];
-            buf.pop_front().expect("candidate buffer non-empty");
-            if buf.is_empty() {
-                r.occupied &= !(1 << slot);
+            let b = node * self.slots + slot;
+            self.pop(b);
+            if self.len[b] == 0 {
+                self.routers[node].occupied &= !(1 << slot);
             }
             self.buffered -= 1;
             return true;
@@ -714,11 +816,13 @@ impl NocModel for MeshNoc {
             if r.occupied == 0 {
                 continue;
             }
-            let bufs = &self.buffers[node * self.slots..(node + 1) * self.slots];
+            let bufs = node * self.slots..(node + 1) * self.slots;
             h.write_usize(node)
-                .write_usize(bufs.iter().map(VecDeque::len).sum());
-            for f in bufs.iter().flatten() {
-                h.write_u64(u64::from(self.packets[f.packet as usize].seq));
+                .write_usize(self.len[bufs.clone()].iter().map(|&l| usize::from(l)).sum());
+            for b in bufs {
+                for f in self.ring(b) {
+                    h.write_u64(u64::from(self.packets[f.packet as usize].seq));
+                }
             }
         }
         for (node, q) in self.inject.iter().enumerate() {
@@ -854,7 +958,7 @@ const ANALYTIC_MAX_BACKLOG: Cycle = 4096;
 /// contention approximated by per-link busy windows with priority-ordered
 /// injection; used for wide sweeps. In perfbench's traced passes on a
 /// 2-vCPU Xeon VM it cost about 14 ns per flit-hop on `dense-16c`, against
-/// about 117 ns for [`MeshNoc`] on `dense-64c-mesh`.
+/// about 100 ns for [`MeshNoc`] on `dense-64c-mesh`.
 #[derive(Debug, Clone)]
 pub struct AnalyticNoc {
     cfg: NocConfig,
@@ -1467,6 +1571,47 @@ mod tests {
         assert!(err.contains("conservation broken"), "{err}");
         // Nothing left to drop.
         assert!(!ana.inject_drop_flit(0));
+    }
+
+    #[test]
+    fn full_audit_catches_drifted_ring_bookkeeping() {
+        let mut mesh = MeshNoc::new(&cfg());
+        for i in 0..6u64 {
+            mesh.send(0, 63, 8, Priority::Demand, i, 0).unwrap();
+        }
+        for now in 0..20 {
+            mesh.tick(now);
+        }
+        assert_eq!(mesh.audit(true), Ok(()));
+        let b = mesh
+            .len
+            .iter()
+            .position(|&l| l >= 2)
+            .expect("a buffer holds flits");
+        let drifted = |f: &dyn Fn(&mut MeshNoc)| {
+            let mut m = mesh.clone();
+            f(&mut m);
+            assert_eq!(m.audit(false), Ok(()), "only the full audit checks rings");
+            m.audit(true).unwrap_err()
+        };
+        let err = drifted(&|m| m.len[b] -= 1);
+        assert!(err.contains("ring drifted"), "{err}");
+        let err = drifted(&|m| m.head[b] = m.wrap(usize::from(m.head[b]) + 1) as u8);
+        assert!(err.contains("ring drifted"), "{err}");
+        let err = drifted(&|m| m.head[b] = m.depth as u8);
+        assert!(err.contains("ring drifted"), "{err}");
+        // A ring emptied behind the counters' back shows in the occupancy
+        // mask and the buffered-flit total.
+        let err = drifted(&|m| {
+            m.len[b] = 0;
+            m.tail[b] = m.head[b];
+        });
+        assert!(err.contains("occupancy mask drifted"), "{err}");
+        let err = drifted(&|m| {
+            m.len[b] -= 1;
+            m.tail[b] = m.wrap(usize::from(m.tail[b]) + m.depth - 1) as u8;
+        });
+        assert!(err.contains("buffered-flit counter drifted"), "{err}");
     }
 
     #[test]

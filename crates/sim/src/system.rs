@@ -77,8 +77,10 @@ impl System {
                 let spec = &mix.workloads[i];
                 let clip_at_l1 = cfg.l1_prefetcher != PrefetcherKind::None;
                 Tile {
-                    core: Some(Core::new(&cfg.core)),
-                    gen: Some(spec.generator(seed ^ (i as u64).wrapping_mul(0x9E37))),
+                    core: Some(Box::new(Core::new(&cfg.core))),
+                    gen: Some(Box::new(
+                        spec.generator(seed ^ (i as u64).wrapping_mul(0x9E37)),
+                    )),
                     addr_base: ((i as u64) + 1) << 42,
                     l1d: Cache::new(&cfg.l1d),
                     l1_mshr: MshrFile::new(cfg.l1d.mshrs),

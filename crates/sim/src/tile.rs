@@ -48,8 +48,11 @@ pub(crate) struct QueuedPrefetch {
 
 /// Everything private to one core's tile.
 pub(crate) struct Tile {
-    pub core: Option<Core>,
-    pub gen: Option<TraceGenerator>,
+    /// The core and its instruction stream, boxed: [`System::tick_core`]
+    /// takes both out of the tile on every tick, and moving a pointer is
+    /// cheaper than moving the state.
+    pub core: Option<Box<Core>>,
+    pub gen: Option<Box<TraceGenerator>>,
     pub addr_base: u64,
     pub l1d: Cache,
     pub l1_mshr: MshrFile,

@@ -305,6 +305,10 @@ impl NocConfig {
     /// a router tracks its 5 ports × VCs input buffers in one 64-bit
     /// occupancy mask.
     pub const MAX_VIRTUAL_CHANNELS: usize = 12;
+
+    /// Deepest per-VC buffer the flit-level mesh supports: each buffer is
+    /// a ring whose head and tail positions and length are bytes.
+    pub const MAX_VC_BUFFER_FLITS: usize = u8::MAX as usize;
 }
 
 impl Default for NocConfig {
@@ -436,6 +440,13 @@ impl SimConfig {
             return Err(ConfigError::new(
                 "noc vc buffers must hold at least one flit",
             ));
+        }
+        if self.noc.vc_buffer_flits > NocConfig::MAX_VC_BUFFER_FLITS {
+            return Err(ConfigError::new(format!(
+                "noc vc buffer depth {} exceeds the mesh's limit of {}",
+                self.noc.vc_buffer_flits,
+                NocConfig::MAX_VC_BUFFER_FLITS
+            )));
         }
         if self.noc.chiplet_cluster == 0 {
             return Err(ConfigError::new("chiplet cluster size must be non-zero"));
@@ -696,6 +707,15 @@ mod tests {
     fn validate_rejects_zero_vc_buffer_depth() {
         let mut c = SimConfig::baseline_64core();
         c.noc.vc_buffer_flits = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_vc_buffer_depth_above_the_mesh_limit() {
+        let mut c = SimConfig::baseline_64core();
+        c.noc.vc_buffer_flits = NocConfig::MAX_VC_BUFFER_FLITS;
+        c.validate().expect("the limit itself is legal");
+        c.noc.vc_buffer_flits = NocConfig::MAX_VC_BUFFER_FLITS + 1;
         assert!(c.validate().is_err());
     }
 
