@@ -6,7 +6,7 @@
 //! executor, [`run_experiment`], expands the spec into [`SweepJob`]s,
 //! runs everything missing through [`clip_sim::run_jobs_checked`]
 //! (deduplicated and memoized, with every completed cell additionally
-//! cached on disk, see [`crate::cache`]), and renders both the
+//! cached on disk, see `cache.rs`), and renders both the
 //! plain-text table the figures have always printed and a JSON artifact
 //! under `target/experiments/<name>.json`.
 //!

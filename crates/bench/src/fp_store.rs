@@ -13,7 +13,7 @@
 //!   keyed by the job identity (config, scheme, mix, run options
 //!   including the audit cadence), the **resolved check level** (cheap
 //!   and full streams hash different state and must never verify against
-//!   each other), plus [`FP_VERSION`].
+//!   each other), plus `FP_VERSION`.
 //! * `CLIP_FP_BASELINE=verify` — every freshly simulated job diffs its
 //!   live stream against the stored baseline via
 //!   `fingerprint::compare_against_baseline`; the first divergent cadence
@@ -36,7 +36,7 @@
 //! against the *clean* baseline recorded under the same identity.
 //!
 //! Entries share the durability machinery of the result cache
-//! ([`crate::store_util`]): FNV-keyed file names, a checksum wrapper
+//! (`store_util.rs`): FNV-keyed file names, a checksum wrapper
 //! (`{"checksum":"<16 hex>","stream":{"version":N,"windows":[...]}}`),
 //! quarantine of damaged entries as `.corrupt` (capped, oldest evicted)
 //! and stale-tmp sweeping. A damaged baseline reads as "never recorded".
@@ -44,7 +44,7 @@
 //! * `CLIP_FP_DIR` overrides the directory (default
 //!   `target/clip-fp/`, a sibling of `target/clip-cache/`).
 //!
-//! Bump [`FP_VERSION`] whenever fingerprint capture changes (component
+//! Bump `FP_VERSION` whenever fingerprint capture changes (component
 //! layout, hash function, cadence semantics): old baselines silently
 //! stop matching their keys instead of mis-verifying.
 

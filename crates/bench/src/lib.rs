@@ -23,7 +23,7 @@
 //!   for sweeps).
 //! * `CLIP_DRAM` — memory backend: `ddr4` (default) or `hbm`.
 //! * `CLIP_CACHE` — `0`/`off` disables the universal on-disk result
-//!   cache (every completed cell, all schemes — see [`mod@cache`]).
+//!   cache (every completed cell, all schemes — see `cache.rs`).
 //! * `CLIP_CACHE_DIR` — overrides the result-cache directory (the cache
 //!   holds at most 256 MiB; the oldest entries are garbage-collected).
 //! * `CLIP_ARTIFACT_DIR` — overrides the JSON artifact directory.

@@ -7,11 +7,14 @@
 //! provenance bits the paper's accounting needs.
 //!
 //! Every simulated access probes these structures, so their layout is
-//! chosen for host speed. A [`Cache`] keeps packed tag and flag arrays and
-//! a per-set count of filled ways, and a probe scans only those ways: a
-//! cold set costs one byte. Lines are never invalidated, so the filled
-//! ways stay a prefix of the set. An [`MshrFile`] scans a dense array of
-//! at most a few dozen line addresses instead of hashing.
+//! chosen for host speed and memory. A [`Cache`] keeps one 4-byte word per
+//! set, `block << 8 | filled`, and allocates the set's block of tags, flags
+//! and replacement state at its first fill, blocks in first-fill order. A
+//! probe scans only the set's filled ways; a cold set (`filled == 0`)
+//! costs its word and no storage, so a run's memory follows the sets it
+//! touches, not the configured capacity. Lines are never invalidated, so
+//! the filled ways stay a prefix of the block. An [`MshrFile`] scans a
+//! dense array of at most a few dozen line addresses instead of hashing.
 //!
 //! # Examples
 //!
@@ -131,50 +134,59 @@ const VALID: u64 = 1 << 63;
 const DIRTY: u8 = 1;
 /// Flag bit: the line was filled by a prefetch and not yet demanded.
 const PREFETCHED: u8 = 2;
+/// A set word's block number sits above its filled-ways byte.
+const BLOCK_SHIFT: u32 = 8;
 
 /// A set-associative tag array with a pluggable replacement policy.
 ///
-/// Tags and flags sit in two packed arrays indexed by `(set, way)`, and
-/// each set counts its leading ways that have ever been filled. Nothing
+/// Each set has a word `block << 8 | filled`. A set's first fill appends
+/// a block of `ways` tags, flags and replacement entries and records its
+/// number; until then the set's word is 0 and it owns no storage. Tags,
+/// flags and the policy are indexed by `(block, way)`, and `filled` counts
+/// the block's leading ways that have ever been filled. Nothing
 /// invalidates a line, so those ways are exactly the valid ones: a probe
-/// scans only them, and a fill takes the next unfilled way before it
-/// asks the policy for a victim.
+/// scans only them, and a fill takes the next unfilled way before it asks
+/// the policy for a victim.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: usize,
     ways: usize,
-    /// `line | VALID` per (set, way); 0 for a way never filled.
+    /// `block << 8 | filled` per set; 0 for a set never filled.
+    set_words: Vec<u32>,
+    /// `line | VALID` per (block, way); 0 for a way never filled.
     tags: Vec<u64>,
-    /// [`DIRTY`] and [`PREFETCHED`] bits per (set, way).
+    /// [`DIRTY`] and [`PREFETCHED`] bits per (block, way).
     flags: Vec<u8>,
-    /// Per set, the number of leading ways ever filled.
-    filled: Vec<u8>,
     repl: ReplacementState,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Builds a cache from a level configuration.
+    /// Builds a cache from a level configuration. No set owns storage
+    /// until its first fill.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration implies zero sets or a non-power-of-two
-    /// set count (use [`clip_types::SimConfig::validate`] first), or more
-    /// than 255 ways.
+    /// Panics if the configuration implies zero sets, a non-power-of-two
+    /// set count, more than [`CacheLevelConfig::MAX_SETS`] sets or more
+    /// than [`CacheLevelConfig::MAX_WAYS`] ways (use
+    /// [`clip_types::SimConfig::validate`] first).
     pub fn new(cfg: &CacheLevelConfig) -> Self {
         let sets = cfg.sets();
         assert!(
-            sets > 0 && sets.is_power_of_two(),
+            sets > 0 && sets.is_power_of_two() && sets <= CacheLevelConfig::MAX_SETS,
             "invalid set count {sets}"
         );
-        assert!(cfg.ways <= u8::MAX as usize, "too many ways: {}", cfg.ways);
+        assert!(
+            cfg.ways <= CacheLevelConfig::MAX_WAYS,
+            "too many ways: {}",
+            cfg.ways
+        );
         Cache {
-            sets,
             ways: cfg.ways,
-            tags: vec![0; sets * cfg.ways],
-            flags: vec![0; sets * cfg.ways],
-            filled: vec![0; sets],
-            repl: ReplacementState::new(cfg.replacement, sets, cfg.ways),
+            set_words: vec![0; sets],
+            tags: Vec::new(),
+            flags: Vec::new(),
+            repl: ReplacementState::new(cfg.replacement, 0, cfg.ways),
             stats: CacheStats::default(),
         }
     }
@@ -183,28 +195,40 @@ impl Cache {
     fn set_index(&self, line: LineAddr) -> usize {
         // Hash-index so that strided patterns spread across sets, as
         // physical indexing effectively does.
-        (clip_types::hash64(line.raw()) as usize) & (self.sets - 1)
+        (clip_types::hash64(line.raw()) as usize) & (self.set_words.len() - 1)
+    }
+
+    /// The block of `set` and its filled ways; `(0, 0)` for a cold set.
+    #[inline]
+    fn block_of(&self, set: usize) -> (usize, usize) {
+        let word = self.set_words[set];
+        ((word >> BLOCK_SHIFT) as usize, (word & 0xff) as usize)
     }
 
     #[inline]
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    fn slot(&self, block: usize, way: usize) -> usize {
+        block * self.ways + way
     }
 
-    /// The way of `set` holding `line`, scanning only the filled ways.
+    /// The way of `block` holding `line`, scanning only its `filled` ways;
+    /// with none filled it reads no storage.
     #[inline]
-    fn find(&self, set: usize, line: LineAddr) -> Option<usize> {
-        let base = self.slot(set, 0);
-        let filled = self.filled[set] as usize;
+    fn find(&self, block: usize, filled: usize, line: LineAddr) -> Option<usize> {
+        let base = self.slot(block, 0);
         let tag = line.raw() | VALID;
         self.tags[base..base + filled]
             .iter()
             .position(|&t| t == tag)
     }
 
+    /// Blocks allocated so far: the sets filled at least once.
+    fn blocks(&self) -> usize {
+        self.flags.len() / self.ways
+    }
+
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.set_words.len()
     }
 
     /// Associativity.
@@ -219,7 +243,8 @@ impl Cache {
 
     /// True if the line is currently present (no state update).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(self.set_index(line), line).is_some()
+        let (block, filled) = self.block_of(self.set_index(line));
+        self.find(block, filled, line).is_some()
     }
 
     /// Looks up `line`; updates replacement state and statistics.
@@ -244,13 +269,13 @@ impl Cache {
         is_prefetch: bool,
         now: Cycle,
     ) -> LookupOutcome {
-        let set = self.set_index(line);
+        let (block, filled) = self.block_of(self.set_index(line));
         if is_prefetch {
             self.stats.prefetch_accesses += 1;
         } else {
             self.stats.demand_accesses += 1;
         }
-        let Some(w) = self.find(set, line) else {
+        let Some(w) = self.find(block, filled, line) else {
             return LookupOutcome::Miss;
         };
         let mut first_use = false;
@@ -258,7 +283,7 @@ impl Cache {
             self.stats.prefetch_hits += 1;
         } else {
             self.stats.demand_hits += 1;
-            let idx = self.slot(set, w);
+            let idx = self.slot(block, w);
             let flags = &mut self.flags[idx];
             if *flags & PREFETCHED != 0 {
                 *flags &= !PREFETCHED;
@@ -268,7 +293,7 @@ impl Cache {
             if is_write {
                 *flags |= DIRTY;
             }
-            self.repl.on_hit(set, w, now, line);
+            self.repl.on_hit(block, w, now, line);
         }
         LookupOutcome::Hit {
             first_prefetch_use: first_use,
@@ -293,23 +318,31 @@ impl Cache {
         }
 
         // Already present (races between in-flight fills): just update bits.
-        if let Some(w) = self.find(set, line) {
+        let (mut block, filled) = self.block_of(set);
+        if let Some(w) = self.find(block, filled, line) {
             if dirty {
-                let idx = self.slot(set, w);
+                let idx = self.slot(block, w);
                 self.flags[idx] |= DIRTY;
             }
             return None;
         }
 
-        // The next unfilled way, else ask the policy for a victim.
-        let filled = self.filled[set] as usize;
-        let (way, evicted) = if filled < self.ways {
-            self.filled[set] += 1;
+        // A cold set's first fill appends its block. Then the next
+        // unfilled way, else ask the policy for a victim.
+        let (way, evicted) = if filled == 0 {
+            block = self.blocks();
+            self.tags.resize(self.tags.len() + self.ways, 0);
+            self.flags.resize(self.flags.len() + self.ways, 0);
+            self.repl.push_block();
+            self.set_words[set] = (block as u32) << BLOCK_SHIFT | 1;
+            (0, None)
+        } else if filled < self.ways {
+            self.set_words[set] += 1;
             (filled, None)
         } else {
-            let way = self.repl.victim(set, now);
+            let way = self.repl.victim(block, now);
             debug_assert!(way < self.ways);
-            let idx = self.slot(set, way);
+            let idx = self.slot(block, way);
             let v = Evicted {
                 line: LineAddr::new(self.tags[idx] & !VALID),
                 dirty: self.flags[idx] & DIRTY != 0,
@@ -324,17 +357,17 @@ impl Cache {
             (way, Some(v))
         };
 
-        let idx = self.slot(set, way);
+        let idx = self.slot(block, way);
         self.tags[idx] = line.raw() | VALID;
         self.flags[idx] = if dirty { DIRTY } else { 0 };
         if prefetched {
             self.flags[idx] |= PREFETCHED;
         }
-        self.repl.on_fill(set, way, now, line, prefetched);
+        self.repl.on_fill(block, way, now, line, prefetched);
         evicted
     }
 
-    /// Number of valid lines currently held (O(capacity); for tests).
+    /// Number of valid lines currently held (O(filled blocks); for tests).
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != 0).count()
     }
@@ -489,6 +522,29 @@ mod tests {
             }
             assert_eq!(c.occupancy(), 16, "{repl:?}");
         }
+    }
+
+    #[test]
+    fn storage_follows_the_sets_filled() {
+        // The LLC slice's geometry: 2048 sets x 16 ways.
+        let mut c = Cache::new(&cfg(2 * 1024 * 1024, 16, ReplacementKind::Mockingjay));
+        assert_eq!(c.sets(), 2048);
+        assert_eq!((c.blocks(), c.tags.len()), (0, 0));
+        assert_eq!(c.lookup(LineAddr::new(5), false, 0), LookupOutcome::Miss);
+        assert_eq!(c.blocks(), 0, "a probe allocates nothing");
+
+        let mut sets = std::collections::BTreeSet::new();
+        for i in 0..300u64 {
+            // Each line twice: a refill of a present line allocates nothing.
+            for now in [2 * i, 2 * i + 1] {
+                c.fill(LineAddr::new(i * 7919), false, false, now);
+            }
+            sets.insert(c.set_index(LineAddr::new(i * 7919)));
+            assert_eq!(c.blocks(), sets.len());
+        }
+        assert!(sets.len() < 300, "some fills share a set");
+        assert_eq!(c.tags.len(), sets.len() * 16);
+        assert_eq!(c.occupancy(), 300);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Replacement policies: LRU, SRRIP and a sampled Mockingjay reuse
-//! predictor. Their state is indexed by `(set, way)`; the cache calls
-//! [`ReplacementState::victim`] only for a set whose ways are all filled.
+//! predictor. Their state is indexed by `(block, way)`, one block of
+//! `ways` entries per set: [`ReplacementState::new`] lays out a block per
+//! set, with block `s` serving set `s`, and [`ReplacementState::push_block`]
+//! appends one, so a [`Cache`](crate::Cache) adds a set's block at its
+//! first fill. No policy reads which set a block serves. The cache calls
+//! [`ReplacementState::victim`] only for a block whose ways are all filled.
 //!
 //! The paper's baseline uses SRRIP at the L2 and Mockingjay at the LLC
 //! (Table 3). Mockingjay (Shah et al., HPCA '22) mimics Belady's MIN by
@@ -16,21 +20,21 @@ use clip_types::{Cycle, LineAddr, ReplacementKind};
 pub enum ReplacementState {
     /// Timestamp LRU.
     Lru {
-        /// Last-touch time per (set, way).
+        /// Last-touch time per (block, way).
         stamp: Vec<Cycle>,
         ways: usize,
     },
     /// 2-bit static RRIP.
     Srrip {
-        /// Re-reference prediction value per (set, way).
+        /// Re-reference prediction value per (block, way).
         rrpv: Vec<u8>,
         ways: usize,
     },
     /// Sampled Mockingjay: ETA-based Belady mimic.
     Mockingjay {
-        /// Predicted next access time per (set, way).
+        /// Predicted next access time per (block, way).
         eta: Vec<Cycle>,
-        /// Last access time per (set, way), to learn reuse intervals.
+        /// Last access time per (block, way), to learn reuse intervals.
         last: Vec<Cycle>,
         /// Sampled reuse-interval predictor, direct-mapped by line hash:
         /// (tag, predicted interval).
@@ -45,7 +49,7 @@ const MJ_PREDICTOR_SIZE: usize = 2048;
 const MJ_DEFAULT_INTERVAL: u32 = 1 << 14;
 
 impl ReplacementState {
-    /// Creates state for a `sets` x `ways` cache.
+    /// Creates state for a `sets` x `ways` cache, one block per set.
     pub fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Self {
         let n = sets * ways;
         match kind {
@@ -66,19 +70,35 @@ impl ReplacementState {
         }
     }
 
-    #[inline]
-    fn idx(set: usize, way: usize, ways: usize) -> usize {
-        set * ways + way
+    /// Appends one block of `ways` entries, initialized as [`Self::new`]
+    /// initializes each of its blocks; its number is the count of blocks
+    /// before the call.
+    pub fn push_block(&mut self) {
+        match self {
+            ReplacementState::Lru { stamp, ways } => stamp.resize(stamp.len() + *ways, 0),
+            ReplacementState::Srrip { rrpv, ways } => rrpv.resize(rrpv.len() + *ways, RRPV_MAX),
+            ReplacementState::Mockingjay {
+                eta, last, ways, ..
+            } => {
+                eta.resize(eta.len() + *ways, 0);
+                last.resize(last.len() + *ways, 0);
+            }
+        }
     }
 
-    /// Notifies the policy of a hit at (set, way).
-    pub fn on_hit(&mut self, set: usize, way: usize, now: Cycle, line: LineAddr) {
+    #[inline]
+    fn idx(block: usize, way: usize, ways: usize) -> usize {
+        block * ways + way
+    }
+
+    /// Notifies the policy of a hit at (block, way).
+    pub fn on_hit(&mut self, block: usize, way: usize, now: Cycle, line: LineAddr) {
         match self {
             ReplacementState::Lru { stamp, ways } => {
-                stamp[Self::idx(set, way, *ways)] = now;
+                stamp[Self::idx(block, way, *ways)] = now;
             }
             ReplacementState::Srrip { rrpv, ways } => {
-                rrpv[Self::idx(set, way, *ways)] = 0;
+                rrpv[Self::idx(block, way, *ways)] = 0;
             }
             ReplacementState::Mockingjay {
                 eta,
@@ -86,7 +106,7 @@ impl ReplacementState {
                 predictor,
                 ways,
             } => {
-                let i = Self::idx(set, way, *ways);
+                let i = Self::idx(block, way, *ways);
                 // Learn the observed reuse interval with an EWMA.
                 let interval = now.saturating_sub(last[i]).min(u32::MAX as u64) as u32;
                 let h = clip_types::hash64(line.raw());
@@ -104,10 +124,10 @@ impl ReplacementState {
         }
     }
 
-    /// Notifies the policy of a fill at (set, way).
+    /// Notifies the policy of a fill at (block, way).
     pub fn on_fill(
         &mut self,
-        set: usize,
+        block: usize,
         way: usize,
         now: Cycle,
         line: LineAddr,
@@ -115,12 +135,13 @@ impl ReplacementState {
     ) {
         match self {
             ReplacementState::Lru { stamp, ways } => {
-                stamp[Self::idx(set, way, *ways)] = now;
+                stamp[Self::idx(block, way, *ways)] = now;
             }
             ReplacementState::Srrip { rrpv, ways } => {
                 // Prefetch fills are inserted with a distant re-reference
                 // prediction so inaccurate prefetches die quickly.
-                rrpv[Self::idx(set, way, *ways)] = if prefetched { RRPV_MAX } else { RRPV_INSERT };
+                rrpv[Self::idx(block, way, *ways)] =
+                    if prefetched { RRPV_MAX } else { RRPV_INSERT };
             }
             ReplacementState::Mockingjay {
                 eta,
@@ -128,7 +149,7 @@ impl ReplacementState {
                 predictor,
                 ways,
             } => {
-                let i = Self::idx(set, way, *ways);
+                let i = Self::idx(block, way, *ways);
                 let h = clip_types::hash64(line.raw());
                 let slot = (h as usize) % MJ_PREDICTOR_SIZE;
                 let tag = (h >> 32) as u32;
@@ -147,25 +168,26 @@ impl ReplacementState {
         }
     }
 
-    /// Chooses a victim way within `set`. All ways are assumed valid (the
+    /// Chooses a victim way within `block`. All ways are assumed valid (the
     /// cache fills invalid ways first).
-    pub fn victim(&mut self, set: usize, now: Cycle) -> usize {
+    pub fn victim(&mut self, block: usize, now: Cycle) -> usize {
         match self {
             ReplacementState::Lru { stamp, ways } => {
                 let w = *ways;
                 (0..w)
-                    .min_by_key(|&way| stamp[Self::idx(set, way, w)])
+                    .min_by_key(|&way| stamp[Self::idx(block, way, w)])
                     .expect("at least one way")
             }
             ReplacementState::Srrip { rrpv, ways } => {
                 let w = *ways;
                 loop {
-                    if let Some(way) = (0..w).find(|&way| rrpv[Self::idx(set, way, w)] >= RRPV_MAX)
+                    if let Some(way) =
+                        (0..w).find(|&way| rrpv[Self::idx(block, way, w)] >= RRPV_MAX)
                     {
                         return way;
                     }
                     for way in 0..w {
-                        rrpv[Self::idx(set, way, w)] += 1;
+                        rrpv[Self::idx(block, way, w)] += 1;
                     }
                 }
             }
@@ -175,7 +197,7 @@ impl ReplacementState {
                 // lines whose ETA has passed (overdue, likely dead) win.
                 (0..w)
                     .max_by_key(|&way| {
-                        let e = eta[Self::idx(set, way, w)];
+                        let e = eta[Self::idx(block, way, w)];
                         if e < now {
                             // Dead line: strongly preferred victim.
                             u64::MAX - (now - e).min(u64::MAX / 2)

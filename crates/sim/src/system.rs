@@ -1,8 +1,8 @@
 //! The many-core system: wiring and the cycle loop.
 //!
-//! `System` composes the per-core tiles ([`crate::tile`]) and the
-//! [`Engine`] (clock, NoC, DRAM, the clocked LLC — [`crate::llc`] —
-//! transactions, event wheel). Demand and prefetch requests flow
+//! `System` composes the per-core tiles (`tile.rs`) and the `Engine`
+//! (clock, NoC, DRAM, the clocked LLC of `llc.rs`, transactions, event
+//! wheel). Demand and prefetch requests flow
 //! L1D → L2 → (NoC) → LLC slice → (NoC) → DRAM channel and back, with
 //! MSHRs at every level providing merging and back-pressure. All the
 //! contention the paper depends on is modeled: finite MSHRs, NoC link/VC
@@ -613,7 +613,7 @@ impl System {
     /// # Errors
     ///
     /// Returns a [`SimError`] when the forward-progress watchdog or a
-    /// conservation auditor fires (see [`crate::integrity`]). Audits are
+    /// conservation auditor fires (see `integrity.rs`). Audits are
     /// read-only: a run that completes returns bit-identical results at
     /// every [`CheckLevel`].
     pub fn run_checked(

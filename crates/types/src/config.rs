@@ -88,6 +88,15 @@ pub struct CacheLevelConfig {
 }
 
 impl CacheLevelConfig {
+    /// Most ways a cache level supports: a cache counts each set's filled
+    /// ways in a byte.
+    pub const MAX_WAYS: usize = u8::MAX as usize;
+
+    /// Most sets a cache level supports: a cache numbers its sets' storage
+    /// blocks in the 24 bits above that byte, so the block numbers and
+    /// their count must stay below 2^24.
+    pub const MAX_SETS: usize = 1 << 23;
+
     /// Number of sets implied by capacity/ways/line size.
     pub fn sets(&self) -> usize {
         self.capacity_bytes / (crate::LINE_BYTES * self.ways)
@@ -422,6 +431,20 @@ impl SimConfig {
                     c.sets()
                 )));
             }
+            if c.ways > CacheLevelConfig::MAX_WAYS {
+                return Err(ConfigError::new(format!(
+                    "{name}: {} ways exceed the cache's limit of {}",
+                    c.ways,
+                    CacheLevelConfig::MAX_WAYS
+                )));
+            }
+            if c.sets() > CacheLevelConfig::MAX_SETS {
+                return Err(ConfigError::new(format!(
+                    "{name}: {} sets exceed the cache's limit of {}",
+                    c.sets(),
+                    CacheLevelConfig::MAX_SETS
+                )));
+            }
         }
         if self.dram.channels == 0 || !self.dram.channels.is_power_of_two() {
             return Err(ConfigError::new("dram channels must be a power of two"));
@@ -716,6 +739,24 @@ mod tests {
         c.noc.vc_buffer_flits = NocConfig::MAX_VC_BUFFER_FLITS;
         c.validate().expect("the limit itself is legal");
         c.noc.vc_buffer_flits = NocConfig::MAX_VC_BUFFER_FLITS + 1;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_cache_geometries_above_the_cache_limits() {
+        let mut c = SimConfig::baseline_64core();
+        // 512 sets at the way limit itself is legal, one way more is not.
+        c.llc_slice.ways = CacheLevelConfig::MAX_WAYS;
+        c.llc_slice.capacity_bytes = 512 * CacheLevelConfig::MAX_WAYS * crate::LINE_BYTES;
+        c.validate().expect("the way limit itself is legal");
+        c.llc_slice.ways = CacheLevelConfig::MAX_WAYS + 1;
+        c.llc_slice.capacity_bytes = 512 * c.llc_slice.ways * crate::LINE_BYTES;
+        assert!(c.validate().is_err());
+
+        let mut c = SimConfig::baseline_64core();
+        c.l2.capacity_bytes = CacheLevelConfig::MAX_SETS * c.l2.ways * crate::LINE_BYTES;
+        c.validate().expect("the set limit itself is legal");
+        c.l2.capacity_bytes *= 2;
         assert!(c.validate().is_err());
     }
 

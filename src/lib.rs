@@ -19,7 +19,7 @@
 //!   buffer, critical-signature predictor, and APC phase detector;
 //! * [`stats`] — weighted speedup and the dynamic-energy model;
 //! * [`sim`] — the many-core system simulator and run drivers;
-//! * [`bench`] — the experiment harness, figure registry, and the
+//! * [`bench`](mod@bench) — the experiment harness, figure registry, and the
 //!   universal result cache that also resumes interrupted sweeps.
 //!
 //! # Quickstart
