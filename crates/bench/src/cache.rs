@@ -65,7 +65,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (The cache went universal without a bump: the key format and the
 /// simulator's results are unchanged, so old baseline entries remain
 /// valid — new schemes simply add entries alongside them.)
-pub(crate) const CACHE_VERSION: u32 = 2;
+/// Version 3: every reported counter covers the measured window; older
+/// entries count CLIP's counters, the baseline evaluators' IP sets and
+/// the busiest channel's transfers from the start of warmup.
+pub(crate) const CACHE_VERSION: u32 = 3;
 
 /// Size cap for the cache directory's entries, in bytes.
 const CAP_BYTES: u64 = 256 * 1024 * 1024;
@@ -247,10 +250,10 @@ mod tests {
 
     #[test]
     fn entry_name_of_a_fixed_job_is_pinned() {
-        // The name hashes the job key, which holds the `Debug` forms of
-        // config, scheme, mix and run options. A change to any of them
-        // renames every entry and turns every user's cache cold, so it
-        // must fail here and be acknowledged.
+        // The name hashes `CACHE_VERSION` and the job key, which holds
+        // the `Debug` forms of config, scheme, mix and run options. A
+        // change to any of them renames every entry and turns every
+        // user's cache cold, so it must fail here and be acknowledged.
         let job = SweepJob {
             cfg: SimConfig::builder()
                 .cores(4)
@@ -267,7 +270,7 @@ mod tests {
         let key = crate::experiment::job_key(&job, &RunOptions::default());
         assert_eq!(
             entry_path(Path::new(""), &key, &job.mix.name),
-            Path::new("605.mcf_s-1554B-06928197b3176b18.json")
+            Path::new("605.mcf_s-1554B-33734c9d40a4ecc7.json")
         );
     }
 

@@ -124,6 +124,36 @@ impl CacheStats {
             self.useful_prefetches as f64 / resolved as f64
         }
     }
+
+    /// Adds another cache's counts to these (the LLC's slices sum this
+    /// way).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.demand_accesses += other.demand_accesses;
+        self.demand_hits += other.demand_hits;
+        self.prefetch_hits += other.prefetch_hits;
+        self.prefetch_accesses += other.prefetch_accesses;
+        self.prefetch_fills += other.prefetch_fills;
+        self.useful_prefetches += other.useful_prefetches;
+        self.useless_prefetches += other.useless_prefetches;
+        self.fills += other.fills;
+        self.dirty_evictions += other.dirty_evictions;
+    }
+
+    /// The counts added since `earlier`, a copy of these stats taken
+    /// before: every field is a running total.
+    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
+            demand_accesses: self.demand_accesses - earlier.demand_accesses,
+            demand_hits: self.demand_hits - earlier.demand_hits,
+            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
+            prefetch_accesses: self.prefetch_accesses - earlier.prefetch_accesses,
+            prefetch_fills: self.prefetch_fills - earlier.prefetch_fills,
+            useful_prefetches: self.useful_prefetches - earlier.useful_prefetches,
+            useless_prefetches: self.useless_prefetches - earlier.useless_prefetches,
+            fills: self.fills - earlier.fills,
+            dirty_evictions: self.dirty_evictions - earlier.dirty_evictions,
+        }
+    }
 }
 
 /// Tag-word bit marking a filled way. Line addresses stay below 2^58

@@ -220,6 +220,22 @@ impl ClipStats {
             + self.dropped_phase;
         dropped as f64 / self.candidates as f64
     }
+
+    /// The counts added since `earlier`, a copy of these stats taken
+    /// before: every field is a running total.
+    pub fn since(&self, earlier: &ClipStats) -> ClipStats {
+        ClipStats {
+            candidates: self.candidates - earlier.candidates,
+            allowed_critical: self.allowed_critical - earlier.allowed_critical,
+            allowed_explore: self.allowed_explore - earlier.allowed_explore,
+            dropped_not_critical: self.dropped_not_critical - earlier.dropped_not_critical,
+            dropped_predicted: self.dropped_predicted - earlier.dropped_predicted,
+            dropped_low_accuracy: self.dropped_low_accuracy - earlier.dropped_low_accuracy,
+            dropped_phase: self.dropped_phase - earlier.dropped_phase,
+            phase_changes: self.phase_changes - earlier.phase_changes,
+            windows: self.windows - earlier.windows,
+        }
+    }
 }
 
 /// Cumulative per-engine accuracy counters for one engine of a composite
@@ -241,6 +257,19 @@ impl EngineStats {
             0.0
         } else {
             self.hits as f64 / self.issued as f64
+        }
+    }
+
+    /// The counts added since `earlier`, a copy taken before; `level` is
+    /// state, not a count, so it keeps this copy's value. A cancelled
+    /// prefetch takes its issue back ([`Clip::cancel_prefetch_tagged`]),
+    /// so `issued` saturates at zero for a window that issued nothing
+    /// but cancelled a prefetch issued before it.
+    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+        EngineStats {
+            issued: self.issued.saturating_sub(earlier.issued),
+            hits: self.hits - earlier.hits,
+            level: self.level,
         }
     }
 }

@@ -49,6 +49,17 @@ impl EvalCounts {
     pub fn total(&self) -> u64 {
         self.true_positive + self.false_positive + self.false_negative + self.true_negative
     }
+
+    /// The events scored since `earlier`, a copy of these counts taken
+    /// before.
+    pub fn since(&self, earlier: &EvalCounts) -> EvalCounts {
+        EvalCounts {
+            true_positive: self.true_positive - earlier.true_positive,
+            false_positive: self.false_positive - earlier.false_positive,
+            false_negative: self.false_negative - earlier.false_negative,
+            true_negative: self.true_negative - earlier.true_negative,
+        }
+    }
 }
 
 /// Wraps a predictor, scoring each event before training on it.
@@ -130,6 +141,15 @@ impl PredictorEvaluator {
             }
         }
         c
+    }
+
+    /// Forgets every score and per-IP record, keeping the predictor's
+    /// training: scoring restarts at the next observed load. The IP-set
+    /// counts cannot be windowed by subtraction, so a measured window
+    /// starts here.
+    pub fn clear_scores(&mut self) {
+        self.counts = EvalCounts::default();
+        self.ips.clear();
     }
 
     /// The wrapped predictor's name.

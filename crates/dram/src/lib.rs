@@ -211,6 +211,22 @@ pub struct ChannelStats {
     pub refreshes: u64,
 }
 
+impl ChannelStats {
+    /// The counts added since `earlier`, a copy of these stats taken
+    /// before: every field is a running total.
+    pub fn since(&self, earlier: &ChannelStats) -> ChannelStats {
+        ChannelStats {
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+            row_hits: self.row_hits - earlier.row_hits,
+            busy_cycles: self.busy_cycles - earlier.busy_cycles,
+            total_read_queue_delay: self.total_read_queue_delay - earlier.total_read_queue_delay,
+            prefetch_reads: self.prefetch_reads - earlier.prefetch_reads,
+            refreshes: self.refreshes - earlier.refreshes,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Channel {
     banks: Vec<Bank>,

@@ -28,6 +28,7 @@
 //! assert!(result.mean_ipc() > 0.0);
 //! ```
 
+mod counters;
 mod engine;
 pub mod fault;
 pub mod fingerprint;
@@ -37,7 +38,6 @@ mod ports;
 pub mod report;
 pub mod result;
 pub mod scheme;
-mod snapshot;
 pub mod system;
 mod tile;
 
@@ -46,7 +46,9 @@ pub use engine::NocChoice;
 pub use fault::{FaultKind, FaultSpec};
 pub use fingerprint::{run_jobs_localized, WindowFingerprint};
 pub use report::ComparisonReport;
-pub use result::{ClipReport, LatencyReport, MissReport, PrefetchReport, SimResult, TimelinePoint};
+pub use result::{
+    ClipReport, GovernorReport, LatencyReport, MissReport, PrefetchReport, SimResult, TimelinePoint,
+};
 pub use scheme::Scheme;
 pub use system::System;
 
@@ -588,10 +590,10 @@ mod tests {
     }
 
     /// With far more bandwidth than demand the governor opens the gate,
-    /// so DynCLIP issues strictly more prefetches than plain CLIP. Both
-    /// reports are pinned byte for byte (FNV-1a over the rendered JSON)
-    /// to the values of the per-tile governor copies one system-level
-    /// governor replaced.
+    /// so DynCLIP issues strictly more prefetches than plain CLIP: every
+    /// prefetch it issues is one CLIP allowed or one the governor passed
+    /// unexamined. Both reports are pinned byte for byte (FNV-1a over
+    /// the rendered JSON).
     #[test]
     fn dynamic_clip_bypasses_with_ample_bandwidth() {
         let cfg = SimConfig::builder()
@@ -610,6 +612,17 @@ mod tests {
             dyn_clip.prefetch.issued,
             clip.prefetch.issued
         );
+        let report = dyn_clip.clip.expect("DynCLIP report");
+        let gov = report.governor.expect("DynCLIP reports its governor");
+        assert!(gov.bypassed > 0, "the governor never bypassed");
+        assert_eq!(
+            dyn_clip.prefetch.issued,
+            report.stats.allowed_critical + report.stats.allowed_explore + gov.bypassed
+        );
+        assert!(
+            !clip.to_json().render().contains("\"governor\""),
+            "plain CLIP has no governor"
+        );
         let render_hash = |r: &SimResult| {
             let h = r.to_json().render().bytes().fold(Fnv64::new(), |mut h, b| {
                 h.write_u64(u64::from(b));
@@ -617,10 +630,10 @@ mod tests {
             });
             h.finish()
         };
-        assert_eq!(render_hash(&clip), 0x755e_a208_fde0_14c7, "CLIP report");
+        assert_eq!(render_hash(&clip), 0x8c65_6fde_9176_53d4, "CLIP report");
         assert_eq!(
             render_hash(&dyn_clip),
-            0xd1b2_a3f9_07f6_c9ee,
+            0xed1b_d6de_c860_a1b7,
             "DynCLIP report"
         );
     }

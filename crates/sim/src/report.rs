@@ -87,13 +87,23 @@ impl fmt::Display for ComparisonReport<'_> {
         )?;
         if let Some(c) = &r.clip {
             writeln!(f)?;
-            writeln!(
+            write!(
                 f,
                 "CLIP                : {:.0}% of candidates dropped, {:.1} critical IPs/core ({:.1} dynamic)",
                 c.stats.drop_rate() * 100.0,
                 c.critical_ips,
                 c.dynamic_ips
             )?;
+            // DynCLIP: the candidates the governor passed unexamined are
+            // not in the drop rate.
+            if let Some(g) = c.governor {
+                write!(
+                    f,
+                    "; governor bypassed {} candidates, {} mode switches",
+                    g.bypassed, g.mode_switches
+                )?;
+            }
+            writeln!(f)?;
             write!(
                 f,
                 "CLIP prediction     : {:.0}% accuracy / {:.0}% coverage (critical IPs)",
@@ -164,5 +174,23 @@ mod tests {
         let b = result(0.4);
         let s = ComparisonReport::new("Berti+CLIP", &r, &b).to_string();
         assert!(s.contains("CLIP prediction"));
+        assert!(!s.contains("governor"), "no governor counts without one");
+
+        r.clip = Some(crate::result::ClipReport {
+            governor: Some(crate::result::GovernorReport {
+                bypassed: 9002,
+                mode_switches: 1,
+            }),
+            ..crate::result::ClipReport::default()
+        });
+        let s = ComparisonReport::new("Berti+DynCLIP", &r, &b).to_string();
+        let line = s
+            .lines()
+            .find(|l| l.starts_with("CLIP   "))
+            .expect("CLIP line");
+        assert!(
+            line.ends_with("; governor bypassed 9002 candidates, 1 mode switches"),
+            "{line}"
+        );
     }
 }

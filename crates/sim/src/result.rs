@@ -68,6 +68,15 @@ fn clip_report_json(c: &ClipReport) -> Json {
             ),
         ));
     }
+    if let Some(g) = c.governor {
+        fields.push((
+            "governor",
+            Json::object([
+                ("bypassed", Json::from(g.bypassed)),
+                ("mode_switches", Json::from(g.mode_switches)),
+            ]),
+        ));
+    }
     Json::object(fields)
 }
 
@@ -82,6 +91,19 @@ pub struct LatencyReport {
     pub by_llc: LatencyStat,
     /// Demand loads serviced by DRAM.
     pub by_dram: LatencyStat,
+}
+
+impl LatencyReport {
+    /// The observations added since `earlier`, a copy of this report
+    /// taken before.
+    pub(crate) fn since(&self, earlier: &LatencyReport) -> LatencyReport {
+        LatencyReport {
+            l1_miss: self.l1_miss.since(&earlier.l1_miss),
+            by_l2: self.by_l2.since(&earlier.by_l2),
+            by_llc: self.by_llc.since(&earlier.by_llc),
+            by_dram: self.by_dram.since(&earlier.by_dram),
+        }
+    }
 }
 
 /// Prefetch effectiveness aggregates across a run.
@@ -152,6 +174,16 @@ pub struct ClipEngineReport {
     pub min_level: u8,
 }
 
+/// The §5.3 bandwidth governor's side of a DynCLIP run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GovernorReport {
+    /// Candidates passed while the governor bypassed CLIP. CLIP never
+    /// examined them, so they are not in [`ClipReport::stats`].
+    pub bypassed: u64,
+    /// Times the governor switched between filtering and bypassing.
+    pub mode_switches: u64,
+}
+
 /// CLIP-specific outputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClipReport {
@@ -173,6 +205,9 @@ pub struct ClipReport {
     /// Engines CLIP arbitrated between; 0 for single-engine runs, which
     /// also suppresses the `engines` key in the JSON artifact.
     pub num_engines: usize,
+    /// The governor's counts (DynCLIP only; `None` also suppresses the
+    /// `governor` key in the JSON artifact).
+    pub governor: Option<GovernorReport>,
 }
 
 /// One sample of the run's time series (taken every
@@ -414,6 +449,14 @@ impl SimResult {
                         Some(arr) => arr.len().min(MAX_PF_ENGINES),
                         None => 0,
                     },
+                    // Present for DynCLIP runs only.
+                    governor: match c.get("governor") {
+                        Some(g) => Some(GovernorReport {
+                            bypassed: u(g, "bypassed")?,
+                            mode_switches: u(g, "mode_switches")?,
+                        }),
+                        None => None,
+                    },
                 })
             }
         };
@@ -592,6 +635,10 @@ mod tests {
                     e
                 },
                 num_engines: 2,
+                governor: Some(GovernorReport {
+                    bypassed: 9,
+                    mode_switches: 3,
+                }),
                 ..ClipReport::default()
             }),
             baseline_evals: vec![(
@@ -619,18 +666,29 @@ mod tests {
         assert_eq!(clip.num_engines, 2);
         assert_eq!(clip.engines[1].hits, 1);
         assert_eq!(clip.engines[2], ClipEngineReport::default());
+        assert_eq!(
+            clip.governor,
+            Some(GovernorReport {
+                bypassed: 9,
+                mode_switches: 3
+            })
+        );
 
-        // Single-engine reports omit the key entirely, keeping the
-        // artifact byte-identical to the pre-composite schema.
+        // Single-engine reports without a governor omit both keys,
+        // keeping plain-CLIP artifacts byte-identical to the schema
+        // before either existed.
         let solo = SimResult {
             clip: Some(ClipReport::default()),
             ..SimResult::default()
         };
         let solo_text = solo.to_json().render();
         assert!(!solo_text.contains("\"engines\""));
+        assert!(!solo_text.contains("\"governor\""));
         let solo_back =
             SimResult::from_json(&Json::parse(&solo_text).expect("parses")).expect("roundtrips");
-        assert_eq!(solo_back.clip.expect("clip present").num_engines, 0);
+        let solo_clip = solo_back.clip.expect("clip present");
+        assert_eq!(solo_clip.num_engines, 0);
+        assert_eq!(solo_clip.governor, None);
 
         // Unknown predictor names must fail the parse, not alias.
         let bad = text.replace("\"FVP\"", "\"NOPE\"");

@@ -9,10 +9,11 @@
 //! arbitration, DRAM queues, banks and the data bus.
 //!
 //! The subsystem logic lives next to its state: core-side paths in
-//! `tile.rs`, uncore message flow in `engine.rs`, delta reporting in
-//! `snapshot.rs`. This file only builds the parts and drives them each
-//! cycle.
+//! `tile.rs`, uncore message flow in `engine.rs`, the counter gather and
+//! windowed reporting in `counters.rs`. This file only builds the parts
+//! and drives them each cycle.
 
+use crate::counters::Counters;
 use crate::engine::{Engine, Ev, NocChoice};
 use crate::fault::{FaultHarness, FaultKind, FaultSpec};
 use crate::integrity::{Integrity, DEFAULT_CHECK_CADENCE, DEFAULT_WATCHDOG_WINDOW};
@@ -50,7 +51,9 @@ pub struct System {
     /// Timeline sampling interval in cycles (0 = off).
     pub(crate) timeline_interval: Cycle,
     pub(crate) timeline: Vec<crate::result::TimelinePoint>,
-    pub(crate) tl_prev: (u64, u64, u64), // (retired, dram transfers, prefetches)
+    /// The gather at the previous timeline sample (or the start of
+    /// measurement).
+    pub(crate) tl_prev: Counters,
     pub(crate) tl_start: Cycle,
     /// Watchdog + auditor state (see [`crate::integrity`]).
     pub(crate) integrity: Integrity,
@@ -122,13 +125,13 @@ impl System {
                     lat: crate::result::LatencyReport::default(),
                     pf_candidates: 0,
                     pf_issued: 0,
+                    clip_bypassed: 0,
                     l1_window_accesses: 0,
                     window_start: 0,
                     epoch_useful: 0,
                     epoch_useless: 0,
                     epoch_late: 0,
-                    warmup_retired: 0,
-                    finish_cycle: None,
+                    measured_cycles: None,
                     pf_queued: 0,
                     pf_dequeued: 0,
                     pf_queued_eng: [0; clip_types::MAX_PF_ENGINES],
@@ -154,7 +157,7 @@ impl System {
             dspatch_prev_channel: vec![0; cfg.dram.channels],
             timeline_interval: 0,
             timeline: Vec::new(),
-            tl_prev: (0, 0, 0),
+            tl_prev: Counters::default(),
             tl_start: 0,
             integrity: Integrity::new(
                 CheckLevel::from_env(),
@@ -639,32 +642,33 @@ impl System {
             self.integrity_tick(self.cycle())?;
         }
         self.settle_tiles();
+        // The per-IP behaviour records cannot be windowed by subtraction,
+        // and nothing the simulation reads depends on them: they restart
+        // here. Every other counter keeps running.
         for t in self.tiles.iter_mut() {
-            t.warmup_retired = t.core.as_ref().expect("core present").retired();
-            t.finish_cycle = None;
+            t.ip_behavior.clear();
+            for ev in t.evaluators.iter_mut() {
+                ev.clear_scores();
+            }
         }
-        let snap = self.snapshot();
-        self.tl_start = self.cycle();
-        self.tl_prev = self.timeline_totals();
+        let start = self.gather();
+        self.tl_start = start.cycle;
+        if self.timeline_interval > 0 {
+            self.tl_prev = start.clone();
+        }
 
         // Measurement phase.
         while self.cycle() < max_cycles {
+            let now = self.cycle();
             let mut all_done = true;
-            for t in self.tiles.iter_mut() {
-                if t.finish_cycle.is_none() {
+            for (i, t) in self.tiles.iter_mut().enumerate() {
+                if t.measured_cycles.is_none() {
                     let retired = t.core.as_ref().expect("core present").retired();
-                    if retired >= t.warmup_retired + measure {
-                        t.finish_cycle = Some(0); // filled below with cycle
+                    if retired >= start.retired(i) + measure {
+                        t.measured_cycles = Some(now.max(start.cycle + 1) - start.cycle);
                     } else {
                         all_done = false;
                     }
-                }
-            }
-            // Record the actual finish cycle for cores that just finished.
-            let now = self.cycle();
-            for t in self.tiles.iter_mut() {
-                if t.finish_cycle == Some(0) {
-                    t.finish_cycle = Some(now.max(snap.cycle + 1));
                 }
             }
             if all_done {
@@ -683,7 +687,8 @@ impl System {
         }
 
         self.settle_tiles();
-        Ok(self.assemble(snap, measure))
+        let window = self.gather().since(&start);
+        Ok(self.assemble(&window, measure))
     }
 }
 
@@ -823,20 +828,23 @@ mod tests {
     }
 
     /// Pins DRAM admission against the polled retries it replaced: each
-    /// row, on the wheel and stepped, hashes to the value recorded from
-    /// the engine that re-scheduled a refused read every `RETRY_DELAY`
-    /// cycles. Each row also shows it reaches the parked path: stepping
-    /// `System::tick` directly, some transaction parks.
+    /// row, on the wheel and stepped, hashes to its pinned value. The
+    /// fingerprint streams folded in are those recorded from the engine
+    /// that re-scheduled a refused read every `RETRY_DELAY` cycles; the
+    /// rendered reports were re-pinned when every reported counter became
+    /// windowed, which moved only CLIP's counters and
+    /// `dram_max_channel_util`. Each row also shows it reaches the parked
+    /// path: stepping `System::tick` directly, some transaction parks.
     #[test]
     fn dram_admission_is_pinned() {
         const REACH_CYCLES: Cycle = 20_000;
         #[rustfmt::skip]
         const EXPECTED: &[(&str, u64)] = &[
-            ("16c/1ch berti+clip analytic", 0x399f_8ce7_d461_4bc9),
-            ("8c/1ch berti+hermes", 0x2f24_09d1_c174_3305),
+            ("16c/1ch berti+clip analytic", 0x4304_b368_f173_f2e6),
+            ("8c/1ch berti+hermes", 0x9d35_6d25_2d2e_0745),
             ("8c/1ch hbm+refresh berti", 0x2008_93bf_7cc7_5c4f),
-            ("8c/1ch composite+clip flip-criticality", 0x306d_8341_04a1_6d47),
-            ("4c/2ch mesh read_queue=4", 0x0422_42df_deae_03aa),
+            ("8c/1ch composite+clip flip-criticality", 0xc081_2433_8af0_b7d2),
+            ("4c/2ch mesh read_queue=4", 0x9622_949d_9bf2_3bee),
         ];
         let rows = admission_rows();
         assert_eq!(rows.len(), EXPECTED.len());

@@ -81,6 +81,8 @@ pub(crate) struct Tile {
     pub lat: LatencyReport,
     pub pf_candidates: u64,
     pub pf_issued: u64,
+    /// Candidates the governor's bypass passed without consulting CLIP.
+    pub clip_bypassed: u64,
     pub l1_window_accesses: u64,
     /// Cycle the current CLIP exploration window started (APC sampling).
     pub window_start: Cycle,
@@ -88,9 +90,9 @@ pub(crate) struct Tile {
     pub epoch_useful: u64,
     pub epoch_useless: u64,
     pub epoch_late: u64,
-    // Measurement bookkeeping.
-    pub warmup_retired: u64,
-    pub finish_cycle: Option<Cycle>,
+    /// Cycles from the start of measurement until the core retired its
+    /// measured instructions; `None` until then.
+    pub measured_cycles: Option<Cycle>,
     /// Candidates ever pushed into `pf_queue` (audit counter).
     pub pf_queued: u64,
     /// Entries ever popped from `pf_queue` — issued, dedup-dropped, or
@@ -256,7 +258,8 @@ impl Tile {
     /// [`Core::skip_stalled`] call. The core's state was constant over
     /// the span: only the tile's own tick, a tile-facing event or a
     /// landed fault changes it, and each settles first. So does anything
-    /// that reads the stall counters (the warmup snapshot, the result).
+    /// that reads the stall counters (each gather of the report's
+    /// counters).
     pub(crate) fn settle(&mut self, now: Cycle) {
         if now > self.settled {
             self.core
@@ -359,12 +362,18 @@ fn refusal_forced() -> bool {
 
 /// CLIP's verdict on a queued prefetch at its issue point. While the
 /// system's governor has CLIP bypassed, every candidate passes as
-/// exploration traffic without consulting CLIP: no per-IP or per-engine
-/// issue accounting happens, so the arbitration levels stay wherever
-/// filtering left them. Training never goes through here, so CLIP stays
-/// warm across mode switches.
-fn clip_gate(clip: &mut Clip, governor: Option<&Governor>, q: &QueuedPrefetch) -> Decision {
+/// exploration traffic without consulting CLIP, counted in `bypassed`:
+/// no per-IP or per-engine issue accounting happens, so the arbitration
+/// levels stay wherever filtering left them. Training never goes through
+/// here, so CLIP stays warm across mode switches.
+fn clip_gate(
+    clip: &mut Clip,
+    governor: Option<&Governor>,
+    q: &QueuedPrefetch,
+    bypassed: &mut u64,
+) -> Decision {
     if governor.is_some_and(|g| g.mode() == ClipMode::Bypassed) {
+        *bypassed += 1;
         return Decision::AllowExplore;
     }
     clip.filter_prefetch_tagged(q.line, q.trigger_ip, q.engine)
@@ -701,12 +710,13 @@ impl System {
             self.tiles[t].dequeue_prefetch();
             // CLIP gates at the issue point so its per-IP issue accounting
             // matches prefetches that actually enter the hierarchy.
-            let clip_here = self.tiles[t].clip_at_l1 == q.from_l1;
+            let tile = &mut self.tiles[t];
+            let clip_here = tile.clip_at_l1 == q.from_l1;
             let mut fill_l1 = q.fill_l1;
             let mut critical = false;
-            if let Some(clip) = self.tiles[t].clip.as_mut() {
+            if let Some(clip) = tile.clip.as_mut() {
                 if clip_here {
-                    match clip_gate(clip, self.governor.as_ref(), &q) {
+                    match clip_gate(clip, self.governor.as_ref(), &q, &mut tile.clip_bypassed) {
                         Decision::AllowCritical => {
                             critical = true;
                             // CLIP fetches its survivors all the way to L1
@@ -1110,28 +1120,33 @@ mod tests {
     }
 
     /// Runs one candidate through a fresh, untrained CLIP's gate and
-    /// reports the verdict and how many candidates CLIP examined.
-    fn gate_untrained(governor: Option<&Governor>) -> (Decision, u64) {
+    /// reports the verdict, how many candidates CLIP examined and how
+    /// many the bypass passed.
+    fn gate_untrained(governor: Option<&Governor>) -> (Decision, u64, u64) {
         let mut clip = Clip::new(ClipConfig::default());
-        let d = clip_gate(&mut clip, governor, &queued(1));
-        (d, clip.stats().candidates)
+        let mut bypassed = 0;
+        let d = clip_gate(&mut clip, governor, &queued(1), &mut bypassed);
+        (d, clip.stats().candidates, bypassed)
     }
 
     /// Without a governor, or while it filters, the gate is CLIP's: an
     /// untrained CLIP drops the candidate. Once the governor bypasses,
-    /// the candidate passes as exploration traffic and CLIP is never
-    /// consulted.
+    /// the candidate passes as exploration traffic, CLIP is never
+    /// consulted and the bypass counts it.
     #[test]
     fn the_clip_gate_follows_the_governor() {
-        let (d, seen) = gate_untrained(None);
+        let (d, seen, _) = gate_untrained(None);
         assert!(!d.allows() && seen == 1, "plain CLIP: {d:?}, {seen} seen");
         let mut gov = Governor::new(DynamicClipConfig::default());
-        let (d, seen) = gate_untrained(Some(&gov));
-        assert!(!d.allows() && seen == 1, "filtering: {d:?}, {seen} seen");
+        let (d, seen, bypassed) = gate_untrained(Some(&gov));
+        assert!(
+            !d.allows() && seen == 1 && bypassed == 0,
+            "filtering: {d:?}, {seen} seen, {bypassed} bypassed"
+        );
         for _ in 0..4 {
             gov.on_bandwidth_sample(0.1);
         }
         assert_eq!(gov.mode(), ClipMode::Bypassed);
-        assert_eq!(gate_untrained(Some(&gov)), (Decision::AllowExplore, 0));
+        assert_eq!(gate_untrained(Some(&gov)), (Decision::AllowExplore, 0, 1));
     }
 }

@@ -120,6 +120,15 @@ impl LatencyStat {
         self.count += other.count;
         self.total += other.total;
     }
+
+    /// The observations added since `earlier`, a copy of this stat taken
+    /// before.
+    pub fn since(&self, earlier: &LatencyStat) -> LatencyStat {
+        LatencyStat {
+            count: self.count - earlier.count,
+            total: self.total - earlier.total,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,12 +25,10 @@
 pub mod analysis;
 pub mod catalog;
 pub mod mix;
-pub mod record;
 pub mod spec;
 
 pub use analysis::TraceStats;
 pub use mix::{heterogeneous_mixes, homogeneous_mixes, Mix};
-pub use record::TraceFile;
 pub use spec::{PatternMix, Suite, WorkloadSpec};
 
 use clip_types::SimRng;

@@ -1,7 +1,7 @@
 //! Custom workloads: define your own workload model with the
-//! `WorkloadSpec` builder, validate its statistics offline, record it to a
-//! portable trace file, and run it through the simulator — the workflow a
-//! downstream user follows to study a workload the catalog does not cover.
+//! `WorkloadSpec` builder, validate its statistics offline, and run it
+//! through the simulator — the workflow a downstream user follows to
+//! study a workload the catalog does not cover.
 //!
 //! Run with:
 //!
@@ -42,19 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{stats}");
     println!();
 
-    // 2. Record a window to a portable trace file.
-    let path = std::env::temp_dir().join("btree-scan.trace");
-    clip::trace::record::save(&path, &spec.name, 1, &window)?;
-    let reloaded = clip::trace::record::load(&path)?;
-    assert_eq!(reloaded.instrs.len(), window.len());
-    println!(
-        "recorded + reloaded {} instructions via {}",
-        window.len(),
-        path.display()
-    );
-    println!();
-
-    // 3. Simulate 4 cores of it on a bandwidth-constrained system.
+    // 2. Simulate 4 cores of it on a bandwidth-constrained system.
     let cores = 4;
     let mix = Mix::homogeneous(&spec, cores);
     let platform = |pf: PrefetcherKind| {
@@ -101,6 +89,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clip.prefetch.issued,
         clip.prefetch.accuracy() * 100.0
     );
-    let _ = std::fs::remove_file(&path);
     Ok(())
 }

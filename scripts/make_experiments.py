@@ -149,7 +149,10 @@ section header (channels are translated to keep the paper's
 channels-per-core ratio — e.g. "8 paper channels" = 2 channels for 16
 cores). Absolute numbers therefore differ; the reproduction target is the
 *shape*: who wins, by roughly what factor, and where the crossovers fall
-(see DESIGN.md §3).
+(see DESIGN.md §3). This file was generated with
+`CLIP_CORES=8 CLIP_MIXES=5 CLIP_INSTRS=6000 CLIP_WARMUP=2000 CLIP_CACHE=0`:
+`all_figures`, then `all_figures summary` for the headline summary, and
+`all_figures composite` with `CLIP_MIXES` unset (18 mixes).
 
 **Workloads.** Synthetic models of the paper's SPEC CPU2017 / GAP /
 CloudSuite / CVP traces (DESIGN.md §3 item 1).

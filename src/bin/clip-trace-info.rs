@@ -5,8 +5,6 @@
 //! ```text
 //! clip-trace-info 605.mcf_s-1554B
 //! clip-trace-info --all                          # whole-catalog summary
-//! clip-trace-info --record 619.lbm_s-4268B out.trace 20000
-//! clip-trace-info --analyse out.trace            # stats of a recorded file
 //! ```
 
 use clip::trace::{catalog, TraceStats};
@@ -20,50 +18,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("--help") | Some("-h") => {
-            eprintln!(
-                "usage: clip-trace-info <workload-name> | --all | \
-                 --record <name> <path> [instrs] | --analyse <path>"
-            );
+            eprintln!("usage: clip-trace-info <workload-name> | --all");
             ExitCode::FAILURE
-        }
-        Some("--record") => {
-            let (Some(name), Some(path)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: clip-trace-info --record <name> <path> [instrs]");
-                return ExitCode::FAILURE;
-            };
-            let n: usize = args.get(3).and_then(|v| v.parse().ok()).unwrap_or(WINDOW);
-            let Some(w) = catalog::by_name(name) else {
-                eprintln!("unknown workload: {name}");
-                return ExitCode::FAILURE;
-            };
-            let instrs = w.generator(1).record(n);
-            match clip::trace::record::save(std::path::Path::new(path), name, 1, &instrs) {
-                Ok(()) => {
-                    println!("recorded {n} instructions of {name} to {path}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("write failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("--analyse") | Some("--analyze") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: clip-trace-info --analyse <path>");
-                return ExitCode::FAILURE;
-            };
-            match clip::trace::record::load(std::path::Path::new(path)) {
-                Ok(file) => {
-                    println!("trace        : {} (seed {})", file.name, file.seed);
-                    println!("{}", TraceStats::analyse(&file.instrs, L1_LINES));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("read failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
         }
         Some("--all") => {
             println!(

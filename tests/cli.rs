@@ -94,25 +94,3 @@ fn trace_info_reports_a_workload() {
     assert!(stdout.contains("MPKI"));
     assert!(stdout.contains("chase loads"));
 }
-
-#[test]
-fn trace_info_record_and_analyse_roundtrip() {
-    let path = std::env::temp_dir().join("clip-cli-test.trace");
-    let rec = Command::new(env!("CARGO_BIN_EXE_clip-trace-info"))
-        .args([
-            "--record",
-            "619.lbm_s-4268B",
-            path.to_str().expect("utf8 path"),
-            "2000",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(rec.status.success());
-    let ana = Command::new(env!("CARGO_BIN_EXE_clip-trace-info"))
-        .args(["--analyse", path.to_str().expect("utf8 path")])
-        .output()
-        .expect("binary runs");
-    assert!(ana.status.success());
-    assert!(String::from_utf8_lossy(&ana.stdout).contains("619.lbm_s-4268B"));
-    let _ = std::fs::remove_file(&path);
-}

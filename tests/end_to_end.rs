@@ -83,9 +83,12 @@ fn clip_report_consistency() {
             + s.dropped_phase,
         "every candidate must be accounted for"
     );
-    // The issued prefetch count can be at most the allowed count.
-    assert!(r.prefetch.issued <= s.allowed_critical + s.allowed_explore);
+    // Berti trains at the L1 only and no governor bypasses CLIP, so each
+    // prefetch issued in the measured window is one CLIP allowed in it.
+    assert_eq!(r.prefetch.issued, s.allowed_critical + s.allowed_explore);
     assert!(c.dynamic_ips <= c.critical_ips + 1e-9);
+    // On one channel the busiest channel is the only one.
+    assert_eq!(r.dram_max_channel_util, r.dram_bw_util);
 }
 
 #[test]
