@@ -193,7 +193,7 @@ fn main() -> ExitCode {
         Ok(_) if disarm => {
             let did = match fp_mode {
                 FpMode::Record => " (fingerprint baseline recorded)",
-                FpMode::Verify | FpMode::Require => " (verified against the fingerprint baseline)",
+                FpMode::Verify => " (verified against the fingerprint baseline)",
                 FpMode::Off => "",
             };
             eprintln!("fault_smoke: clean {name} run completed{did}");

@@ -270,7 +270,7 @@ mod tests {
         let key = crate::experiment::job_key(&job, &RunOptions::default());
         assert_eq!(
             entry_path(Path::new(""), &key, &job.mix.name),
-            Path::new("605.mcf_s-1554B-33734c9d40a4ecc7.json")
+            Path::new("605.mcf_s-1554B-273530d29430c151.json")
         );
     }
 

@@ -18,15 +18,11 @@
 //!   live stream against the stored baseline via
 //!   `fingerprint::compare_against_baseline`; the first divergent cadence
 //!   window and component surface as a `SimErrorKind::Divergence` error
-//!   (rendered `DIV` by the experiment executor). Jobs with no recorded
-//!   baseline pass through unverified; a job that recorded a baseline
-//!   but captured no live fingerprints fails loudly (`Internal`) rather
-//!   than silently skipping the check.
-//! * `CLIP_FP_BASELINE=require` — `verify`, except a job with no
-//!   recorded baseline **fails** instead of passing unverified. For CI
-//!   gates: under plain `verify` a broken record step degrades every job
-//!   to "nothing to check" and the gate goes green while checking
-//!   nothing.
+//!   (rendered `DIV` by the experiment executor). A job with no recorded
+//!   baseline **fails** (`Internal`) instead of passing unverified: a
+//!   broken record step must not turn a gate green while it checks
+//!   nothing. A job that recorded a baseline but captured no live
+//!   fingerprints fails the same way.
 //! * Unset (or `off`/`0`) — completely inert: golden artifacts and disk
 //!   cache entries stay byte-identical.
 //!
@@ -73,12 +69,9 @@ pub enum FpMode {
     Off,
     /// Persist every freshly simulated job's fingerprint stream.
     Record,
-    /// Diff every freshly simulated job against its stored baseline.
+    /// Diff every freshly simulated job against its stored baseline; a
+    /// job with no recorded baseline fails.
     Verify,
-    /// [`FpMode::Verify`], but a job with **no recorded baseline fails**
-    /// instead of passing unverified — for CI gates where "nothing to
-    /// check" means the record step silently broke.
-    Require,
 }
 
 /// Reads the mode from `CLIP_FP_BASELINE`.
@@ -87,14 +80,9 @@ pub fn mode() -> FpMode {
 }
 
 fn mode_from(v: Option<&str>) -> FpMode {
-    match clip_types::knob::choice(
-        "CLIP_FP_BASELINE",
-        v,
-        &["record", "verify", "require", "off", "0"],
-    ) {
+    match clip_types::knob::choice("CLIP_FP_BASELINE", v, &["record", "verify", "off", "0"]) {
         Some("record") => FpMode::Record,
         Some("verify") => FpMode::Verify,
-        Some("require") => FpMode::Require,
         _ => FpMode::Off,
     }
 }
@@ -146,7 +134,6 @@ pub fn apply(
             Ok(result)
         }
         FpMode::Verify => verify_in(&fp_dir(), &key, &job.mix.name, &result).map(|()| result),
-        FpMode::Require => require_in(&fp_dir(), &key, &job.mix.name, &result).map(|()| result),
         FpMode::Off => unreachable!("handled above"),
     }
 }
@@ -200,37 +187,17 @@ pub(crate) fn lookup_in(dir: &Path, key: &str, mix_name: &str) -> Option<Vec<Win
     }
 }
 
-/// Diffs a live result against its stored baseline.
+/// Diffs a live result against its stored baseline. Every job must have
+/// something to check against, so a missing (or quarantined) entry means
+/// the record step never ran for this identity.
 ///
 /// # Errors
 ///
-/// Returns the first `Divergence` between the streams, or an `Internal`
+/// Returns the first `Divergence` between the streams, an `Internal`
+/// error naming the mix when no baseline is recorded, or an `Internal`
 /// error when a baseline exists but the live run captured no
-/// fingerprints. A missing (or quarantined) baseline passes — there is
-/// nothing to verify against.
+/// fingerprints.
 pub(crate) fn verify_in(
-    dir: &Path,
-    key: &str,
-    mix_name: &str,
-    result: &SimResult,
-) -> Result<(), SimError> {
-    match lookup_in(dir, key, mix_name) {
-        None => Ok(()),
-        Some(baseline) => compare_against_baseline(&baseline, result),
-    }
-}
-
-/// [`verify_in`], but a missing baseline is an error: under
-/// `CLIP_FP_BASELINE=require` every job must have something to check
-/// against, so a missing (or quarantined) entry means the record step
-/// never ran for this identity — exactly the silent gap the mode exists
-/// to close.
-///
-/// # Errors
-///
-/// Everything [`verify_in`] returns, plus an `Internal` error naming the
-/// mix when no baseline is recorded.
-pub(crate) fn require_in(
     dir: &Path,
     key: &str,
     mix_name: &str,
@@ -242,7 +209,7 @@ pub(crate) fn require_in(
             "fingerprint",
             clip_sim::SimErrorKind::Internal,
             format!(
-                "CLIP_FP_BASELINE=require but no baseline is recorded for {mix_name:?} \
+                "CLIP_FP_BASELINE=verify but no baseline is recorded for {mix_name:?} \
                  under this job identity (run the record step first, and at the same \
                  CLIP_CHECK level)"
             ),
@@ -312,11 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn missing_baseline_passes_but_missing_live_stream_fails() {
+    fn missing_baseline_and_missing_live_stream_both_fail() {
         let dir = temp_dir("missing");
         let r = result_with_stream();
-        verify_in(&dir, "never-recorded", "mixname", &r)
-            .expect("nothing recorded means nothing to verify");
+        let err = verify_in(&dir, "never-recorded", "mixname", &r)
+            .expect_err("verify must refuse to pass an unverified job");
+        assert_eq!(err.kind, SimErrorKind::Internal);
+        assert_eq!(err.component, "fingerprint");
+        assert!(err.detail.contains("no baseline is recorded"), "{err}");
+        assert!(err.detail.contains("mixname"), "{err}");
 
         record_in(&dir, "key-c", "mixname", &r);
         let unchecked = SimResult::default();
@@ -340,7 +311,9 @@ mod tests {
         let mut aside = path.as_os_str().to_owned();
         aside.push(".corrupt");
         assert!(PathBuf::from(aside).exists(), "quarantined as .corrupt");
-        verify_in(&dir, "key-d", "mixname", &r).expect("a quarantined baseline skips verification");
+        let err = verify_in(&dir, "key-d", "mixname", &r)
+            .expect_err("a quarantined baseline is a missing one");
+        assert!(err.detail.contains("no baseline is recorded"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -363,28 +336,6 @@ mod tests {
         assert_eq!(mode_from(Some("0")), FpMode::Off);
         assert_eq!(mode_from(Some("record")), FpMode::Record);
         assert_eq!(mode_from(Some("verify")), FpMode::Verify);
-        assert_eq!(mode_from(Some("require")), FpMode::Require);
         assert_eq!(mode_from(Some("bogus")), FpMode::Off);
-    }
-
-    #[test]
-    fn require_mode_fails_without_a_baseline_but_verifies_with_one() {
-        let dir = temp_dir("require");
-        let r = result_with_stream();
-        let err = require_in(&dir, "never-recorded", "mixname", &r)
-            .expect_err("require must refuse to pass an unverified job");
-        assert_eq!(err.kind, SimErrorKind::Internal);
-        assert_eq!(err.component, "fingerprint");
-        assert!(err.detail.contains("no baseline is recorded"), "{err}");
-        assert!(err.detail.contains("mixname"), "{err}");
-
-        record_in(&dir, "key-r", "mixname", &r);
-        require_in(&dir, "key-r", "mixname", &r).expect("recorded baseline verifies");
-        let mut regressed = r.clone();
-        regressed.fingerprints[0].hashes[0] ^= 1;
-        let err = require_in(&dir, "key-r", "mixname", &regressed)
-            .expect_err("require still diffs like verify");
-        assert_eq!(err.kind, SimErrorKind::Divergence);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

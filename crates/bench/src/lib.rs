@@ -75,12 +75,6 @@ pub struct Scale {
     pub dram: DramKind,
 }
 
-impl Default for Scale {
-    fn default() -> Self {
-        Scale::from_env()
-    }
-}
-
 impl Scale {
     /// Reads the scale from `CLIP_*` environment variables (validated
     /// warn-once, see `clip_types::knob`; garbage falls back to the

@@ -100,17 +100,17 @@ fn baseline_modes_bypass_the_disk_cache() {
         "record must capture baselines even when every job disk-cache-hits"
     );
 
-    // `require` re-simulates too and verifies clean against the baseline
+    // `verify` re-simulates too and verifies clean against the baseline
     // just recorded — instead of serving the unverifiable cache hit.
-    std::env::set_var("CLIP_FP_BASELINE", "require");
+    std::env::set_var("CLIP_FP_BASELINE", "verify");
     clear_result_cache();
     let (text, artifact) = execute_experiment(&exp);
     assert!(
         artifact.get("errors").is_none(),
-        "require verifies clean against the recorded baseline: {text}"
+        "verify passes against the recorded baseline: {text}"
     );
 
-    // `require` against an empty store fails loudly: every job has a
+    // `verify` against an empty store fails loudly: every job has a
     // baseline to miss, so every cell is an internal error, not a
     // silently unverified pass.
     let empty = temp_dir("fp-empty");
@@ -123,7 +123,7 @@ fn baseline_modes_bypass_the_disk_cache() {
     let errors = artifact
         .get("errors")
         .and_then(|v| v.as_array())
-        .expect("require with no baselines must surface errors");
+        .expect("verify with no baselines must surface errors");
     assert!(!errors.is_empty(), "{text}");
     for e in errors {
         assert_eq!(

@@ -15,45 +15,37 @@
 //! One governor serves the whole system: every core's [`crate::Clip`]
 //! keeps training in both modes, and only the gate consults the mode.
 
-/// Governor configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynamicClipConfig {
-    /// Overall DRAM utilization below which CLIP turns off.
-    pub low_watermark: f64,
-    /// Overall DRAM utilization above which CLIP turns back on.
-    pub high_watermark: f64,
-    /// Consecutive samples on one side of a watermark before switching.
-    pub hysteresis_samples: u32,
-}
+/// Overall DRAM utilization below which CLIP turns off.
+const LOW_WATERMARK: f64 = 0.35;
+/// Overall DRAM utilization above which CLIP turns back on.
+const HIGH_WATERMARK: f64 = 0.60;
+/// Consecutive samples on one side of a watermark before switching.
+const HYSTERESIS_SAMPLES: u32 = 4;
 
-impl Default for DynamicClipConfig {
-    fn default() -> Self {
-        DynamicClipConfig {
-            low_watermark: 0.35,
-            high_watermark: 0.60,
-            hysteresis_samples: 4,
-        }
-    }
-}
+const _: () = assert!(
+    LOW_WATERMARK < HIGH_WATERMARK,
+    "hysteresis watermarks must be ordered"
+);
 
 /// The governor's current mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ClipMode {
     /// CLIP filters prefetches (bandwidth-constrained operation).
+    #[default]
     Filtering,
     /// CLIP passes everything through (bandwidth is plentiful).
     Bypassed,
 }
 
 /// The §5.3 bandwidth governor: a watermark/hysteresis state machine
-/// over overall DRAM-utilization samples.
+/// over overall DRAM-utilization samples. It starts in filtering mode.
 ///
 /// # Examples
 ///
 /// ```
-/// use clip_core::{ClipMode, DynamicClipConfig, Governor};
+/// use clip_core::{ClipMode, Governor};
 ///
-/// let mut gov = Governor::new(DynamicClipConfig::default());
+/// let mut gov = Governor::default();
 /// assert_eq!(gov.mode(), ClipMode::Filtering);
 /// // Sustained low DRAM utilization opens the gate.
 /// for _ in 0..4 {
@@ -61,34 +53,14 @@ pub enum ClipMode {
 /// }
 /// assert_eq!(gov.mode(), ClipMode::Bypassed);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Governor {
-    cfg: DynamicClipConfig,
     mode: ClipMode,
     streak: u32,
     mode_switches: u64,
 }
 
 impl Governor {
-    /// Creates a governor starting in filtering mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the watermarks are not ordered
-    /// (`low_watermark < high_watermark`).
-    pub fn new(cfg: DynamicClipConfig) -> Self {
-        assert!(
-            cfg.low_watermark < cfg.high_watermark,
-            "hysteresis watermarks must be ordered"
-        );
-        Governor {
-            cfg,
-            mode: ClipMode::Filtering,
-            streak: 0,
-            mode_switches: 0,
-        }
-    }
-
     /// Current mode.
     pub fn mode(&self) -> ClipMode {
         self.mode
@@ -103,17 +75,17 @@ impl Governor {
     pub fn on_bandwidth_sample(&mut self, utilization: f64) {
         let u = utilization.clamp(0.0, 1.0);
         match self.mode {
-            ClipMode::Filtering if u < self.cfg.low_watermark => {
+            ClipMode::Filtering if u < LOW_WATERMARK => {
                 self.streak += 1;
-                if self.streak >= self.cfg.hysteresis_samples {
+                if self.streak >= HYSTERESIS_SAMPLES {
                     self.mode = ClipMode::Bypassed;
                     self.streak = 0;
                     self.mode_switches += 1;
                 }
             }
-            ClipMode::Bypassed if u > self.cfg.high_watermark => {
+            ClipMode::Bypassed if u > HIGH_WATERMARK => {
                 self.streak += 1;
-                if self.streak >= self.cfg.hysteresis_samples {
+                if self.streak >= HYSTERESIS_SAMPLES {
                     self.mode = ClipMode::Filtering;
                     self.streak = 0;
                     self.mode_switches += 1;
@@ -130,14 +102,14 @@ mod tests {
 
     #[test]
     fn starts_filtering() {
-        let g = Governor::new(DynamicClipConfig::default());
+        let g = Governor::default();
         assert_eq!(g.mode(), ClipMode::Filtering);
         assert_eq!(g.mode_switches(), 0);
     }
 
     #[test]
     fn bypasses_after_sustained_low_utilization() {
-        let mut g = Governor::new(DynamicClipConfig::default());
+        let mut g = Governor::default();
         for _ in 0..3 {
             g.on_bandwidth_sample(0.1);
         }
@@ -148,7 +120,7 @@ mod tests {
 
     #[test]
     fn hysteresis_prevents_flapping() {
-        let mut g = Governor::new(DynamicClipConfig::default());
+        let mut g = Governor::default();
         // Oscillate around the low watermark: never enough streak.
         for i in 0..40 {
             g.on_bandwidth_sample(if i % 2 == 0 { 0.1 } else { 0.5 });
@@ -159,7 +131,7 @@ mod tests {
 
     #[test]
     fn returns_to_filtering_under_pressure() {
-        let mut g = Governor::new(DynamicClipConfig::default());
+        let mut g = Governor::default();
         for _ in 0..4 {
             g.on_bandwidth_sample(0.1);
         }
@@ -169,15 +141,5 @@ mod tests {
         }
         assert_eq!(g.mode(), ClipMode::Filtering);
         assert_eq!(g.mode_switches(), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_inverted_watermarks() {
-        let _ = Governor::new(DynamicClipConfig {
-            low_watermark: 0.8,
-            high_watermark: 0.2,
-            ..DynamicClipConfig::default()
-        });
     }
 }

@@ -42,7 +42,7 @@ pub mod storage;
 pub mod utility;
 
 pub use apc::ApcDetector;
-pub use dynamic::{ClipMode, DynamicClipConfig, Governor};
+pub use dynamic::{ClipMode, Governor};
 pub use filter::CriticalityFilter;
 pub use predictor::CriticalityTable;
 pub use storage::StorageReport;

@@ -501,14 +501,10 @@ impl DramSystem {
                 continue;
             }
             let row_hit = bank.open_row == Some(r.row);
-            let prio_class = if cfg.prefetch_aware {
-                match r.priority {
-                    Priority::Demand => 2u8,
-                    Priority::Writeback => 1,
-                    Priority::Prefetch => 0,
-                }
-            } else {
-                1
+            let prio_class = match r.priority {
+                Priority::Demand => 2u8,
+                Priority::Writeback => 1,
+                Priority::Prefetch => 0,
             };
             // Demand-first FR-FCFS (PADC): priority class first — demands
             // and CLIP-critical prefetches beat plain prefetches — then
@@ -990,25 +986,6 @@ mod tests {
             demand_pos <= 1,
             "demand must be serviced near-first, was at {demand_pos}"
         );
-    }
-
-    #[test]
-    fn without_prefetch_awareness_fcfs_age_order() {
-        let cfg = DramConfig {
-            channels: 1,
-            prefetch_aware: false,
-            ..DramConfig::default()
-        };
-        let mut d = DramSystem::new(&cfg);
-        for i in 0..4u64 {
-            d.enqueue_read(0, ReqId(i), LineAddr::new(i * 1000), Priority::Prefetch, i)
-                .unwrap();
-        }
-        d.enqueue_read(0, ReqId(99), LineAddr::new(50_000), Priority::Demand, 10)
-            .unwrap();
-        let done = run(&mut d, 2000);
-        let demand_pos = done.iter().position(|c| c.id == ReqId(99)).unwrap();
-        assert!(demand_pos >= 3, "demand must wait its turn without PADC");
     }
 
     #[test]

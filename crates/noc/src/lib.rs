@@ -154,7 +154,8 @@ struct Flit {
     next: u32,
     /// Output port at the router holding the flit, routed on entry.
     out_port: u8,
-    /// Arbitration class (see [`MeshNoc::priority_class`]).
+    /// Arbitration class, the [`class_index`] of its priority: demands
+    /// beat writebacks beat plain prefetches.
     prio: u8,
     vc: u8,
     is_tail: bool,
@@ -406,14 +407,6 @@ impl MeshNoc {
         usize::from(self.route[node * self.nodes + dst])
     }
 
-    fn priority_class(&self, p: Priority) -> u8 {
-        if self.cfg.prefetch_aware {
-            class_index(p) as u8
-        } else {
-            1
-        }
-    }
-
     /// Routes `flit` for the router at `node` it is entering: sets its
     /// output port and the input buffer it will take at the next router.
     #[inline]
@@ -536,7 +529,7 @@ impl NocModel for MeshNoc {
                         dst: info.dst as u32,
                         next: 0,
                         out_port: 0,
-                        prio: self.priority_class(info.priority),
+                        prio: class_index(info.priority) as u8,
                         vc: info.vc,
                         is_tail,
                     },
@@ -1025,7 +1018,7 @@ impl NocModel for AnalyticNoc {
         let hop = 1 + self.cfg.router_stages;
         // Plain prefetches yield: they see links as busy slightly longer,
         // approximating losing arbitration to demand traffic.
-        let penalty = if self.cfg.prefetch_aware && priority == Priority::Prefetch {
+        let penalty = if priority == Priority::Prefetch {
             flits as u64
         } else {
             0
@@ -1225,7 +1218,7 @@ impl NocModel for ChipletNoc {
         // Plain prefetches yield, as on the other fabrics: they see every
         // shared resource as busy slightly longer, approximating lost
         // arbitration against demand traffic.
-        let yielding = self.cfg.prefetch_aware && priority == Priority::Prefetch;
+        let yielding = priority == Priority::Prefetch;
         let done = if src == dst {
             // Same tile: no fabric resources, just tail serialization.
             now + flits

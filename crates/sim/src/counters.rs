@@ -1,13 +1,13 @@
 //! Windowed reporting: [`System::gather`] copies every running total the
-//! report reads, whole, at one instant. It runs at the end of warmup, at
-//! each timeline sample and at the end of the run, and the report is the
-//! difference of two gathers, so every counter covers the same window.
+//! report reads, whole, at one instant. It runs at the end of warmup and
+//! at the end of the run, and the report is the difference of the two
+//! gathers, so every counter covers the same window.
 //! Nothing the simulation reads is reset: throttler epochs, DSPatch, the
 //! governor, the audits and the fingerprints keep reading live totals.
 
 use crate::result::{
     ClipEngineReport, ClipReport, GovernorReport, LatencyReport, MissReport, PrefetchReport,
-    SimResult, TimelinePoint,
+    SimResult,
 };
 use crate::system::System;
 use crate::tile::Tile;
@@ -19,7 +19,6 @@ use clip_stats::energy::EnergyCounts;
 use clip_types::{Cycle, MAX_PF_ENGINES};
 
 /// Every running total one tile reports, copied at one instant.
-#[derive(Clone)]
 pub(crate) struct TileCounters {
     retired: u64,
     lat: LatencyReport,
@@ -54,7 +53,6 @@ impl TileCounters {
 }
 
 /// Every running total the report reads, copied at one instant.
-#[derive(Clone, Default)]
 pub(crate) struct Counters {
     pub(crate) cycle: Cycle,
     tiles: Vec<TileCounters>,
@@ -125,11 +123,6 @@ impl Tile {
 }
 
 impl System {
-    /// Enables timeline sampling every `interval` cycles (0 disables).
-    pub fn set_timeline_interval(&mut self, interval: Cycle) {
-        self.timeline_interval = interval;
-    }
-
     /// Copies every counter the report reads.
     pub(crate) fn gather(&self) -> Counters {
         let mut llc = CacheStats::default();
@@ -146,27 +139,6 @@ impl System {
             noc_flit_hops: self.engine.noc.flit_hops(),
             mode_switches: self.governor.as_ref().map_or(0, Governor::mode_switches),
         }
-    }
-
-    pub(crate) fn sample_timeline(&mut self, now: Cycle) {
-        let counters = self.gather();
-        let d = counters.since(&self.tl_prev);
-        let interval = self.timeline_interval;
-        let transfers = d.dram_transfers();
-        let peak =
-            self.cfg.dram.channels as f64 * interval as f64 / self.cfg.dram.burst_cycles as f64;
-        self.timeline.push(TimelinePoint {
-            cycle: now.saturating_sub(self.tl_start),
-            retired: d.sum(|t| t.retired),
-            dram_transfers: transfers,
-            bw_util: if peak > 0.0 {
-                (transfers as f64 / peak).min(1.0)
-            } else {
-                0.0
-            },
-            prefetches: d.sum(|t| t.pf_issued),
-        });
-        self.tl_prev = counters;
     }
 
     /// Builds the result from `w`, the counters of the measured window
@@ -340,7 +312,6 @@ impl System {
             clip_lookups: clip.map_or(0, |c| c.stats.candidates),
         };
 
-        let timeline = std::mem::take(&mut self.timeline);
         SimResult {
             label: String::new(),
             per_core_ipc,
@@ -356,7 +327,6 @@ impl System {
             clip,
             baseline_evals,
             energy,
-            timeline,
             fingerprints: std::mem::take(&mut self.fingerprints),
         }
     }

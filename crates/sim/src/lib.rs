@@ -47,7 +47,7 @@ pub use fault::{FaultKind, FaultSpec};
 pub use fingerprint::{run_jobs_localized, WindowFingerprint};
 pub use report::ComparisonReport;
 pub use result::{
-    ClipReport, GovernorReport, LatencyReport, MissReport, PrefetchReport, SimResult, TimelinePoint,
+    ClipReport, GovernorReport, LatencyReport, MissReport, PrefetchReport, SimResult,
 };
 pub use scheme::Scheme;
 pub use system::System;
@@ -104,9 +104,6 @@ pub struct RunOptions {
     /// Hard cycle bound (guards pathological configurations). `0` picks a
     /// generous default based on the instruction counts.
     pub max_cycles: Cycle,
-    /// When non-zero, sample a [`TimelinePoint`] every this many cycles
-    /// during the measurement phase.
-    pub timeline_interval: Cycle,
     /// Integrity check level. `None` (the default) reads `CLIP_CHECK` at
     /// run time — keeping the `Debug` form (and thus sweep cache keys)
     /// identical across environments.
@@ -128,7 +125,6 @@ impl Default for RunOptions {
             seed: 42,
             noc: NocChoice::Mesh,
             max_cycles: 0,
-            timeline_interval: 0,
             check: None,
             check_cadence: 0,
             watchdog_window: 0,
@@ -180,7 +176,6 @@ pub fn run_mix_checked(
     opts: &RunOptions,
 ) -> Result<SimResult, SimError> {
     let mut sys = System::new(cfg, scheme, mix, opts.seed, opts.noc);
-    sys.set_timeline_interval(opts.timeline_interval);
     sys.set_integrity(
         opts.check.unwrap_or_else(CheckLevel::from_env),
         opts.check_cadence,
@@ -536,31 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_sampling_produces_series() {
-        let cfg = small_cfg(PrefetcherKind::Berti, 2);
-        let mix = mix_of("619.lbm_s-2676B", 4);
-        let opts = RunOptions {
-            timeline_interval: 2_000,
-            ..quick()
-        };
-        let r = run_mix(&cfg, &Scheme::plain(), &mix, &opts);
-        assert!(
-            r.timeline.len() >= 2,
-            "expected several samples, got {}",
-            r.timeline.len()
-        );
-        let total_retired: u64 = r.timeline.iter().map(|p| p.retired).sum();
-        assert!(total_retired > 0);
-        for p in &r.timeline {
-            assert!((0.0..=1.0).contains(&p.bw_util));
-            assert!(p.ipc(2_000, 4) <= 4.0);
-        }
-        // Disabled by default.
-        let r2 = run_mix(&cfg, &Scheme::plain(), &mix, &quick());
-        assert!(r2.timeline.is_empty());
-    }
-
-    #[test]
     fn page_mode_clip_gates_l2_prefetcher() {
         // §4.2: when the L2 prefetcher has no IP information, CLIP tracks
         // accuracy per 4 KiB page. Exercise the combination end to end.
@@ -630,10 +600,10 @@ mod tests {
             });
             h.finish()
         };
-        assert_eq!(render_hash(&clip), 0x8c65_6fde_9176_53d4, "CLIP report");
+        assert_eq!(render_hash(&clip), 0xbca9_bf74_f6c4_461f, "CLIP report");
         assert_eq!(
             render_hash(&dyn_clip),
-            0xed1b_d6de_c860_a1b7,
+            0x778f_76d8_8954_4abc,
             "DynCLIP report"
         );
     }

@@ -87,12 +87,18 @@ impl fmt::Display for ComparisonReport<'_> {
         )?;
         if let Some(c) = &r.clip {
             writeln!(f)?;
+            // A governor that bypassed all window long leaves CLIP no
+            // candidate to drop, and a 0% drop rate would misread as
+            // CLIP passing everything it saw.
+            let gate = if c.stats.candidates == 0 {
+                "no candidate examined".to_string()
+            } else {
+                format!("{:.0}% of candidates dropped", c.stats.drop_rate() * 100.0)
+            };
             write!(
                 f,
-                "CLIP                : {:.0}% of candidates dropped, {:.1} critical IPs/core ({:.1} dynamic)",
-                c.stats.drop_rate() * 100.0,
-                c.critical_ips,
-                c.dynamic_ips
+                "CLIP                : {gate}, {:.1} critical IPs/core ({:.1} dynamic)",
+                c.critical_ips, c.dynamic_ips
             )?;
             // DynCLIP: the candidates the governor passed unexamined are
             // not in the drop rate.
@@ -169,13 +175,25 @@ mod tests {
 
     #[test]
     fn display_includes_clip_when_present() {
+        let clip_line = |r: &SimResult| {
+            let s = ComparisonReport::new("Berti+CLIP", r, &result(0.4)).to_string();
+            assert!(s.contains("CLIP prediction"));
+            let line = s.lines().find(|l| l.starts_with("CLIP   "));
+            line.expect("CLIP line").to_string()
+        };
         let mut r = result(0.6);
-        r.clip = Some(crate::result::ClipReport::default());
-        let b = result(0.4);
-        let s = ComparisonReport::new("Berti+CLIP", &r, &b).to_string();
-        assert!(s.contains("CLIP prediction"));
-        assert!(!s.contains("governor"), "no governor counts without one");
+        let mut clip = crate::result::ClipReport::default();
+        clip.stats.candidates = 8;
+        clip.stats.dropped_not_critical = 2;
+        r.clip = Some(clip);
+        assert_eq!(
+            clip_line(&r),
+            "CLIP                : 25% of candidates dropped, 0.0 critical IPs/core (0.0 dynamic)",
+            "no governor counts without one"
+        );
 
+        // A governor that bypassed the whole window left CLIP nothing to
+        // examine: no drop rate is printed.
         r.clip = Some(crate::result::ClipReport {
             governor: Some(crate::result::GovernorReport {
                 bypassed: 9002,
@@ -183,14 +201,10 @@ mod tests {
             }),
             ..crate::result::ClipReport::default()
         });
-        let s = ComparisonReport::new("Berti+DynCLIP", &r, &b).to_string();
-        let line = s
-            .lines()
-            .find(|l| l.starts_with("CLIP   "))
-            .expect("CLIP line");
-        assert!(
-            line.ends_with("; governor bypassed 9002 candidates, 1 mode switches"),
-            "{line}"
+        assert_eq!(
+            clip_line(&r),
+            "CLIP                : no candidate examined, 0.0 critical IPs/core (0.0 dynamic); \
+             governor bypassed 9002 candidates, 1 mode switches"
         );
     }
 }

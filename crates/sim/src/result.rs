@@ -210,33 +210,6 @@ pub struct ClipReport {
     pub governor: Option<GovernorReport>,
 }
 
-/// One sample of the run's time series (taken every
-/// `RunOptions::timeline_interval` cycles during measurement).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TimelinePoint {
-    /// Cycle (relative to the start of measurement) this sample closes.
-    pub cycle: Cycle,
-    /// Instructions retired across all cores during the interval.
-    pub retired: u64,
-    /// DRAM transfers during the interval.
-    pub dram_transfers: u64,
-    /// DRAM bandwidth utilization within the interval, in [0, 1].
-    pub bw_util: f64,
-    /// Prefetches issued during the interval.
-    pub prefetches: u64,
-}
-
-impl TimelinePoint {
-    /// System IPC over the interval (`interval` cycles long).
-    pub fn ipc(&self, interval: Cycle, cores: usize) -> f64 {
-        if interval == 0 || cores == 0 {
-            0.0
-        } else {
-            self.retired as f64 / interval as f64 / cores as f64
-        }
-    }
-}
-
 /// The complete result of simulating one mix under one scheme.
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {
@@ -269,9 +242,6 @@ pub struct SimResult {
     pub baseline_evals: Vec<(&'static str, EvalCounts)>,
     /// Energy event counts for the energy model.
     pub energy: EnergyCounts,
-    /// Per-interval time series (empty unless requested via
-    /// `RunOptions::timeline_interval`).
-    pub timeline: Vec<TimelinePoint>,
     /// Per-window state fingerprints, captured at every enabled check
     /// level (empty with audits off; see [`crate::fingerprint`]).
     /// Deliberately excluded from [`SimResult::to_json`] — artifacts stay
@@ -363,18 +333,6 @@ impl SimResult {
                     ("noc_flit_hops", Json::from(self.energy.noc_flit_hops)),
                     ("clip_lookups", Json::from(self.energy.clip_lookups)),
                 ]),
-            ),
-            (
-                "timeline",
-                Json::array(self.timeline.iter().map(|p| {
-                    Json::object([
-                        ("cycle", Json::from(p.cycle)),
-                        ("retired", Json::from(p.retired)),
-                        ("dram_transfers", Json::from(p.dram_transfers)),
-                        ("bw_util", Json::Float(p.bw_util)),
-                        ("prefetches", Json::from(p.prefetches)),
-                    ])
-                })),
             ),
         ])
     }
@@ -469,17 +427,6 @@ impl SimResult {
             baseline_evals.push((name, eval(entry.get("counts")?)?));
         }
 
-        let mut timeline = Vec::new();
-        for p in v.get("timeline")?.as_array()? {
-            timeline.push(TimelinePoint {
-                cycle: u(p, "cycle")?,
-                retired: u(p, "retired")?,
-                dram_transfers: u(p, "dram_transfers")?,
-                bw_util: f(p, "bw_util")?,
-                prefetches: u(p, "prefetches")?,
-            });
-        }
-
         Some(SimResult {
             label: v.get("label")?.as_str()?.to_owned(),
             per_core_ipc: v
@@ -529,7 +476,6 @@ impl SimResult {
                 noc_flit_hops: u(energy, "noc_flit_hops")?,
                 clip_lookups: u(energy, "clip_lookups")?,
             },
-            timeline,
             // Never serialized (see the field docs): a cache round trip
             // yields a result without fingerprints.
             fingerprints: Vec::new(),
@@ -542,16 +488,6 @@ impl SimResult {
             return 0.0;
         }
         self.per_core_ipc.iter().sum::<f64>() / self.per_core_ipc.len() as f64
-    }
-
-    /// Prefetch coverage at a level: fraction of the *baseline's* demand
-    /// misses removed. Needs the no-prefetch run's miss count.
-    pub fn coverage_vs(&self, baseline_misses: u64, own_misses: u64) -> f64 {
-        if baseline_misses == 0 {
-            0.0
-        } else {
-            1.0 - (own_misses as f64 / baseline_misses as f64).min(1.0)
-        }
     }
 }
 
@@ -586,14 +522,6 @@ mod tests {
         let p = PrefetchReport::default();
         assert_eq!(p.accuracy(), 1.0);
         assert_eq!(p.lateness(), 0.0);
-    }
-
-    #[test]
-    fn coverage_math() {
-        let r = SimResult::default();
-        assert!((r.coverage_vs(100, 40) - 0.6).abs() < 1e-12);
-        assert_eq!(r.coverage_vs(0, 40), 0.0);
-        assert_eq!(r.coverage_vs(100, 150), 0.0);
     }
 
     #[test]
@@ -648,13 +576,6 @@ mod tests {
                     ..EvalCounts::default()
                 },
             )],
-            timeline: vec![TimelinePoint {
-                cycle: 100,
-                retired: 50,
-                dram_transfers: 5,
-                bw_util: 0.25,
-                prefetches: 2,
-            }],
             ..SimResult::default()
         };
         let text = r.to_json().render();

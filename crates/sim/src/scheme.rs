@@ -2,7 +2,7 @@
 //! platform (prefetcher + optional CLIP / throttler / baseline criticality
 //! gate / Hermes / DSPatch).
 
-use clip_core::{ClipConfig, DynamicClipConfig};
+use clip_core::ClipConfig;
 use clip_crit::BaselineKind;
 use clip_throttle::ThrottlerKind;
 use clip_types::PrefetcherKind;
@@ -15,7 +15,7 @@ pub struct Scheme {
     /// Use the §5.3 Dynamic CLIP governor: CLIP turns itself off when
     /// overall DRAM utilization stays low (requires `clip` to be set;
     /// one governor serves every core).
-    pub dynamic: Option<DynamicClipConfig>,
+    pub dynamic: bool,
     /// Attach an epoch-level throttler (Figure 6).
     pub throttler: Option<ThrottlerKind>,
     /// Gate prefetches by a baseline criticality predictor (Figure 5):
@@ -49,7 +49,7 @@ impl Scheme {
     pub fn with_dynamic_clip() -> Self {
         Scheme {
             clip: Some(ClipConfig::default()),
-            dynamic: Some(DynamicClipConfig::default()),
+            dynamic: true,
             ..Scheme::default()
         }
     }
@@ -102,7 +102,7 @@ impl Scheme {
             s.push_str("+DSPatch");
         }
         if self.clip.is_some() {
-            if self.dynamic.is_some() {
+            if self.dynamic {
                 s.push_str("+DynCLIP");
             } else {
                 s.push_str("+CLIP");

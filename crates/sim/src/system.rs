@@ -13,7 +13,6 @@
 //! windowed reporting in `counters.rs`. This file only builds the parts
 //! and drives them each cycle.
 
-use crate::counters::Counters;
 use crate::engine::{Engine, Ev, NocChoice};
 use crate::fault::{FaultHarness, FaultKind, FaultSpec};
 use crate::integrity::{Integrity, DEFAULT_CHECK_CADENCE, DEFAULT_WATCHDOG_WINDOW};
@@ -48,13 +47,6 @@ pub struct System {
     pub(crate) cand_scratch: Vec<PrefetchCandidate>,
     pub(crate) branch_scratch: Vec<bool>,
     dspatch_prev_channel: Vec<u64>,
-    /// Timeline sampling interval in cycles (0 = off).
-    pub(crate) timeline_interval: Cycle,
-    pub(crate) timeline: Vec<crate::result::TimelinePoint>,
-    /// The gather at the previous timeline sample (or the start of
-    /// measurement).
-    pub(crate) tl_prev: Counters,
-    pub(crate) tl_start: Cycle,
     /// Watchdog + auditor state (see [`crate::integrity`]).
     pub(crate) integrity: Integrity,
     /// Armed fault, if any (see [`crate::fault`]).
@@ -147,18 +139,10 @@ impl System {
             scheme: scheme.clone(),
             tiles,
             engine: Engine::new(cfg, noc),
-            governor: scheme
-                .dynamic
-                .clone()
-                .filter(|_| scheme.clip.is_some())
-                .map(Governor::new),
+            governor: (scheme.dynamic && scheme.clip.is_some()).then(Governor::default),
             cand_scratch: Vec::with_capacity(32),
             branch_scratch: Vec::with_capacity(16),
             dspatch_prev_channel: vec![0; cfg.dram.channels],
-            timeline_interval: 0,
-            timeline: Vec::new(),
-            tl_prev: Counters::default(),
-            tl_start: 0,
             integrity: Integrity::new(
                 CheckLevel::from_env(),
                 DEFAULT_CHECK_CADENCE,
@@ -311,11 +295,11 @@ impl System {
     /// The earliest cycle `>= now` that must actually be simulated: the
     /// minimum over every component's `next_activity` answer and
     /// the engine-level wheel constraints (periodic controllers, audit
-    /// cadence, timeline sampling, the armed fault's trigger cycle).
+    /// cadence, the armed fault's trigger cycle).
     /// Always finite — the DSPatch epoch recurs every `DSPATCH_EPOCH`
     /// cycles and mutates controller state unconditionally, so no skip
     /// ever exceeds one epoch.
-    fn next_interesting(&mut self, in_measure: bool) -> Cycle {
+    fn next_interesting(&mut self) -> Cycle {
         let now = self.engine.now;
         // Periodic controllers fire on every positive multiple of
         // DSPATCH_EPOCH (THROTTLE_EPOCH is a multiple of it).
@@ -335,15 +319,6 @@ impl System {
         if self.integrity.level.audits_enabled() {
             fold(
                 (now + 1).next_multiple_of(self.integrity.cadence) - 1,
-                &mut next,
-            );
-        }
-        // Timeline samples are taken post-advance at interval multiples
-        // relative to the measurement start.
-        if in_measure && self.timeline_interval > 0 {
-            let rel = (now + 1).saturating_sub(self.tl_start);
-            fold(
-                self.tl_start + rel.next_multiple_of(self.timeline_interval) - 1,
                 &mut next,
             );
         }
@@ -400,9 +375,9 @@ impl System {
     /// One scheduler step: when the next interesting cycle is in the
     /// future, skip straight to it (capped at `max_cycles`) and report
     /// `true`; otherwise the current cycle must be ticked.
-    fn try_skip(&mut self, max_cycles: Cycle, in_measure: bool) -> bool {
+    fn try_skip(&mut self, max_cycles: Cycle) -> bool {
         let now = self.engine.now;
-        let target = self.next_interesting(in_measure).min(max_cycles);
+        let target = self.next_interesting().min(max_cycles);
         if target > now {
             self.skip_to(target);
             true
@@ -635,7 +610,7 @@ impl System {
             {
                 break;
             }
-            if !step && self.try_skip(max_cycles, false) {
+            if !step && self.try_skip(max_cycles) {
                 continue;
             }
             self.tick(step)?;
@@ -652,10 +627,6 @@ impl System {
             }
         }
         let start = self.gather();
-        self.tl_start = start.cycle;
-        if self.timeline_interval > 0 {
-            self.tl_prev = start.clone();
-        }
 
         // Measurement phase.
         while self.cycle() < max_cycles {
@@ -674,16 +645,11 @@ impl System {
             if all_done {
                 break;
             }
-            if !step && self.try_skip(max_cycles, true) {
+            if !step && self.try_skip(max_cycles) {
                 continue;
             }
             self.tick(step)?;
             self.integrity_tick(self.cycle())?;
-            if self.timeline_interval > 0
-                && (self.cycle() - self.tl_start).is_multiple_of(self.timeline_interval)
-            {
-                self.sample_timeline(self.cycle());
-            }
         }
 
         self.settle_tiles();
@@ -833,18 +799,19 @@ mod tests {
     /// that re-scheduled a refused read every `RETRY_DELAY` cycles; the
     /// rendered reports were re-pinned when every reported counter became
     /// windowed, which moved only CLIP's counters and
-    /// `dram_max_channel_util`. Each row also shows it reaches the parked
-    /// path: stepping `System::tick` directly, some transaction parks.
+    /// `dram_max_channel_util`, and when the report lost its always-empty
+    /// `timeline` key. Each row also shows it reaches the parked path:
+    /// stepping `System::tick` directly, some transaction parks.
     #[test]
     fn dram_admission_is_pinned() {
         const REACH_CYCLES: Cycle = 20_000;
         #[rustfmt::skip]
         const EXPECTED: &[(&str, u64)] = &[
-            ("16c/1ch berti+clip analytic", 0x4304_b368_f173_f2e6),
-            ("8c/1ch berti+hermes", 0x9d35_6d25_2d2e_0745),
-            ("8c/1ch hbm+refresh berti", 0x2008_93bf_7cc7_5c4f),
-            ("8c/1ch composite+clip flip-criticality", 0xc081_2433_8af0_b7d2),
-            ("4c/2ch mesh read_queue=4", 0x9622_949d_9bf2_3bee),
+            ("16c/1ch berti+clip analytic", 0xf0f7_bd1a_56b5_1e25),
+            ("8c/1ch berti+hermes", 0xe156_6452_4d54_039e),
+            ("8c/1ch hbm+refresh berti", 0xadea_4c66_4d52_a360),
+            ("8c/1ch composite+clip flip-criticality", 0x0952_d7fc_8705_dfc1),
+            ("4c/2ch mesh read_queue=4", 0x45d0_a86a_4f20_ce1d),
         ];
         let rows = admission_rows();
         assert_eq!(rows.len(), EXPECTED.len());

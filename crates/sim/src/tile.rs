@@ -1060,7 +1060,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::{NocChoice, Scheme};
-    use clip_core::{ClipConfig, DynamicClipConfig};
+    use clip_core::ClipConfig;
     use clip_types::SimConfig;
 
     /// The one tile of a plain single-core system.
@@ -1137,7 +1137,7 @@ mod tests {
     fn the_clip_gate_follows_the_governor() {
         let (d, seen, _) = gate_untrained(None);
         assert!(!d.allows() && seen == 1, "plain CLIP: {d:?}, {seen} seen");
-        let mut gov = Governor::new(DynamicClipConfig::default());
+        let mut gov = Governor::default();
         let (d, seen, bypassed) = gate_untrained(Some(&gov));
         assert!(
             !d.allows() && seen == 1 && bypassed == 0,

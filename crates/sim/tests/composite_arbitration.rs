@@ -35,7 +35,6 @@ fn opts() -> RunOptions {
         warmup_instrs: 400,
         sim_instrs: 2_000,
         seed: 11,
-        timeline_interval: 1_000,
         check: Some(CheckLevel::Full),
         check_cadence: 64,
         ..RunOptions::default()

@@ -24,7 +24,6 @@ fn opts() -> RunOptions {
         warmup_instrs: 400,
         sim_instrs: 2_000,
         seed: 11,
-        timeline_interval: 1_000,
         ..RunOptions::default()
     }
 }
@@ -52,7 +51,6 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.dram_transfers, b.dram_transfers, "{what}: DRAM transfers");
     assert_eq!(a.dram_row_hits, b.dram_row_hits, "{what}: row hits");
     assert_eq!(a.noc_flit_hops, b.noc_flit_hops, "{what}: flit hops");
-    assert_eq!(a.timeline, b.timeline, "{what}: timeline series");
     // The JSON rendering folds in every remaining report field (latency,
     // prefetch, misses, clip, energy) — compare it wholesale.
     assert_eq!(

@@ -23,7 +23,6 @@ fn small_result() -> clip_sim::SimResult {
         warmup_instrs: 300,
         sim_instrs: 1_500,
         seed: 3,
-        timeline_interval: 2_000,
         ..RunOptions::default()
     };
     run_mix(&cfg, &Scheme::with_clip(), &mix, &opts)
@@ -52,7 +51,6 @@ fn json_shape_matches_struct_fields() {
             "clip",
             "baseline_evals",
             "energy",
-            "timeline",
         ]
     );
 
@@ -127,22 +125,6 @@ fn json_shape_matches_struct_fields() {
             "dram_row_misses",
             "noc_flit_hops",
             "clip_lookups",
-        ]
-    );
-
-    let timeline = doc
-        .get("timeline")
-        .and_then(|t| t.as_array())
-        .expect("timeline array");
-    assert!(!timeline.is_empty(), "timeline sampling was requested");
-    assert_eq!(
-        timeline[0].keys(),
-        vec![
-            "cycle",
-            "retired",
-            "dram_transfers",
-            "bw_util",
-            "prefetches"
         ]
     );
 }

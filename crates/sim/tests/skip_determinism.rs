@@ -38,7 +38,6 @@ fn opts() -> RunOptions {
         warmup_instrs: 400,
         sim_instrs: 2_000,
         seed: 11,
-        timeline_interval: 1_000,
         // Full checks: the densest possible fingerprint streams, plus
         // audits at every cadence window — a skip landing anywhere it
         // shouldn't desynchronizes the streams immediately.
@@ -61,9 +60,9 @@ fn wheel_and_step(jobs: &[SweepJob], opts: &RunOptions) -> (Outcomes, Outcomes) 
     (wheel, step)
 }
 
-/// Byte-for-byte equivalence: the serialized result (every counter,
-/// report, and timeline point), the fingerprint stream (excluded from
-/// the JSON form), and failures (same error, same cycle, same component).
+/// Byte-for-byte equivalence: the serialized result (every counter and
+/// report), the fingerprint stream (excluded from the JSON form), and
+/// failures (same error, same cycle, same component).
 fn assert_outcome_identical(
     wheel: &Result<SimResult, SimError>,
     step: &Result<SimResult, SimError>,

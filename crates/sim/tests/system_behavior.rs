@@ -1,5 +1,5 @@
 //! Behavioural tests of the assembled system: writeback traffic, Hermes
-//! probe effects, prefetch-aware fabric arbitration, and replay fairness.
+//! probe effects, replay fairness, DSPatch, LLC capacity and FDP.
 
 use clip_sim::{run_mix, NocChoice, RunOptions, Scheme};
 use clip_trace::Mix;
@@ -72,37 +72,6 @@ fn hermes_does_not_reduce_dram_traffic() {
         "Hermes must not significantly cut DRAM traffic: {} vs {}",
         hermes.dram_transfers,
         plain.dram_transfers
-    );
-}
-
-/// Disabling prefetch-aware arbitration must not *help* demands: plain
-/// prefetch packets competing at demand priority can only hurt.
-#[test]
-fn prefetch_aware_fabric_helps_or_ties() {
-    let m = mix("619.lbm_s-3766B", 4);
-    let aware = SimConfig::builder()
-        .cores(4)
-        .dram_channels(1)
-        .l1_prefetcher(PrefetcherKind::Berti)
-        .prefetch_aware(true)
-        .build()
-        .expect("valid");
-    let blind = SimConfig::builder()
-        .cores(4)
-        .dram_channels(1)
-        .l1_prefetcher(PrefetcherKind::Berti)
-        .prefetch_aware(false)
-        .build()
-        .expect("valid");
-    let r_aware = run_mix(&aware, &Scheme::plain(), &m, &opts());
-    let r_blind = run_mix(&blind, &Scheme::plain(), &m, &opts());
-    // Demand-first scheduling can cost a little row locality for a highly
-    // accurate prefetcher; it must never be catastrophic.
-    assert!(
-        r_aware.mean_ipc() > r_blind.mean_ipc() * 0.8,
-        "PADC must not lose badly: {} vs {}",
-        r_aware.mean_ipc(),
-        r_blind.mean_ipc()
     );
 }
 

@@ -206,9 +206,6 @@ pub struct DramConfig {
     /// Write drain threshold as (numerator, denominator) of queue occupancy
     /// — the paper's 7/8 watermark.
     pub write_watermark: (usize, usize),
-    /// Prefetch-aware scheduling (PADC): demand-first FR-FCFS with
-    /// low-priority prefetches.
-    pub prefetch_aware: bool,
     /// All-bank refresh interval in core cycles (tREFI; DDR4-3200's 7.8 µs
     /// is 31200 cycles at 4 GHz). `0` disables refresh modeling.
     pub t_refi: u64,
@@ -228,7 +225,9 @@ impl DramConfig {
     /// Table 3 baseline; the HBM preset trades per-channel bandwidth for
     /// channel count (2x channels, 2x `burst_cycles` — same aggregate
     /// peak as the DDR4 default, so backend comparisons isolate channel
-    /// structure and refresh behaviour rather than raw peak bandwidth).
+    /// structure rather than raw peak bandwidth). Both presets leave
+    /// refresh off (`t_refi: 0`); [`SimConfigBuilder::dram_refresh`]
+    /// turns on the kind's refresh scheme.
     pub fn preset(kind: DramKind) -> Self {
         match kind {
             DramKind::Ddr4 => DramConfig {
@@ -243,7 +242,6 @@ impl DramConfig {
                 read_queue: 64,
                 write_queue: 64,
                 write_watermark: (7, 8),
-                prefetch_aware: true,
                 t_refi: 0,
                 t_rfc: 1400,
             },
@@ -259,7 +257,6 @@ impl DramConfig {
                 read_queue: 64,
                 write_queue: 64,
                 write_watermark: (7, 8),
-                prefetch_aware: true,
                 t_refi: 0,
                 t_rfc: 640,
             },
@@ -286,9 +283,6 @@ pub struct NocConfig {
     pub addr_packet_flits: usize,
     /// Router pipeline depth in cycles.
     pub router_stages: u64,
-    /// Prefetch-aware arbitration: demand (and CLIP-critical) packets win
-    /// ties against plain prefetch packets.
-    pub prefetch_aware: bool,
     /// Two-node NUMA latency asymmetry on the mesh: extra cycles added to
     /// every link traversal that crosses between the two column halves of
     /// the mesh (ThunderX2-style `NUMA_NODE 2` split). `0` (the default)
@@ -330,7 +324,6 @@ impl Default for NocConfig {
             data_packet_flits: 8,
             addr_packet_flits: 1,
             router_stages: 2,
-            prefetch_aware: true,
             numa_penalty: 0,
             chiplet_cluster: 4,
             d2d_latency: 24,
@@ -606,13 +599,6 @@ impl SimConfigBuilder {
     /// topology. Must divide the core count at [`SimConfigBuilder::build`].
     pub fn chiplet_cluster(mut self, tiles: usize) -> Self {
         self.config.noc.chiplet_cluster = tiles;
-        self
-    }
-
-    /// Enables or disables prefetch-aware NoC and DRAM scheduling.
-    pub fn prefetch_aware(mut self, on: bool) -> Self {
-        self.config.dram.prefetch_aware = on;
-        self.config.noc.prefetch_aware = on;
         self
     }
 

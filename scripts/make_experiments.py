@@ -198,7 +198,8 @@ fingerprint baseline renders as `DIV` instead of `ERR`: the simulation
 completed, but its per-window state-hash stream moved away from the
 known-good recording — the `detail` of each error names the first
 divergent audit window and component. Any non-divergence failure in
-the same cell takes precedence and renders `ERR`. With
+the same cell takes precedence and renders `ERR`, as does a cell with
+no recorded baseline to verify against. With
 `CLIP_FP_BASELINE` unset, `DIV` can never appear and artifacts are
 byte-identical to earlier versions.
 
