@@ -2,10 +2,13 @@
 //!
 //! Every completed simulation cell — any scheme, any prefetcher, not
 //! just the no-prefetch normalization baselines — persists as JSON
-//! under `target/clip-cache/`, keyed by a hash of the full job identity
-//! (config, scheme, mix, run options — their `Debug` forms, which the
-//! executor formats once per sweep row or cell and joins per job) plus
-//! [`CACHE_VERSION`]. Repeat queries (a re-run figure, a second
+//! under `target/clip-cache/`, named by the job's digest: FNV-1a over
+//! [`CACHE_VERSION`] and the full job identity (config, scheme, mix, run
+//! options — their `Debug` forms, see `experiment::job_key`). The
+//! executor formats those parts once per sweep row or cell and computes
+//! each distinct job's digest once, continuing its cell's hashed
+//! `cfg\u{1}scheme\u{1}` prefix per mix ([`digest_seed`]); lookups and
+//! stores take that digest. Repeat queries (a re-run figure, a second
 //! figure sharing cells with the first) are served from disk without
 //! re-simulating; the determinism contract makes a replayed result
 //! byte-identical to a fresh one.
@@ -20,13 +23,16 @@
 //! Concurrent workers store safely: each writes its own entry through a
 //! temp file and a rename.
 //!
-//! Each entry wraps the result payload with an FNV-1a checksum of its
-//! rendered form: `{"checksum":"<16 hex>","result":{...}}`. An entry
-//! that fails to parse, lacks the wrapper, or whose checksum does not
-//! match the payload (truncated write, disk corruption, manual edit) is
-//! treated as a miss and quarantined — renamed to `<entry>.corrupt`, or
-//! deleted if the rename fails — so one bad file can never poison every
-//! later figure run. The quarantine itself is capped at
+//! Each entry wraps the result payload with an FNV-1a checksum of the
+//! payload's bytes as stored: exactly `{"checksum":"<16 hex>","result":
+//! {...}}`. A hit checks that layout and the checksum before it parses
+//! the payload.
+//! An entry with any other layout, whose checksum does not match the
+//! stored payload bytes (truncated write, disk corruption, manual edit —
+//! even one that only re-spaces the JSON), or whose payload does not
+//! parse is treated as a miss and quarantined — renamed to
+//! `<entry>.corrupt`, or deleted if the rename fails — so one bad file can
+//! never poison every later figure run. The quarantine itself is capped at
 //! [`store_util::QUARANTINE_CAP`] files (oldest evicted first) and
 //! announced once per run, so a persistently failing disk cannot
 //! silently fill the cache directory with tombstones. The durability
@@ -56,7 +62,7 @@
 
 use crate::store_util;
 use clip_sim::SimResult;
-use clip_types::knob;
+use clip_types::{knob, Fnv64};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,33 +116,37 @@ fn cache_dir() -> PathBuf {
     knob::env_dir("CLIP_CACHE_DIR").unwrap_or_else(|| store_util::target_dir().join("clip-cache"))
 }
 
-fn entry_path(dir: &Path, key: &str, mix_name: &str) -> PathBuf {
-    store_util::entry_path(dir, &format!("{CACHE_VERSION}|{key}"), mix_name)
+/// The FNV-1a state after `"{CACHE_VERSION}|"`. Folding a job key into
+/// it gives the job's digest, which names its entry: a job's digest is
+/// `fnv64("{CACHE_VERSION}|" + key)`.
+pub(crate) fn digest_seed() -> Fnv64 {
+    *Fnv64::new().write_bytes(format!("{CACHE_VERSION}|").as_bytes())
 }
 
-/// Loads a cached result, if present and intact.
-pub(crate) fn lookup(key: &str, mix_name: &str) -> Option<SimResult> {
+/// Loads the cached result of the job with this digest, if present and
+/// intact.
+pub(crate) fn lookup(digest: u64, mix_name: &str) -> Option<SimResult> {
     if !enabled() {
         return None;
     }
-    lookup_in(&cache_dir(), key, mix_name)
+    lookup_in(&cache_dir(), digest, mix_name)
 }
 
 /// Persists a result (best effort; write-then-rename so a concurrent
 /// reader never sees a torn file), then garbage-collects the directory
 /// back under the size cap.
-pub(crate) fn store(key: &str, mix_name: &str, result: &SimResult) {
+pub(crate) fn store(digest: u64, mix_name: &str, result: &SimResult) {
     if !enabled() {
         return;
     }
-    store_in(&cache_dir(), key, mix_name, result);
+    store_in(&cache_dir(), digest, mix_name, result);
 }
 
 /// [`lookup`] against an explicit directory. A present-but-damaged entry
 /// is quarantined and reported as a miss.
-pub(crate) fn lookup_in(dir: &Path, key: &str, mix_name: &str) -> Option<SimResult> {
+pub(crate) fn lookup_in(dir: &Path, digest: u64, mix_name: &str) -> Option<SimResult> {
     store_util::open_store(dir);
-    let path = entry_path(dir, key, mix_name);
+    let path = store_util::entry_path(dir, digest, mix_name);
     let Ok(text) = std::fs::read_to_string(&path) else {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return None;
@@ -155,11 +165,11 @@ pub(crate) fn lookup_in(dir: &Path, key: &str, mix_name: &str) -> Option<SimResu
 }
 
 /// [`store`] against an explicit directory, followed by a GC pass.
-pub(crate) fn store_in(dir: &Path, key: &str, mix_name: &str, result: &SimResult) {
+pub(crate) fn store_in(dir: &Path, digest: u64, mix_name: &str, result: &SimResult) {
     store_util::open_store(dir);
-    let path = entry_path(dir, key, mix_name);
-    let entry = store_util::wrap_checksummed("result", result.to_json());
-    store_util::write_entry(dir, &path, &entry);
+    let path = store_util::entry_path(dir, digest, mix_name);
+    let text = store_util::entry_text("result", &result.to_json());
+    store_util::write_entry(dir, &path, &text);
     STORES.fetch_add(1, Ordering::Relaxed);
     gc_in(dir, CAP_BYTES);
 }
@@ -241,6 +251,16 @@ mod tests {
         run_mix(&cfg, &Scheme::plain(), &mix, &opts)
     }
 
+    /// The digest of a job key, as the executor computes it.
+    fn digest(key: &str) -> u64 {
+        digest_seed().write_bytes(key.as_bytes()).finish()
+    }
+
+    /// The entry file of a job key.
+    fn entry_path(dir: &Path, key: &str, mix_name: &str) -> PathBuf {
+        store_util::entry_path(dir, digest(key), mix_name)
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("clip-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
@@ -278,8 +298,8 @@ mod tests {
     fn roundtrip_survives_the_checksum() {
         let dir = temp_dir("roundtrip");
         let r = small_result();
-        store_in(&dir, "key-a", "mixname", &r);
-        let back = lookup_in(&dir, "key-a", "mixname").expect("intact entry hits");
+        store_in(&dir, digest("key-a"), "mixname", &r);
+        let back = lookup_in(&dir, digest("key-a"), "mixname").expect("intact entry hits");
         assert_eq!(back.to_json().render(), r.to_json().render());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -289,9 +309,9 @@ mod tests {
         let dir = temp_dir("counters");
         let before = stats();
         let r = small_result();
-        store_in(&dir, "key-count", "mixname", &r);
-        assert!(lookup_in(&dir, "key-count", "mixname").is_some());
-        assert!(lookup_in(&dir, "key-absent", "mixname").is_none());
+        store_in(&dir, digest("key-count"), "mixname", &r);
+        assert!(lookup_in(&dir, digest("key-count"), "mixname").is_some());
+        assert!(lookup_in(&dir, digest("key-absent"), "mixname").is_none());
         let after = stats();
         assert!(after.stores > before.stores, "store counted");
         assert!(after.hits > before.hits, "hit counted");
@@ -303,14 +323,14 @@ mod tests {
     fn truncated_entry_misses_and_is_quarantined() {
         let dir = temp_dir("truncate");
         let r = small_result();
-        store_in(&dir, "key-b", "mixname", &r);
+        store_in(&dir, digest("key-b"), "mixname", &r);
         let path = entry_path(&dir, "key-b", "mixname");
         let text = std::fs::read_to_string(&path).expect("entry exists");
         // Hand-truncate the entry mid-payload, as a torn write would.
         std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
 
         assert!(
-            lookup_in(&dir, "key-b", "mixname").is_none(),
+            lookup_in(&dir, digest("key-b"), "mixname").is_none(),
             "a truncated entry must read as a miss"
         );
         assert!(!path.exists(), "the damaged entry must be moved aside");
@@ -327,7 +347,7 @@ mod tests {
     fn tampered_payload_fails_the_checksum() {
         let dir = temp_dir("tamper");
         let r = small_result();
-        store_in(&dir, "key-c", "mixname", &r);
+        store_in(&dir, digest("key-c"), "mixname", &r);
         let path = entry_path(&dir, "key-c", "mixname");
         let text = std::fs::read_to_string(&path).expect("entry exists");
         // Prepend a digit to the cycle count; the JSON still parses.
@@ -336,10 +356,62 @@ mod tests {
         std::fs::write(&path, tampered).expect("tamper");
 
         assert!(
-            lookup_in(&dir, "key-c", "mixname").is_none(),
+            lookup_in(&dir, digest("key-c"), "mixname").is_none(),
             "a checksum mismatch must read as a miss"
         );
         assert!(!path.exists(), "the tampered entry must be quarantined");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_are_the_earlier_writers_bytes_and_its_entries_hit() {
+        let dir = temp_dir("earlier-writer");
+        let r = small_result();
+        let earlier = store_util::wrap_checksummed("result", r.to_json()).render();
+        store_in(&dir, digest("key-e"), "mixname", &r);
+        let written =
+            std::fs::read_to_string(entry_path(&dir, "key-e", "mixname")).expect("entry exists");
+        assert_eq!(written, earlier, "one rendered payload, the same bytes");
+
+        // An entry an earlier build wrote is served as a hit.
+        let path = entry_path(&dir, "key-f", "mixname");
+        std::fs::write(&path, &earlier).expect("seed entry");
+        let back = lookup_in(&dir, digest("key-f"), "mixname").expect("served as a hit");
+        assert_eq!(back.to_json().render(), r.to_json().render());
+        assert!(path.exists(), "and left in place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn respaced_or_unparseable_entries_are_quarantined() {
+        let dir = temp_dir("respaced");
+        let r = small_result();
+        store_in(&dir, digest("key-g"), "mixname", &r);
+        let path = entry_path(&dir, "key-g", "mixname");
+        let text = std::fs::read_to_string(&path).expect("entry exists");
+        // Hand-reformatted but semantically equal: the checksum covers
+        // the stored bytes, so this is a miss (and one re-simulation).
+        let payload = r.to_json().render();
+        let respaced = text.replacen(&payload, &payload.replace(",\"", ", \""), 1);
+        assert_ne!(respaced, text);
+        assert_eq!(
+            clip_stats::Json::parse(&respaced),
+            clip_stats::Json::parse(&text)
+        );
+        std::fs::write(&path, respaced).expect("re-space entry");
+        assert!(lookup_in(&dir, digest("key-g"), "mixname").is_none());
+        assert!(!path.exists(), "the re-spaced entry is quarantined");
+
+        // A payload that matches its checksum but does not parse.
+        let junk = &payload[..payload.len() - 1];
+        let sum = store_util::fnv64(junk);
+        std::fs::write(
+            &path,
+            format!("{{\"checksum\":\"{sum:016x}\",\"result\":{junk}}}"),
+        )
+        .expect("seed unparseable entry");
+        assert!(lookup_in(&dir, digest("key-g"), "mixname").is_none());
+        assert!(!path.exists(), "the unparseable entry is quarantined");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -354,11 +426,11 @@ mod tests {
                 .expect("seed quarantine");
         }
         let r = small_result();
-        store_in(&dir, "key-d", "mixname", &r);
+        store_in(&dir, digest("key-d"), "mixname", &r);
         let path = entry_path(&dir, "key-d", "mixname");
         std::fs::write(&path, "not json").expect("damage entry");
 
-        assert!(lookup_in(&dir, "key-d", "mixname").is_none());
+        assert!(lookup_in(&dir, digest("key-d"), "mixname").is_none());
         let corrupt: Vec<PathBuf> = std::fs::read_dir(&dir)
             .expect("cache dir")
             .flatten()
@@ -419,7 +491,7 @@ mod tests {
         let dir = temp_dir("gc-race");
         let r = small_result();
         let expect = r.to_json().render();
-        store_in(&dir, "key-race", "mixname", &r);
+        store_in(&dir, digest("key-race"), "mixname", &r);
 
         // A reader hammers the entry while the main thread fills the
         // directory and runs aggressive GC passes that keep evicting the
@@ -432,7 +504,7 @@ mod tests {
                 let mut hits = 0u32;
                 let mut misses = 0u32;
                 while !stop.load(Ordering::Relaxed) {
-                    match lookup_in(&dir, "key-race", "mixname") {
+                    match lookup_in(&dir, digest("key-race"), "mixname") {
                         Some(got) => {
                             assert_eq!(got.to_json().render(), expect, "torn read");
                             hits += 1;
@@ -450,7 +522,7 @@ mod tests {
                 gc_in(&dir, 1);
                 // ...then the entry is re-stored, so the reader keeps
                 // racing both the eviction and the atomic re-write.
-                store_in(&dir, "key-race", "mixname", &r);
+                store_in(&dir, digest("key-race"), "mixname", &r);
             }
             stop.store(true, Ordering::Relaxed);
             let (hits, misses) = reader.join().expect("reader must not panic");

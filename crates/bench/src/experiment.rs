@@ -3,10 +3,11 @@
 //! An [`Experiment`] names a grid of simulation cells — rows carry mixes
 //! and per-row label/config variations, cells carry a `(SimConfig,
 //! Scheme)` pair — plus how to normalize and render the results. One
-//! executor, [`run_experiment`], expands the spec into [`SweepJob`]s,
-//! runs everything missing through [`clip_sim::run_jobs_checked`]
-//! (deduplicated and memoized, with every completed cell additionally
-//! cached on disk, see `cache.rs`), and renders both the
+//! executor, [`run_experiment`], expands the spec into its distinct
+//! jobs, serves what it can from the in-process memo and the disk cache
+//! (`cache.rs`), runs the rest as [`SweepJob`]s through
+//! [`clip_sim::run_jobs_checked`], caching every completed cell on
+//! disk, and renders both the
 //! plain-text table the figures have always printed and a JSON artifact
 //! under `target/experiments/<name>.json`.
 //!
@@ -28,8 +29,9 @@
 use clip_sim::{run_jobs_checked, RunOptions, Scheme, SimError, SimErrorKind, SimResult, SweepJob};
 use clip_stats::{normalized_weighted_speedup, Json};
 use clip_trace::Mix;
-use clip_types::SimConfig;
-use std::collections::{HashMap, HashSet};
+use clip_types::{Fnv64, SimConfig};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A declarative figure/table: a grid of simulations plus rendering.
 pub struct Experiment {
@@ -310,91 +312,194 @@ fn geomean_body(d: &ExperimentData) -> TableBody {
 // Execution: job expansion, dedup, memoization.
 // ----------------------------------------------------------------------
 
-/// Jobs in grid order, each with its [`job_key`].
-#[derive(Default)]
-struct KeyedJobs {
-    jobs: Vec<SweepJob>,
-    keys: Vec<String>,
+/// The separator between a job key's parts (see [`job_key`]).
+const SEP: &str = "\u{1}";
+
+/// The identity of one simulation, shared by every grid slot that runs
+/// it. `parts` are [`job_key`]'s, formatted once per row or cell: the
+/// `cfg\u{1}scheme\u{1}` prefix, the mix and the run options (the key is
+/// `prefix + mix + "\u{1}" + options`). `digest` is FNV-1a over the
+/// version-tagged key and names the job's disk-cache entry. Hashing
+/// reads only the digest; equality compares the parts only when the
+/// digests match.
+#[derive(Clone)]
+struct JobId {
+    digest: u64,
+    parts: [Arc<str>; 3],
 }
 
-impl KeyedJobs {
-    /// Adds the job `(cfg, scheme, mix)`; `parts` are the `Debug` forms
-    /// of config, scheme, mix and run options, already formatted (see
-    /// [`key_of`]).
-    fn push(&mut self, cfg: &SimConfig, scheme: &Scheme, mix: &Mix, parts: [&str; 4]) {
-        self.jobs.push(SweepJob {
-            cfg: cfg.clone(),
-            scheme: scheme.clone(),
-            mix: mix.clone(),
-        });
-        self.keys.push(key_of(parts));
+impl PartialEq for JobId {
+    fn eq(&self, other: &JobId) -> bool {
+        self.digest == other.digest && self.parts == other.parts
+    }
+}
+
+impl Eq for JobId {}
+
+impl std::hash::Hash for JobId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// Where a job sits in the spec: its row, cell and mix, and whether it
+/// is that cell's no-prefetch baseline.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    row: usize,
+    cell: usize,
+    mix: usize,
+    base: bool,
+}
+
+impl Slot {
+    fn mix(self, exp: &Experiment) -> &Mix {
+        &exp.rows[self.row].mixes[self.mix]
+    }
+
+    /// The job to simulate. Built only for jobs that simulate: a
+    /// served job needs nothing but its identity.
+    fn job(self, exp: &Experiment) -> SweepJob {
+        let cell = &exp.rows[self.row].cells[self.cell];
+        let (cfg, scheme) = if self.base {
+            (crate::strip_prefetchers(&cell.cfg), Scheme::plain())
+        } else {
+            (cell.cfg.clone(), cell.scheme.clone())
+        };
+        SweepJob {
+            cfg,
+            scheme,
+            mix: self.mix(exp).clone(),
+        }
+    }
+}
+
+/// The grid's jobs: each distinct job once, with its identity and the
+/// first slot that runs it, and for every slot — cells in row/cell/mix
+/// order, then their baselines in the same order — the index of the
+/// distinct job it runs.
+#[derive(Default)]
+struct Grid {
+    distinct: Vec<(JobId, Slot)>,
+    slots: Vec<usize>,
+}
+
+/// Builds a [`Grid`]. Equal key parts are found by comparing the
+/// formatted strings (never by hashing them), so two slots run the same
+/// job exactly when their prefix and mix are the same part. Each
+/// distinct prefix is folded into the digest seed once, and each
+/// distinct job's digest continues its prefix's state with the mix and
+/// options.
+struct Expander {
+    seed: Fnv64,
+    opts: Arc<str>,
+    prefixes: Vec<(Arc<str>, Fnv64)>,
+    mixes: Vec<Arc<str>>,
+    seen: HashMap<(usize, usize), usize>,
+    grid: Grid,
+}
+
+impl Expander {
+    fn prefix(&mut self, cfg: &SimConfig, scheme: &Scheme) -> usize {
+        let part = format!("{cfg:?}{SEP}{scheme:?}{SEP}");
+        if let Some(i) = self.prefixes.iter().position(|(p, _)| **p == *part) {
+            return i;
+        }
+        let mut state = self.seed;
+        state.write_bytes(part.as_bytes());
+        self.prefixes.push((part.into(), state));
+        self.prefixes.len() - 1
+    }
+
+    fn mix(&mut self, mix: &Mix) -> usize {
+        let part = format!("{mix:?}");
+        if let Some(i) = self.mixes.iter().position(|m| **m == *part) {
+            return i;
+        }
+        self.mixes.push(part.into());
+        self.mixes.len() - 1
+    }
+
+    /// Adds `slot`, running the job of this prefix and mix.
+    fn push(&mut self, prefix: usize, mix: usize, slot: Slot) {
+        let next = self.grid.distinct.len();
+        let d = *self.seen.entry((prefix, mix)).or_insert(next);
+        if d == next {
+            let (part, mut h) = self.prefixes[prefix].clone();
+            let m = self.mixes[mix].clone();
+            h.write_bytes(m.as_bytes())
+                .write_bytes(SEP.as_bytes())
+                .write_bytes(self.opts.as_bytes());
+            let id = JobId {
+                digest: h.finish(),
+                parts: [part, m, self.opts.clone()],
+            };
+            self.grid.distinct.push((id, slot));
+        }
+        self.grid.slots.push(d);
     }
 }
 
 /// Expands the grid into its jobs and, when the spec normalizes, their
-/// no-prefetch baselines, both in row/cell/mix order. Key parts are
-/// formatted once per row (mixes) or cell (configs, schemes), not once
-/// per job: a mix's `Debug` form alone runs to kilobytes. The keys equal
-/// [`job_key`]'s.
-fn expand(exp: &Experiment) -> (KeyedJobs, KeyedJobs) {
-    let opts = format!("{:?}", exp.opts);
+/// no-prefetch baselines. Key parts are formatted once per row (mixes)
+/// or cell (configs, schemes), not once per job: a mix's `Debug` form
+/// alone runs to kilobytes.
+fn expand(exp: &Experiment) -> Grid {
+    let mut x = Expander {
+        seed: crate::cache::digest_seed(),
+        opts: format!("{:?}", exp.opts).into(),
+        prefixes: Vec::new(),
+        mixes: Vec::new(),
+        seen: HashMap::new(),
+        grid: Grid::default(),
+    };
     let plain = Scheme::plain();
-    let plain_part = format!("{plain:?}");
-    let mut cells = KeyedJobs::default();
-    let mut bases = KeyedJobs::default();
-    for row in &exp.rows {
-        let mixes: Vec<String> = row.mixes.iter().map(|m| format!("{m:?}")).collect();
-        for cell in &row.cells {
-            let cfg = format!("{:?}", cell.cfg);
-            let scheme = format!("{:?}", cell.scheme);
-            let base = (exp.normalization == Normalization::NoPrefetch).then(|| {
-                let base_cfg = crate::strip_prefetchers(&cell.cfg);
-                let part = format!("{base_cfg:?}");
-                (base_cfg, part)
-            });
-            for (mix, mix_part) in row.mixes.iter().zip(&mixes) {
-                cells.push(
-                    &cell.cfg,
-                    &cell.scheme,
+    let normalize = exp.normalization == Normalization::NoPrefetch;
+    let mut bases = Vec::new();
+    for (row, spec) in exp.rows.iter().enumerate() {
+        let mixes: Vec<usize> = spec.mixes.iter().map(|m| x.mix(m)).collect();
+        for (cell, c) in spec.cells.iter().enumerate() {
+            let prefix = x.prefix(&c.cfg, &c.scheme);
+            let base = normalize.then(|| x.prefix(&crate::strip_prefetchers(&c.cfg), &plain));
+            for (mix, &m) in mixes.iter().enumerate() {
+                let slot = Slot {
+                    row,
+                    cell,
                     mix,
-                    [&cfg, &scheme, mix_part, &opts],
-                );
-                if let Some((base_cfg, base_part)) = &base {
-                    bases.push(
-                        base_cfg,
-                        &plain,
-                        mix,
-                        [base_part, &plain_part, mix_part, &opts],
-                    );
+                    base: false,
+                };
+                x.push(prefix, m, slot);
+                if let Some(b) = base {
+                    bases.push((b, m, Slot { base: true, ..slot }));
                 }
             }
         }
     }
-    (cells, bases)
+    for (b, m, slot) in bases {
+        x.push(b, m, slot);
+    }
+    x.grid
 }
 
 fn collect<'a>(exp: &'a Experiment) -> ExperimentData<'a> {
-    let (cells, bases) = expand(exp);
-    let flat = run_cached_checked(&cells, &exp.opts);
-    let base_flat = run_cached_checked(&bases, &exp.opts);
-
-    let mut results = Vec::new();
-    let mut baselines = Vec::new();
-    let mut i = 0;
-    for row in &exp.rows {
-        let mut rrow = Vec::new();
-        let mut brow = Vec::new();
-        for _ in &row.cells {
-            let n = row.mixes.len();
-            rrow.push(flat[i..i + n].to_vec());
-            if exp.normalization == Normalization::NoPrefetch {
-                brow.push(base_flat[i..i + n].to_vec());
-            }
-            i += n;
-        }
-        results.push(rrow);
-        baselines.push(brow);
-    }
+    let grid = expand(exp);
+    let outcomes = run_cached_checked(exp, &grid);
+    // Slots come cells first, then one baseline per cell if normalizing.
+    let mut slots = grid.slots.iter().map(|&d| outcomes[d].clone());
+    let mut shaped = || -> Vec<Vec<Vec<Result<SimResult, SimError>>>> {
+        (exp.rows.iter())
+            .map(|row| {
+                (row.cells.iter())
+                    .map(|_| slots.by_ref().take(row.mixes.len()).collect())
+                    .collect()
+            })
+            .collect()
+    };
+    let results = shaped();
+    let baselines = match exp.normalization {
+        Normalization::NoPrefetch => shaped(),
+        Normalization::None => exp.rows.iter().map(|_| Vec::new()).collect(),
+    };
     ExperimentData {
         spec: exp,
         results,
@@ -403,7 +508,7 @@ fn collect<'a>(exp: &'a Experiment) -> ExperimentData<'a> {
 }
 
 thread_local! {
-    static RESULT_CACHE: std::cell::RefCell<HashMap<String, Result<SimResult, SimError>>> =
+    static RESULT_CACHE: std::cell::RefCell<HashMap<JobId, Result<SimResult, SimError>>> =
         std::cell::RefCell::new(HashMap::new());
 }
 
@@ -414,51 +519,46 @@ pub fn clear_result_cache() {
 }
 
 /// The full identity of one simulation: the `Debug` forms of config,
-/// scheme, mix, and run options. Memo and disk-cache key here (the
-/// executor joins the same parts from shared formatted copies, see
-/// `expand`); the fingerprint-baseline store keys the same identity with
-/// the armed fault stripped (see [`crate::fp_store::job_fp_key`]).
+/// scheme, mix, and run options, in that order, joined by `\u{1}`.
+/// Changing the layout renames every disk cache entry. The executor
+/// builds the same key from shared, once-formatted parts (see
+/// [`expand`]); the fingerprint-baseline store keys the same identity
+/// with the armed fault stripped (see [`crate::fp_store::job_fp_key`]).
 pub(crate) fn job_key(job: &SweepJob, opts: &RunOptions) -> String {
-    key_of([
-        &format!("{:?}", job.cfg),
-        &format!("{:?}", job.scheme),
-        &format!("{:?}", job.mix),
-        &format!("{opts:?}"),
-    ])
+    format!(
+        "{:?}{SEP}{:?}{SEP}{:?}{SEP}{opts:?}",
+        job.cfg, job.scheme, job.mix
+    )
 }
 
-/// The key layout: the formatted config, scheme, mix and run options,
-/// in that order, joined by `\u{1}`. Changing it renames every disk
-/// cache entry.
-fn key_of(parts: [&str; 4]) -> String {
-    parts.join("\u{1}")
-}
-
-/// Runs jobs through the memoized parallel driver: outcomes come from the
-/// in-process cache, then the universal on-disk result cache (every
-/// scheme, not just baselines — see [`crate::cache`]), and only the
-/// remainder is simulated (deduplicated, one `run_jobs_checked` batch).
-/// Returns outcomes in job order, identical to a serial `run_mix_checked`
-/// map.
+/// Runs the grid's distinct jobs through the memoized parallel driver:
+/// outcomes come from the in-process memo, then the universal on-disk
+/// result cache (every scheme, not just baselines — see
+/// [`crate::cache`]), and only the remainder is simulated, in one
+/// `run_jobs_checked` batch. Returns one outcome per distinct job,
+/// identical to a serial `run_mix_checked` map.
 ///
 /// Each simulated job is finished on its worker as it ends: the
 /// fingerprint-baseline step runs first, then a success is written to
 /// the disk cache. A sweep killed mid-batch therefore keeps every cell
 /// that completed, and a diverged result is never stored. Failures are
 /// memoized in-process but never written to the disk cache.
-fn run_cached_checked(keyed: &KeyedJobs, opts: &RunOptions) -> Vec<Result<SimResult, SimError>> {
-    let KeyedJobs { jobs, keys } = keyed;
-    let cached = |k: &str| RESULT_CACHE.with(|c| c.borrow().get(k).cloned());
-    let memoized = |k: &str| RESULT_CACHE.with(|c| c.borrow().contains_key(k));
-    let put = |k: String, r: Result<SimResult, SimError>| {
-        RESULT_CACHE.with(|c| c.borrow_mut().insert(k, r));
+fn run_cached_checked(exp: &Experiment, grid: &Grid) -> Vec<Result<SimResult, SimError>> {
+    let memoize = |id: &JobId, r: &Result<SimResult, SimError>| {
+        RESULT_CACHE.with(|c| c.borrow_mut().insert(id.clone(), r.clone()));
     };
     let fp_off = crate::fp_store::mode() == crate::fp_store::FpMode::Off;
 
+    let mut outcomes: Vec<Option<Result<SimResult, SimError>>> = RESULT_CACHE.with(|c| {
+        let memo = c.borrow();
+        grid.distinct
+            .iter()
+            .map(|(id, _)| memo.get(id).cloned())
+            .collect()
+    });
     let mut missing: Vec<usize> = Vec::new();
-    let mut queued: HashSet<&str> = HashSet::new();
-    for (i, key) in keys.iter().enumerate() {
-        if memoized(key) || !queued.insert(key) {
+    for (d, (id, slot)) in grid.distinct.iter().enumerate() {
+        if outcomes[d].is_some() {
             continue;
         }
         // Disk-cache hits carry no fingerprint stream, so serving one
@@ -468,35 +568,41 @@ fn run_cached_checked(keyed: &KeyedJobs, opts: &RunOptions) -> Vec<Result<SimRes
         // the job re-simulates once, gets checked, and refreshes its
         // entry on the way out.
         if fp_off {
-            if let Some(r) = crate::cache::lookup(key, &jobs[i].mix.name) {
-                put(key.clone(), Ok(r));
+            if let Some(r) = crate::cache::lookup(id.digest, &slot.mix(exp).name) {
+                let r = Ok(r);
+                memoize(id, &r);
+                outcomes[d] = Some(r);
                 continue;
             }
         }
-        missing.push(i);
+        missing.push(d);
     }
 
-    let batch: Vec<SweepJob> = missing.iter().map(|&i| jobs[i].clone()).collect();
-    let outcomes = run_jobs_checked(&batch, opts, |b, r| {
-        let i = missing[b];
+    let batch: Vec<SweepJob> = missing
+        .iter()
+        .map(|&d| grid.distinct[d].1.job(exp))
+        .collect();
+    let finished = run_jobs_checked(&batch, &exp.opts, |b, r| {
         // Fingerprint baselines see only freshly simulated outcomes:
         // results served from the in-process memo carry no fingerprint
         // stream to record or verify (the disk cache is bypassed above
         // when a baseline mode is active). Inert unless
         // CLIP_FP_BASELINE is set; a verify failure replaces the outcome
         // with its Divergence error (rendered DIV).
-        let r = crate::fp_store::apply(&jobs[i], opts, r);
+        let r = crate::fp_store::apply(&batch[b], &exp.opts, r);
         if let Ok(res) = &r {
-            crate::cache::store(&keys[i], &jobs[i].mix.name, res);
+            let digest = grid.distinct[missing[b]].0.digest;
+            crate::cache::store(digest, &batch[b].mix.name, res);
         }
         r
     });
-    for (&i, r) in missing.iter().zip(outcomes) {
-        put(keys[i].clone(), r);
+    for (&d, r) in missing.iter().zip(finished) {
+        memoize(&grid.distinct[d].0, &r);
+        outcomes[d] = Some(r);
     }
-
-    keys.iter()
-        .map(|k| cached(k).expect("every job key was filled above"))
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every distinct job was filled above"))
         .collect()
 }
 
@@ -593,18 +699,54 @@ mod tests {
             .find(|e| e.name == "fig02")
             .expect("fig02 is registered");
         let exp = (entry.build)(&scale).remove(0);
-        let (cells, bases) = expand(&exp);
-        assert_eq!(cells.jobs.len(), 5 * 4 * 2, "rows x cells x mixes");
-        assert_eq!(bases.jobs.len(), cells.jobs.len(), "one baseline per job");
-        for (cell, base) in cells.jobs.iter().zip(&bases.jobs) {
+        let grid = expand(&exp);
+        // Slots are rows x cells x mixes, then a baseline for each.
+        let mut order = Vec::new();
+        for base in [false, true] {
+            for (row, spec) in exp.rows.iter().enumerate() {
+                for cell in 0..spec.cells.len() {
+                    for mix in 0..spec.mixes.len() {
+                        order.push(Slot {
+                            row,
+                            cell,
+                            mix,
+                            base,
+                        });
+                    }
+                }
+            }
+        }
+        assert_eq!(grid.slots.len(), 2 * 5 * 4 * 2);
+        assert_eq!(grid.slots.len(), order.len());
+        let (cells, bases) = order.split_at(order.len() / 2);
+        for (cell, base) in cells.iter().zip(bases) {
+            let (cell, base) = (cell.job(&exp), base.job(&exp));
             assert_eq!(base.cfg, crate::strip_prefetchers(&cell.cfg));
             assert_eq!(base.mix, cell.mix);
         }
-        for keyed in [&cells, &bases] {
-            assert_eq!(keyed.keys.len(), keyed.jobs.len());
-            for (job, key) in keyed.jobs.iter().zip(&keyed.keys) {
-                assert_eq!(*key, job_key(job, &exp.opts));
-            }
+        // Every slot's identity is its job's key, and its digest is the
+        // hash the disk cache has always named that key's entry by.
+        let mut keys = std::collections::HashSet::new();
+        for (&slot, &d) in order.iter().zip(&grid.slots) {
+            let key = job_key(&slot.job(&exp), &exp.opts);
+            let (id, first) = &grid.distinct[d];
+            let [prefix, mix, opts] = &id.parts;
+            assert_eq!(format!("{prefix}{mix}{SEP}{opts}"), key, "{slot:?}");
+            assert_eq!(job_key(&first.job(&exp), &exp.opts), key, "{slot:?}");
+            let version = crate::cache::CACHE_VERSION;
+            let want = crate::store_util::fnv64(&format!("{version}|{key}"));
+            assert_eq!(id.digest, want, "{slot:?}");
+            keys.insert(key);
         }
+        // Each distinct job appears once: rows whose paper channel counts
+        // scale to the same run channels repeat each other's jobs, and a
+        // row's cells share their no-prefetch baseline.
+        assert_eq!(grid.distinct.len(), keys.len());
+        let channels: std::collections::HashSet<usize> = [4, 8, 16, 32, 64]
+            .into_iter()
+            .map(|paper| crate::scaled_channels(paper, scale.cores))
+            .collect();
+        assert!(channels.len() < 5, "some rows repeat at 4 cores");
+        assert_eq!(grid.distinct.len(), channels.len() * (4 * 2 + 2));
     }
 }

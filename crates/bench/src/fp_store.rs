@@ -23,8 +23,11 @@
 //!   broken record step must not turn a gate green while it checks
 //!   nothing. A job that recorded a baseline but captured no live
 //!   fingerprints fails the same way.
-//! * Unset (or `off`/`0`) — completely inert: golden artifacts and disk
-//!   cache entries stay byte-identical.
+//! * Unset, blank, `off` or `0` — completely inert: golden artifacts and
+//!   disk cache entries stay byte-identical.
+//! * Anything else (a typo such as `verfy`, or the retired `require`)
+//!   stops the run with an error naming the accepted words: a gate that
+//!   read as `off` would check nothing and exit 0.
 //!
 //! The key deliberately **excludes `RunOptions::fault`**: an armed fault
 //! stands in for a code change (that is exactly what the CI
@@ -32,10 +35,12 @@
 //! against the *clean* baseline recorded under the same identity.
 //!
 //! Entries share the durability machinery of the result cache
-//! (`store_util.rs`): FNV-keyed file names, a checksum wrapper
-//! (`{"checksum":"<16 hex>","stream":{"version":N,"windows":[...]}}`),
+//! (`store_util.rs`): FNV-keyed file names, a checksum over the stored
+//! payload bytes in exactly the layout
+//! `{"checksum":"<16 hex>","stream":{"version":N,"windows":[...]}}`,
 //! quarantine of damaged entries as `.corrupt` (capped, oldest evicted)
-//! and stale-tmp sweeping. A damaged baseline reads as "never recorded".
+//! and stale-tmp sweeping. A damaged or hand-reformatted baseline reads
+//! as "never recorded".
 //!
 //! * `CLIP_FP_DIR` overrides the directory (default
 //!   `target/clip-fp/`, a sibling of `target/clip-cache/`).
@@ -74,13 +79,18 @@ pub enum FpMode {
     Verify,
 }
 
-/// Reads the mode from `CLIP_FP_BASELINE`.
+/// The words `CLIP_FP_BASELINE` accepts.
+const MODES: &[&str] = &["record", "verify", "off", "0"];
+
+/// Reads the mode from `CLIP_FP_BASELINE`. It is a gate knob: a value
+/// other than `record`, `verify`, `off` or `0` (or blank) exits naming
+/// them, see [`clip_types::knob::env_gate`].
 pub fn mode() -> FpMode {
-    mode_from(std::env::var("CLIP_FP_BASELINE").ok().as_deref())
+    mode_of(clip_types::knob::env_gate("CLIP_FP_BASELINE", MODES))
 }
 
-fn mode_from(v: Option<&str>) -> FpMode {
-    match clip_types::knob::choice("CLIP_FP_BASELINE", v, &["record", "verify", "off", "0"]) {
+fn mode_of(word: Option<&str>) -> FpMode {
+    match word {
         Some("record") => FpMode::Record,
         Some("verify") => FpMode::Verify,
         _ => FpMode::Off,
@@ -139,7 +149,8 @@ pub fn apply(
 }
 
 fn entry_path(dir: &Path, key: &str, mix_name: &str) -> PathBuf {
-    store_util::entry_path(dir, &format!("{FP_VERSION}|{key}"), mix_name)
+    let digest = store_util::fnv64(&format!("{FP_VERSION}|{key}"));
+    store_util::entry_path(dir, digest, mix_name)
 }
 
 /// Persists a known-good fingerprint stream (best effort, atomic). A run
@@ -161,8 +172,8 @@ pub(crate) fn record_in(dir: &Path, key: &str, mix_name: &str, result: &SimResul
         ("version", Json::from(u64::from(FP_VERSION))),
         ("windows", stream_to_json(&result.fingerprints)),
     ]);
-    let entry = store_util::wrap_checksummed("stream", payload);
-    store_util::write_entry(dir, &entry_path(dir, key, mix_name), &entry);
+    let text = store_util::entry_text("stream", &payload);
+    store_util::write_entry(dir, &entry_path(dir, key, mix_name), &text);
 }
 
 /// Loads a recorded baseline stream, if present and intact. A
@@ -330,12 +341,17 @@ mod tests {
 
     #[test]
     fn mode_parses_the_documented_values() {
-        assert_eq!(mode_from(None), FpMode::Off);
-        assert_eq!(mode_from(Some("")), FpMode::Off);
-        assert_eq!(mode_from(Some("off")), FpMode::Off);
-        assert_eq!(mode_from(Some("0")), FpMode::Off);
-        assert_eq!(mode_from(Some("record")), FpMode::Record);
-        assert_eq!(mode_from(Some("verify")), FpMode::Verify);
-        assert_eq!(mode_from(Some("bogus")), FpMode::Off);
+        let mode_from =
+            |v: Option<&str>| clip_types::knob::gate("CLIP_FP_BASELINE", v, MODES).map(mode_of);
+        assert_eq!(mode_from(None), Ok(FpMode::Off));
+        assert_eq!(mode_from(Some("")), Ok(FpMode::Off));
+        assert_eq!(mode_from(Some("off")), Ok(FpMode::Off));
+        assert_eq!(mode_from(Some("0")), Ok(FpMode::Off));
+        assert_eq!(mode_from(Some("record")), Ok(FpMode::Record));
+        assert_eq!(mode_from(Some("verify")), Ok(FpMode::Verify));
+        for typo in ["verfy", "require", "bogus"] {
+            let err = mode_from(Some(typo)).expect_err("a mistyped gate is an error");
+            assert!(err.contains("record, verify, off, 0"), "{err}");
+        }
     }
 }

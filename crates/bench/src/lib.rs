@@ -42,6 +42,12 @@
 //!   whose streams are keyed apart), `verify` diffs every fresh job
 //!   against its stored baseline and renders divergent cells as `DIV`;
 //!   unset/`off` is completely inert (see [`fp_store`]).
+//!
+//! The last three are gates: they choose what a run checks. Unset or
+//! blank, each takes its default; any word it does not accept stops the
+//! run with exit status 2 and an error naming the words it does (see
+//! `clip_types::knob::env_gate`), because a mistyped gate that fell back
+//! would check nothing.
 //! * `CLIP_FP_DIR` — overrides the fingerprint-baseline directory.
 
 mod cache;

@@ -6,12 +6,15 @@
 //! [`crate::fp_store`]) — keep one JSON file per entry with the same
 //! durability discipline, factored out here:
 //!
-//! * **Checksum wrapper.** An entry is
-//!   `{"checksum":"<16 hex>","<payload key>":{...}}` where the checksum
-//!   is FNV-1a over the payload's rendered form. [`unwrap_verified`]
-//!   returns the payload only when the stored checksum matches it as
-//!   re-rendered, so truncated writes, disk corruption, and manual edits
-//!   all read as misses.
+//! * **Checksum wrapper.** An entry is exactly the bytes
+//!   `{"checksum":"<16 hex>","<payload key>":<payload>}`, where the
+//!   checksum is FNV-1a over the payload's bytes as stored
+//!   ([`entry_text`] renders the payload once and builds both from it).
+//!   [`unwrap_verified`] checks that layout, hashes the stored payload
+//!   bytes and only then parses the payload, so truncated writes, disk
+//!   corruption and manual edits all read as misses. That includes a
+//!   hand-reformatted entry that still means the same JSON: re-spacing
+//!   changes the bytes, and a miss costs one re-simulation.
 //! * **Quarantine.** A present-but-damaged entry is renamed to
 //!   `<entry>.corrupt` (deleted if even the rename fails) so the miss is
 //!   diagnosable, and the quarantine is pruned to [`QUARANTINE_CAP`]
@@ -24,6 +27,7 @@
 //!   forever.
 
 use clip_stats::Json;
+use clip_types::Fnv64;
 use std::path::{Path, PathBuf};
 
 /// How many quarantined `.corrupt` files a store directory may hold.
@@ -42,7 +46,8 @@ pub(crate) fn open_store(dir: &Path) {
     static OPENED: LazyLock<Mutex<std::collections::HashSet<PathBuf>>> =
         LazyLock::new(|| Mutex::new(std::collections::HashSet::new()));
     let mut opened = OPENED.lock().unwrap_or_else(|p| p.into_inner());
-    if opened.insert(dir.to_path_buf()) {
+    if !opened.contains(dir) {
+        opened.insert(dir.to_path_buf());
         prune_quarantine(dir);
     }
 }
@@ -62,19 +67,14 @@ pub(crate) fn target_dir() -> PathBuf {
 
 /// FNV-1a over a key or payload string.
 pub(crate) fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv64::new().write_bytes(s.as_bytes()).finish()
 }
 
-/// The entry file for `key` (already version-tagged by the caller):
-/// `<sanitized mix name>-<fnv64(key) hex>.json`. The mix name keeps
-/// entries human-attributable and makes hash collisions across mixes
-/// harmless.
-pub(crate) fn entry_path(dir: &Path, key: &str, mix_name: &str) -> PathBuf {
+/// The entry file for a job whose digest is `digest` (FNV-1a over its
+/// version-tagged key, see [`fnv64`]): `<sanitized mix name>-<digest
+/// hex>.json`. The mix name keeps entries human-attributable and makes
+/// hash collisions across mixes harmless.
+pub(crate) fn entry_path(dir: &Path, digest: u64, mix_name: &str) -> PathBuf {
     let sane: String = mix_name
         .chars()
         .map(|c| {
@@ -85,11 +85,29 @@ pub(crate) fn entry_path(dir: &Path, key: &str, mix_name: &str) -> PathBuf {
             }
         })
         .collect();
-    dir.join(format!("{sane}-{:016x}.json", fnv64(key)))
+    dir.join(format!("{sane}-{digest:016x}.json"))
 }
 
-/// Wraps a payload with its checksum under `payload_key`:
-/// `{"checksum":"<16 hex>","<payload_key>":<payload>}`.
+/// What every entry starts with, up to the checksum's 16 hex digits.
+const ENTRY_HEAD: &str = "{\"checksum\":\"";
+
+/// The entry text for `payload` under `payload_key`:
+/// `{"checksum":"<16 hex>","<payload_key>":<payload>}`, with the payload
+/// rendered once and the checksum taken over those bytes. Equal to
+/// rendering the `Json` object of the same two fields, so entries stay
+/// byte-identical to the ones earlier builds wrote.
+pub(crate) fn entry_text(payload_key: &str, payload: &Json) -> String {
+    let payload = payload.render();
+    format!(
+        "{ENTRY_HEAD}{:016x}\",\"{payload_key}\":{payload}}}",
+        fnv64(&payload)
+    )
+}
+
+/// The entry writer of earlier builds, kept as the reference the tests
+/// hold [`entry_text`] to: a two-field `Json` object, rendered whole.
+/// Entries already on disk have exactly its bytes.
+#[cfg(test)]
 pub(crate) fn wrap_checksummed(payload_key: &str, payload: Json) -> Json {
     let rendered = payload.render();
     Json::object([
@@ -98,30 +116,36 @@ pub(crate) fn wrap_checksummed(payload_key: &str, payload: Json) -> Json {
     ])
 }
 
-/// Parses an entry and returns its payload only when the stored checksum
-/// matches the payload as re-rendered.
+/// Returns an entry's payload when the entry has exactly the layout
+/// [`entry_text`] writes and its checksum matches the stored payload
+/// bytes. Only the payload is parsed, and only after the bytes check
+/// out; a payload that matches but does not parse is a miss too.
 pub(crate) fn unwrap_verified(text: &str, payload_key: &str) -> Option<Json> {
-    let entry = Json::parse(text).ok()?;
-    let stored = match entry.get("checksum") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => return None,
-    };
-    let payload = entry.get(payload_key)?;
-    if format!("{:016x}", fnv64(&payload.render())) != stored {
+    let (hex, rest) = text.strip_prefix(ENTRY_HEAD)?.split_at_checked(16)?;
+    let payload = rest
+        .strip_prefix("\",\"")?
+        .strip_prefix(payload_key)?
+        .strip_prefix("\":")?
+        .strip_suffix('}')?;
+    if !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
-    Some(payload.clone())
+    if u64::from_str_radix(hex, 16).ok()? != fnv64(payload) {
+        return None;
+    }
+    Json::parse(payload).ok()
 }
 
-/// Writes `entry` to `path` atomically (write-then-rename through a
-/// `.tmp.<pid>` sibling). Best effort: failures are silently dropped —
-/// a store must never fail a figure run on a read-only filesystem.
-pub(crate) fn write_entry(dir: &Path, path: &Path, entry: &Json) {
+/// Writes the entry `text` to `path` atomically (write-then-rename
+/// through a `.tmp.<pid>` sibling). Best effort: failures are silently
+/// dropped — a store must never fail a figure run on a read-only
+/// filesystem.
+pub(crate) fn write_entry(dir: &Path, path: &Path, text: &str) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, entry.render()).is_ok() {
+    if std::fs::write(&tmp, text).is_ok() {
         let _ = std::fs::rename(&tmp, path);
     }
 }
@@ -211,12 +235,53 @@ mod tests {
     #[test]
     fn checksum_wrapper_roundtrips_and_rejects_tampering() {
         let payload = Json::object([("x", Json::from(7u64))]);
-        let entry = wrap_checksummed("result", payload.clone()).render();
+        let entry = entry_text("result", &payload);
         assert_eq!(unwrap_verified(&entry, "result"), Some(payload));
         assert_eq!(unwrap_verified(&entry, "stream"), None, "wrong payload key");
         let tampered = entry.replace("\"x\":7", "\"x\":8");
         assert_eq!(unwrap_verified(&tampered, "result"), None);
         assert_eq!(unwrap_verified(&entry[..entry.len() / 2], "result"), None);
+    }
+
+    #[test]
+    fn entry_text_is_the_earlier_writers_bytes() {
+        let payload = Json::object([
+            ("label", Json::from("berti/mix \"0\"\u{1}")),
+            ("ipc", Json::array([Json::from(0.5), Json::from(2.0)])),
+            ("cycles", Json::from(1234u64)),
+            ("clip", Json::Null),
+        ]);
+        for key in ["result", "stream"] {
+            let text = entry_text(key, &payload);
+            assert_eq!(text, wrap_checksummed(key, payload.clone()).render());
+            assert_eq!(unwrap_verified(&text, key), Some(payload.clone()));
+        }
+    }
+
+    #[test]
+    fn verifier_reads_the_stored_bytes_not_the_json_they_mean() {
+        let payload = Json::object([("x", Json::from(7u64)), ("y", Json::Null)]);
+        let entry = entry_text("result", &payload);
+        // Re-spaced, semantically equal JSON: the payload's bytes changed,
+        // so the checksum no longer matches and the entry is a miss.
+        let compact = payload.render();
+        let respaced = entry.replacen(&compact, &compact.replace(',', ", "), 1);
+        assert_ne!(respaced, entry);
+        assert_eq!(Json::parse(&respaced).ok(), Json::parse(&entry).ok());
+        assert_eq!(unwrap_verified(&respaced, "result"), None);
+        // Only the writer's exact layout passes: no surrounding
+        // whitespace, lowercase hex, the payload key in place.
+        assert_eq!(unwrap_verified(&format!(" {entry}"), "result"), None);
+        assert_eq!(unwrap_verified(&format!("{entry}\n"), "result"), None);
+        let hex = &entry[ENTRY_HEAD.len()..ENTRY_HEAD.len() + 16];
+        let upper = entry.replacen(hex, &hex.to_uppercase(), 1);
+        assert_ne!(upper, entry, "this checksum has a hex letter");
+        assert_eq!(unwrap_verified(&upper, "result"), None);
+        // A payload that matches its checksum but is not JSON is a miss.
+        let junk = "{\"x\":07";
+        let bad = format!("{ENTRY_HEAD}{:016x}\",\"result\":{junk}}}", fnv64(junk));
+        assert!(Json::parse(junk).is_err());
+        assert_eq!(unwrap_verified(&bad, "result"), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `all_figures` command line: an unknown name is rejected before
-//! anything runs, and a named entry prints and writes exactly what its
+//! anything runs, a mistyped gate knob stops the run naming the words
+//! it accepts, and a named entry prints and writes exactly what its
 //! specs render, without the sweep's `index.json`.
 
 use clip_bench::experiment::execute_experiment;
@@ -18,8 +19,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Runs `all_figures` at smoke scale with its artifacts under `dir`.
 fn all_figures(dir: &Path, args: &[&str]) -> Output {
+    all_figures_with(dir, args, &[])
+}
+
+/// [`all_figures`] with extra environment variables.
+fn all_figures_with(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_all_figures"))
         .args(args)
+        .envs(env.iter().copied())
         .env("CLIP_ARTIFACT_DIR", dir)
         .env("CLIP_CACHE", "0")
         .env("CLIP_CORES", "4")
@@ -67,6 +74,43 @@ fn unknown_name_fails_listing_the_valid_names() {
         );
     }
     assert!(files_in(&dir).is_empty(), "no artifact written");
+}
+
+/// `knob=typo` must stop a fig02 run with status 2 before anything is
+/// printed or written, naming the knob, the value and `words`.
+fn gate_stops_the_run(knob: &str, typo: &str, words: &str) {
+    let dir = temp_dir(&format!("gate-{typo}"));
+    let out = all_figures_with(&dir, &["fig02"], &[(knob, typo)]);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(2), "{knob}={typo}: {stderr}");
+    assert!(out.stdout.is_empty(), "no table printed");
+    assert!(
+        stderr.contains(&format!("{knob}=\"{typo}\"")),
+        "names the value: {stderr}"
+    );
+    assert!(stderr.contains(words), "names the accepted words: {stderr}");
+    assert!(files_in(&dir).is_empty(), "no artifact written");
+}
+
+#[test]
+fn a_mistyped_fp_baseline_stops_the_run() {
+    // `require` is the retired strict mode; `verfy` a typo of `verify`.
+    // Either used to read as `off`: a gate that checked nothing.
+    for typo in ["require", "verfy"] {
+        gate_stops_the_run("CLIP_FP_BASELINE", typo, "record, verify, off, 0");
+    }
+}
+
+#[test]
+fn a_mistyped_check_level_stops_the_run() {
+    gate_stops_the_run("CLIP_CHECK", "ful", "off, 0, cheap, 1, full, 2");
+}
+
+#[test]
+fn a_mistyped_tick_mode_stops_the_run() {
+    // A typo of `step` used to run the wheel: a step-vs-wheel diff that
+    // compared the wheel against itself.
+    gate_stops_the_run("CLIP_TICK", "stpe", "step, wheel");
 }
 
 #[test]

@@ -78,13 +78,14 @@ pub fn set_step_override(v: Option<bool>) {
 }
 
 /// Resolves the tick mode for this thread: override first, then
-/// `CLIP_TICK` (`step` = cycle-by-cycle; `wheel` or unset = event
-/// wheel; anything else warns once and falls back to the wheel).
+/// `CLIP_TICK` (`step` = cycle-by-cycle; `wheel`, unset or blank = event
+/// wheel; anything else exits naming the two words, because a mistyped
+/// `step` would silently compare the wheel against itself).
 pub(crate) fn step_mode() -> bool {
     if let Some(v) = STEP_OVERRIDE.with(|s| s.get()) {
         return v;
     }
-    knob::env_choice("CLIP_TICK", &["step", "wheel"]) == Some("step")
+    knob::env_gate("CLIP_TICK", &["step", "wheel"]) == Some("step")
 }
 
 /// Options controlling one simulation run.

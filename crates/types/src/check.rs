@@ -25,7 +25,8 @@ use std::fmt;
 /// How much integrity checking a run performs.
 ///
 /// Read from the `CLIP_CHECK` environment variable (`off`/`0`, `cheap`/`1`,
-/// `full`/`2`); unset or unrecognized values default to [`CheckLevel::Cheap`].
+/// `full`/`2`); unset or blank values default to [`CheckLevel::Cheap`], and
+/// any other value stops the process (see [`crate::knob::env_gate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum CheckLevel {
     /// No watchdog, no audits (fault injection still works).
@@ -40,10 +41,11 @@ pub enum CheckLevel {
 }
 
 impl CheckLevel {
-    /// Parses `CLIP_CHECK` (validated warn-once, see [`crate::knob`]);
-    /// unset or unrecognized values yield `Cheap`.
+    /// Parses `CLIP_CHECK`; unset or blank yields `Cheap`, and an
+    /// unrecognized value exits naming the accepted words (a gate knob,
+    /// see [`crate::knob::env_gate`]).
     pub fn from_env() -> CheckLevel {
-        match crate::knob::env_choice("CLIP_CHECK", &["off", "0", "cheap", "1", "full", "2"]) {
+        match crate::knob::env_gate("CLIP_CHECK", &["off", "0", "cheap", "1", "full", "2"]) {
             Some("off") | Some("0") => CheckLevel::Off,
             Some("full") | Some("2") => CheckLevel::Full,
             _ => CheckLevel::Cheap,

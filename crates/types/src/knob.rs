@@ -1,20 +1,28 @@
 //! Validated environment knobs with warn-once rejection.
 //!
-//! Every runtime knob (`CLIP_THREADS`, `CLIP_CHECK`, `CLIP_TICK`, the
-//! store-directory overrides, …) follows the contract
-//! `CLIP_THREADS` established: a value in its documented domain is
-//! honoured, anything else — garbage, out of range, empty — is rejected
-//! with a **single** stderr warning per knob and the caller's default
-//! applies. A sweep that misreads one knob must degrade to its default
-//! loudly once, not spam a warning per job or (worse) silently clamp.
+//! Every runtime knob (`CLIP_THREADS`, the scale knobs, the
+//! store-directory overrides, …) follows the contract `CLIP_THREADS`
+//! established: a value in its documented domain is honoured, anything
+//! else — garbage, out of range, empty — is rejected with a **single**
+//! stderr warning per knob and the caller's default applies. A sweep
+//! that misreads one knob must degrade to its default loudly once, not
+//! spam a warning per job or (worse) silently clamp.
 //!
-//! Three knob shapes cover the workspace:
+//! The three *gate* knobs are the exception: `CLIP_CHECK`, `CLIP_TICK`
+//! and `CLIP_FP_BASELINE` choose what a run checks, and a mistyped gate
+//! that fell back to its default would check nothing while exiting 0
+//! (`CLIP_FP_BASELINE=verfy` verifying no baseline, `CLIP_TICK=stpe`
+//! turning a step-vs-wheel diff into wheel-vs-wheel). An unrecognised
+//! value of one of them stops the process instead ([`env_gate`]).
+//!
+//! Four knob shapes cover the workspace:
 //!
 //! * [`env_u64`] — integers in a range (`CLIP_THREADS`, the scale
 //!   knobs).
 //! * [`env_choice`] — one of an allowed word list, matched
-//!   case-insensitively after trimming (`CLIP_CHECK`, `CLIP_TICK`,
-//!   `CLIP_NOC`, `CLIP_DRAM`, the fingerprint-baseline mode).
+//!   case-insensitively after trimming (`CLIP_NOC`, `CLIP_DRAM`).
+//! * [`env_gate`] — the same word lists, but an unrecognised value is
+//!   an error (`CLIP_CHECK`, `CLIP_TICK`, `CLIP_FP_BASELINE`).
 //! * [`env_flag`] — booleans (`CLIP_CACHE`): `1`/`on`/`true`/`yes`
 //!   against `0`/`off`/`false`/`no`.
 //!
@@ -81,22 +89,53 @@ pub fn choice(
     raw: Option<&str>,
     allowed: &[&'static str],
 ) -> Option<&'static str> {
-    let v = raw?;
+    gate(name, raw, allowed).unwrap_or_else(|_| {
+        warn_once(name, || {
+            format!(
+                "clip: ignoring unrecognized {name}={:?} (expected one of: {}); \
+                 using the default",
+                raw.unwrap_or_default(),
+                allowed.join(", ")
+            )
+        });
+        None
+    })
+}
+
+/// Reads a gate knob: like [`env_choice`], but an unrecognised value
+/// prints an error naming the accepted words and exits the process with
+/// status 2, from whichever thread reads it first. Unset and blank
+/// values read as `None`, the caller's default.
+pub fn env_gate(name: &'static str, allowed: &[&'static str]) -> Option<&'static str> {
+    gate(name, std::env::var(name).ok().as_deref(), allowed).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// The testable core of [`env_gate`]: `Ok(None)` when unset or blank,
+/// `Ok(Some(canonical))` for a word of `allowed` (matched
+/// case-insensitively after trimming), and otherwise the error message
+/// naming the accepted words.
+pub fn gate(
+    name: &str,
+    raw: Option<&str>,
+    allowed: &[&'static str],
+) -> Result<Option<&'static str>, String> {
+    let Some(v) = raw else {
+        return Ok(None);
+    };
     let t = v.trim();
     if t.is_empty() {
-        return None;
+        return Ok(None);
     }
-    if let Some(c) = allowed.iter().find(|a| a.eq_ignore_ascii_case(t)) {
-        return Some(c);
-    }
-    warn_once(name, || {
-        format!(
-            "clip: ignoring unrecognized {name}={v:?} (expected one of: {}); \
-             using the default",
+    match allowed.iter().find(|a| a.eq_ignore_ascii_case(t)) {
+        Some(c) => Ok(Some(c)),
+        None => Err(format!(
+            "error: unrecognized {name}={v:?} (expected one of: {})",
             allowed.join(", ")
-        )
-    });
-    None
+        )),
+    }
 }
 
 /// Reads a boolean knob: `Some(true)` for `1`/`on`/`true`/`yes`,
@@ -190,6 +229,20 @@ mod tests {
             "trimmed, case-folded, canonical spelling returned"
         );
         assert_eq!(choice("K_C", Some("bogus"), MODES), None);
+    }
+
+    #[test]
+    fn gates_accept_their_words_and_name_them_when_mistyped() {
+        const WORDS: &[&str] = &["step", "wheel"];
+        assert_eq!(gate("K_G", None, WORDS), Ok(None), "unset is the default");
+        assert_eq!(gate("K_G", Some(" "), WORDS), Ok(None), "blank too");
+        assert_eq!(gate("K_G", Some(" Step "), WORDS), Ok(Some("step")));
+        let err = gate("K_G", Some("stpe"), WORDS).expect_err("a typo is an error");
+        assert!(err.contains("K_G=\"stpe\""), "{err}");
+        assert!(
+            err.contains("step, wheel"),
+            "names the accepted words: {err}"
+        );
     }
 
     #[test]

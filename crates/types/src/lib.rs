@@ -403,6 +403,16 @@ impl Fnv64 {
         self
     }
 
+    /// Folds a byte string, byte by byte. The state is `Copy`, so a
+    /// shared prefix can be folded once and continued per suffix.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+        self
+    }
+
     /// Folds a `usize` (as u64, platform-independent for values < 2^64).
     #[inline]
     pub fn write_usize(&mut self, x: usize) -> &mut Self {
@@ -444,6 +454,16 @@ mod tests {
         assert_ne!(a.finish(), c.finish(), "order must matter");
         // Known FNV-1a vector: hashing nothing yields the offset basis.
         assert_eq!(Fnv64::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(
+            Fnv64::new().write_bytes(b"a").finish(),
+            0xaf63_dc4c_8601_ec8c
+        );
+        // A folded prefix continues exactly as the whole string would.
+        let mut continued = *Fnv64::new().write_bytes(b"cfg\x01scheme\x01");
+        continued.write_bytes(b"mix");
+        let mut whole = Fnv64::new();
+        whole.write_bytes(b"cfg\x01scheme\x01mix");
+        assert_eq!(continued.finish(), whole.finish());
     }
 
     #[test]
